@@ -16,7 +16,7 @@ from pathlib import Path
 from .affine import op, orbit_witness, parse_point
 from .collapse import (CollapseError, ExpansionMismatch, NonUniformRelation,
                        WitnessFailure, verify_theorem)
-from .quandle import (FiniteQuandle, MalformedTable, check_axioms,
+from .quandle import (AxiomError, AxiomReport, FiniteQuandle, MalformedTable,
                       parse_table_text, render_table_text)
 from .ring import parse_elem, render_pair
 from .variety import MEDIAL, n_quandle, quotient_by_identity
@@ -27,25 +27,27 @@ class UsageError(Exception):
 
 
 def _load_rows(path: str) -> list[list[int]]:
-    return parse_table_text(Path(path).read_text(encoding="utf-8"))
+    try:
+        return parse_table_text(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path} is not UTF-8 text: {exc}") from None
 
 
 def _load_quandle(path: str) -> FiniteQuandle:
-    rows = _load_rows(path)
-    report = check_axioms(rows)
-    if not report.ok:
-        raise UsageError(f"{path} is not a quandle: {report.summary()}")
-    return FiniteQuandle(rows)
+    try:
+        return FiniteQuandle(_load_rows(path))
+    except AxiomError as exc:
+        raise UsageError(f"{path} is not a quandle: {exc.report.summary()}") from None
 
 
 def cmd_check(args) -> int:
-    rows = _load_rows(args.file)
-    report = check_axioms(rows)
-    print(f"axioms: {report.summary()}")
-    if not report.ok:
+    try:
+        q = FiniteQuandle(_load_rows(args.file))
+    except AxiomError as exc:
+        print(f"axioms: {exc.report.summary()}")
         return 1
+    print(f"axioms: {AxiomReport(True, True, True, None).summary()}")
     status = 0
-    q = FiniteQuandle(rows)
     if args.medial:
         holds, witness = q.is_medial()
         line = f"medial: {holds}"
@@ -97,6 +99,8 @@ def cmd_quotient(args) -> int:
 
 
 def cmd_verify_paper(args) -> int:
+    if args.samples < 0:
+        raise UsageError(f"--samples must be at least 0, got {args.samples}")
     try:
         report = verify_theorem(samples=args.samples, seed=args.seed)
     except (CollapseError, ExpansionMismatch, NonUniformRelation,
@@ -142,16 +146,14 @@ def cmd_reversal_experiment(args) -> int:
     outcomes: dict[str, dict[tuple, tuple[str, int]]] = {}
     for path in sorted(p for p in root.iterdir() if p.is_file()):
         try:
-            rows = parse_table_text(path.read_text(encoding="utf-8"))
+            q = FiniteQuandle(parse_table_text(path.read_text(encoding="utf-8")))
         except (MalformedTable, UnicodeDecodeError, OSError) as exc:
             print(f"warning: skipping {path.name}: {exc}", file=sys.stderr)
             continue
-        report = check_axioms(rows)
-        if not report.ok:
+        except AxiomError as exc:
             print(f"warning: skipping {path.name}: not a quandle"
-                  f" ({report.summary()})", file=sys.stderr)
+                  f" ({exc.report.summary()})", file=sys.stderr)
             continue
-        q = FiniteQuandle(rows)
         if not q.is_medial()[0]:
             print(f"warning: skipping {path.name}: not medial", file=sys.stderr)
             continue

@@ -125,9 +125,6 @@ class FiniteQuandle:
         self.table = tuple(tuple(row) for row in table)
         self.n = len(self.table)
 
-    def op(self, i: int, j: int) -> int:
-        return self.table[i][j]
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FiniteQuandle):
             return NotImplemented
@@ -196,37 +193,63 @@ class FiniteQuandle:
             raise InternalAxiomFailure(
                 f"reversing the orbit of {x} broke the axioms: {exc}") from exc
 
-    def is_medial(self) -> tuple[bool, tuple[int, int, int, int] | None]:
+    @cached_property
+    def _translation_cycles(self) -> tuple:
+        """[y][x] is (the cycle through x, in the order the translation by y
+        walks it; the index of x in that cycle)."""
         t = self.table
-        rng = range(self.n)
-        for w in rng:
-            for x in rng:
-                wx = t[w][x]
-                for y in rng:
-                    wy = t[w][y]
-                    for z in rng:
-                        if t[wx][t[y][z]] != t[wy][t[x][z]]:
-                            return False, (w, x, y, z)
-        return True, None
+        columns = []
+        for y in range(self.n):
+            place: list = [None] * self.n
+            for start in range(self.n):
+                cycle: list[int] = []
+                x = start
+                while place[x] is None:
+                    place[x] = (cycle, len(cycle))
+                    cycle.append(x)
+                    x = t[x][y]
+            columns.append(tuple(place))
+        return tuple(columns)
+
+    def medial_violations(self, elems):
+        """Yield (lhs, rhs, w, x, y, z) for each (w*x)*(y*z) != (w*y)*(x*z)
+        over `elems` with x before y, in lexicographic order.  Swapping x and
+        y gives the other violations, sides exchanged; x = y never violates."""
+        t = self.table
+        for w in elems:
+            tw = t[w]
+            for j, x in enumerate(elems):
+                twx = t[tw[x]]
+                tx = t[x]
+                for y in elems[j + 1:]:
+                    twy = t[tw[y]]
+                    ty = t[y]
+                    for z in elems:
+                        lhs = twx[ty[z]]
+                        rhs = twy[tx[z]]
+                        if lhs != rhs:
+                            yield lhs, rhs, w, x, y, z
+
+    def n_quandle_violations(self, power: int, elems):
+        """Yield (lhs, rhs, x, y) for each x acted on `power` times by y that
+        is not x, over `elems` with y outermost; a negative power iterates
+        inverse translations.  The cost does not grow with |power|."""
+        cycles = self._translation_cycles
+        for y in elems:
+            image = [cycle[(i + power) % len(cycle)] for cycle, i in cycles[y]]
+            for x in elems:
+                if image[x] != x:
+                    yield image[x], x, x, y
+
+    def is_medial(self) -> tuple[bool, tuple[int, int, int, int] | None]:
+        """(holds, lexicographically first violating (w, x, y, z) or None)"""
+        first = next(self.medial_violations(range(self.n)), None)
+        return (True, None) if first is None else (False, first[2:])
 
     def is_n_quandle(self, power: int) -> bool:
-        """True when every translation iterated `power` times is the identity.
-
-        Negative powers iterate the inverse translations; power 0 holds
-        trivially.
-        """
-        if power == 0:
-            return True
-        table = self.table if power > 0 else self.inverse_translations()
-        steps = abs(power)
-        for j in range(self.n):
-            for start in range(self.n):
-                cur = start
-                for _ in range(steps):
-                    cur = table[cur][j]
-                if cur != start:
-                    return False
-        return True
+        """True when every translation iterated `power` times is the identity
+        (negative powers iterate the inverse translations)."""
+        return next(self.n_quandle_violations(power, range(self.n)), None) is None
 
 
 def trivial_quandle(n: int) -> FiniteQuandle:

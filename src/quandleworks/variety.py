@@ -2,8 +2,10 @@
 
 quotient_by_identity computes the quotient by the least congruence whose
 quotient satisfies a chosen identity: the medial law, or "every translation
-has order dividing n".  Each merge the closure performs is forced in every
-congruence with that property, so the fixpoint is the least such congruence;
+has order dividing n", checked by the same code as FiniteQuandle.is_medial
+and is_n_quandle, whose cost does not grow with n.  It is a worklist
+congruence closure, and each merge it makes is forced in every congruence
+with that property, so the fixpoint is the least such congruence;
 brute_force_smallest_congruence certifies this on small tables by
 enumerating all set partitions.
 """
@@ -11,9 +13,8 @@ enumerating all set partitions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
-from .quandle import FiniteQuandle
+from .quandle import FiniteQuandle, InternalAxiomFailure
 
 MEDIAL_TAG = "medial"
 N_QUANDLE_TAG = "n_quandle"
@@ -38,6 +39,12 @@ class IdentitySpec:
     def __post_init__(self) -> None:
         if self.tag not in (MEDIAL_TAG, N_QUANDLE_TAG):
             raise ValueError(f"unknown identity tag {self.tag!r}")
+
+    def forced_pairs(self, q: FiniteQuandle, elems):
+        """Violated instances over `elems`, each starting with its two sides."""
+        if self.tag == MEDIAL_TAG:
+            return q.medial_violations(elems)
+        return q.n_quandle_violations(self.parameter, elems)
 
 
 MEDIAL = IdentitySpec(MEDIAL_TAG)
@@ -84,11 +91,8 @@ class Congruence:
 
     def projection(self) -> list[int]:
         """Element -> class index, classes numbered by smallest member."""
-        index: dict[int, int] = {}
-        for ci, block in enumerate(self.blocks()):
-            for x in block:
-                index[x] = ci
-        return [index[x] for x in range(self.quandle.n)]
+        cls = _class_map(self.blocks())
+        return [cls[x] for x in range(self.quandle.n)]
 
     def is_compatible(self) -> bool:
         """Both operation arguments and the inverse translations respect the classes."""
@@ -107,72 +111,41 @@ class Congruence:
         return True
 
 
-def _close_compatibility(cong: Congruence, q: FiniteQuandle, inv) -> bool:
-    """Propagate a=b into the operation and inverse-translation images."""
-    t = q.table
-    n = q.n
-    changed_any = False
-    dirty = True
-    while dirty:
-        dirty = False
-        for a in range(n):
-            for b in range(a + 1, n):
-                if cong.find(a) != cong.find(b):
-                    continue
-                for c in range(n):
-                    for u, v in ((t[a][c], t[b][c]),
-                                 (t[c][a], t[c][b]),
-                                 (inv[a][c], inv[b][c])):
-                        if cong.union(u, v):
-                            dirty = True
-                            changed_any = True
-    return changed_any
-
-
-def _merge_identity_violations(cong: Congruence, q: FiniteQuandle, inv,
-                               spec: IdentitySpec) -> bool:
-    """Union the two sides of every violated identity instance (one sweep)."""
-    t = q.table
-    reps = [block[0] for block in cong.blocks()]
-    changed = False
-    if spec.tag == MEDIAL_TAG:
-        for w, x, y, z in product(reps, repeat=4):
-            u = t[t[w][x]][t[y][z]]
-            v = t[t[w][y]][t[x][z]]
-            if cong.union(u, v):
-                changed = True
-    else:
-        table = t if spec.parameter >= 0 else inv
-        steps = abs(spec.parameter)
-        for y in reps:
-            for x in reps:
-                cur = x
-                for _ in range(steps):
-                    cur = table[cur][y]
-                if cong.union(cur, x):
-                    changed = True
-    return changed
-
-
 def quotient_by_identity(q: FiniteQuandle,
                          spec: IdentitySpec) -> tuple[FiniteQuandle, list[int]]:
     """Quotient by the least congruence whose quotient satisfies `spec`.
 
     Returns the quotient quandle and the projection list (element -> class,
-    classes numbered by smallest member).  The loop alternates compatibility
-    closure with identity-violation merges until neither changes anything;
-    at that point evaluating the identity on elements equals evaluating it
-    in the quotient, so the quotient satisfies the identity, and since every
-    merge was forced the congruence is the least one.
+    classes numbered by smallest member).  A sweep unions the two sides of
+    each violated identity instance over the class representatives; each
+    pair that merged is pushed, and popping it unions its images under both
+    arguments and the inverse translations, pushing those that merged.  The
+    drained partition is a congruence, so a sweep that merges nothing shows
+    the quotient satisfies the identity, and since every merge was forced the
+    congruence is the least one.
     """
     cong = Congruence(q)
+    union = cong.union
+    t = q.table
     inv = q.inverse_translations()
+    elems = range(q.n)
     while True:
-        changed = _close_compatibility(cong, q, inv)
-        changed = _merge_identity_violations(cong, q, inv, spec) or changed
-        if not changed:
+        reps = [block[0] for block in cong.blocks()]
+        pending = [item for item in spec.forced_pairs(q, reps)
+                   if union(item[0], item[1])]
+        if not pending:
             break
-    assert cong.is_compatible()
+        while pending:
+            a, b = pending.pop()[:2]
+            ta, tb, ia, ib = t[a], t[b], inv[a], inv[b]
+            for c in elems:
+                tc = t[c]
+                for u, v in ((ta[c], tb[c]), (tc[a], tc[b]), (ia[c], ib[c])):
+                    if union(u, v):
+                        pending.append((u, v))
+    if not cong.is_compatible():
+        raise InternalAxiomFailure("closure ended on a partition that is not"
+                                   " a congruence")
     proj = cong.projection()
     reps = [block[0] for block in cong.blocks()]
     rows = [[proj[q.table[ra][rb]] for rb in reps] for ra in reps]
@@ -227,9 +200,7 @@ def _quotient_satisfies(q: FiniteQuandle, partition, spec: IdentitySpec) -> bool
     reps = [block[0] for block in partition]
     rows = [[cls[q.table[ra][rb]] for rb in reps] for ra in reps]
     quot = FiniteQuandle(rows)
-    if spec.tag == MEDIAL_TAG:
-        return quot.is_medial()[0]
-    return quot.is_n_quandle(spec.parameter)
+    return next(spec.forced_pairs(quot, range(quot.n)), None) is None
 
 
 def _meet_partitions(partitions, n: int):
@@ -246,7 +217,7 @@ def brute_force_smallest_congruence(q: FiniteQuandle, spec: IdentitySpec):
 
     Congruences with the property are closed under intersection, so the
     finest exists; the meet of all valid partitions must itself appear in
-    the valid list, which is asserted.
+    the valid list, which is checked.
     """
     if q.n > 6:
         raise TooLarge(f"partition enumeration capped at order 6, got {q.n}")
@@ -254,5 +225,7 @@ def brute_force_smallest_congruence(q: FiniteQuandle, spec: IdentitySpec):
     valid = [p for p in _set_partitions(q.n)
              if _is_congruence(q, inv, p) and _quotient_satisfies(q, p, spec)]
     finest = _meet_partitions(valid, q.n)
-    assert finest in valid
+    if finest not in valid:
+        raise InternalAxiomFailure("the meet of the valid congruences is not"
+                                   " one of them")
     return finest

@@ -69,6 +69,26 @@ def test_missing_file_exits_two(capsys, tmp_path):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("check",), ("orbits",), ("reverse", "--element", "1"),
+    ("quotient", "--variety", "medial"),
+], ids=lambda argv: argv[0])
+def test_non_utf8_file_exits_two(capsys, tmp_path, argv):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"quandle v1\nn=1\n\xff\xfe\n")
+    code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "UTF-8" in err
+
+
+def test_check_with_a_huge_translation_power(capsys, d3_file):
+    # the work does not grow with the power: d3's translations are involutions
+    code, out, _ = run(capsys, "check", d3_file, "--nquandle", "100000000")
+    assert code == 0 and "100000000-quandle: True" in out
+    code, out, _ = run(capsys, "check", d3_file, "--nquandle", "100000001")
+    assert code == 1 and "100000001-quandle: False" in out
+
+
 def test_orbits_output(capsys, tmp_path, d3_file):
     code, out, _ = run(capsys, "orbits", d3_file)
     assert code == 0 and out == "orbit 1: 1 2 3\n"
@@ -156,6 +176,12 @@ def test_verify_paper_succeeds(capsys):
     assert code == 0
     assert "total classes: 2" in out
     assert "index=1" in out
+
+
+def test_verify_paper_rejects_negative_samples(capsys):
+    code, out, err = run(capsys, "verify-paper", "--samples", "-5")
+    assert code == 2 and out == ""
+    assert "--samples" in err
 
 
 def test_verify_paper_is_deterministic(capsys):

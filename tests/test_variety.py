@@ -1,11 +1,18 @@
 """Smallest-congruence quotients against the partition-enumeration oracle."""
 
+import random
+
 import pytest
 
-from conftest import partition_from_projection
-from quandleworks import (MEDIAL, FiniteQuandle, IdentitySpec, TooLarge,
+from conftest import partition_from_projection, two_orbit_quandle_mod
+from quandleworks import (MEDIAL, Congruence, FiniteQuandle, IdentitySpec,
+                          InternalAxiomFailure, TooLarge, affine_quandle,
                           brute_force_smallest_congruence, dihedral_quandle,
-                          n_quandle, quotient_by_identity, trivial_quandle)
+                          n_quandle, quotient_by_identity, relabel,
+                          trivial_quandle, variety)
+from seed_closure import seed_projection
+
+DIFFERENTIAL_SPECS = (MEDIAL,) + tuple(n_quandle(k) for k in (1, 2, 3, -2, 6))
 
 
 def test_identity_spec_validation():
@@ -130,3 +137,53 @@ def test_reversed_two_orbit_table_medializes_to_two_classes(shadow_mod5):
     # without the reversal nothing collapses
     quotient, _ = quotient_by_identity(shadow_mod5, MEDIAL)
     assert quotient.n == shadow_mod5.n
+
+
+def _differential_cases():
+    """Relabeled finite shadows with orbit 2 reversed (every root of
+    t^2 + t - 1 mod m), and every reversed orbit of relabeled affine tables."""
+    rng = random.Random(20261018)
+
+    def shuffled(q):
+        perm = list(range(q.n))
+        rng.shuffle(perm)
+        return relabel(q, perm)
+
+    for m in (5, 11):
+        for t in range(m):
+            if (t * t + t - 1) % m == 0:
+                yield f"shadow{m}t{t}", shuffled(two_orbit_quandle_mod(m, t).reverse_orbit(m))
+    for n, t in ((21, 4), (27, 4), (25, 6)):
+        q = shuffled(affine_quandle(n, t))
+        for block in q.orbits():
+            yield f"affine{n}t{t}-rev{block[0]}", q.reverse_orbit(block[0])
+
+
+def test_worklist_closure_matches_the_two_phase_oracle():
+    cases = list(_differential_cases())
+    assert [name for name, _ in cases][:3] == ["shadow5t2", "shadow11t3", "shadow11t7"]
+    assert len(cases) == 3 + 3 + 3 + 5
+    for name, q in cases:
+        for spec in DIFFERENTIAL_SPECS:
+            _, proj = quotient_by_identity(q, spec)
+            assert proj == seed_projection(q, spec), (name, spec)
+
+
+def test_huge_translation_power_costs_no_more_than_its_residue():
+    # every translation of the dihedral quandle of order 3 is an involution,
+    # so an odd power acts like power 1
+    d3 = dihedral_quandle(3)
+    power = 10**8 + 1
+    assert d3.is_n_quandle(power) == d3.is_n_quandle(1)
+    assert (quotient_by_identity(d3, n_quandle(power))
+            == quotient_by_identity(d3, n_quandle(1)))
+
+
+def test_failed_postconditions_raise(monkeypatch):
+    # raised, not asserted, so the checks also run under python -O
+    monkeypatch.setattr(Congruence, "is_compatible", lambda self: False)
+    with pytest.raises(InternalAxiomFailure):
+        quotient_by_identity(dihedral_quandle(3), MEDIAL)
+    monkeypatch.setattr(variety, "_meet_partitions", lambda partitions, n: ((0, 1, 2, 3),))
+    with pytest.raises(InternalAxiomFailure):
+        brute_force_smallest_congruence(dihedral_quandle(3), MEDIAL)
