@@ -88,9 +88,7 @@ class AffineExpr:
         return other + (-self)
 
     def __mul__(self, scalar) -> "AffineExpr":
-        if isinstance(scalar, int):
-            scalar = RingElem.from_int(scalar)
-        if not isinstance(scalar, RingElem):
+        if not isinstance(scalar, (int, RingElem)):
             return NotImplemented
         return AffineExpr(scalar * self.constant,
                           {v: scalar * c for v, c in self.coeffs.items()})

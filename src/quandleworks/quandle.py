@@ -150,7 +150,9 @@ class FiniteQuandle:
 
     @cached_property
     def _orbit_blocks(self) -> tuple[tuple[int, ...], ...]:
-        inv = self.inverse_translations()
+        # Forward edges suffice: a translation that maps a finite set into
+        # itself permutes it, so a set closed under all translations is
+        # closed under their inverses too.
         seen = [False] * self.n
         blocks = []
         for start in range(self.n):
@@ -162,11 +164,10 @@ class FiniteQuandle:
             while stack:
                 x = stack.pop()
                 members.append(x)
-                for y in range(self.n):
-                    for nxt in (self.table[x][y], inv[x][y]):
-                        if not seen[nxt]:
-                            seen[nxt] = True
-                            stack.append(nxt)
+                for nxt in self.table[x]:
+                    if not seen[nxt]:
+                        seen[nxt] = True
+                        stack.append(nxt)
             blocks.append(tuple(sorted(members)))
         return tuple(blocks)  # already ordered by smallest member
 

@@ -1,11 +1,15 @@
-"""Exact arithmetic in integer Laurent polynomials and in their quotient by
+"""Exact arithmetic in the quotient of the integer Laurent polynomials by
 the principal ideal generated by t^2 + t - 1.
 
 Every residue class in the quotient has a unique representative of the form
-n1*t + n2*t^2, so quotient elements are stored as plain integer pairs.
-Reduction rewrites t^2 -> 1 - t and t^(-1) -> 1 + t until only the exponents
-0 and 1 remain, then converts a + b*t into the canonical pair (a + b, a)
-using 1 = t + t^2.  All arithmetic is over arbitrary-precision integers;
+n1*t + n2*t^2, so quotient elements are stored as plain integer pairs and
+RingElem computes on them in closed form: products use t^3 = t - t^2 and
+t^4 = -t + 2*t^2, and multiplying by t or by 1/t is a linear map of the
+pair.  LaurentPoly and reduce are the specification: reduce rewrites
+t^2 -> 1 - t and t^(-1) -> 1 + t until only the exponents 0 and 1 remain,
+then converts a + b*t into the canonical pair (a + b, a) using 1 = t + t^2.
+The tests check every RingElem operation against reduce; RingElem itself
+never calls it.  All arithmetic is over arbitrary-precision integers;
 coefficients grow Fibonacci-fast under powers of t, so nothing here may
 round.
 """
@@ -112,16 +116,27 @@ class RingElem:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            other = RingElem.from_int(other)
+            return RingElem(other * self.n1, other * self.n2)
         if not isinstance(other, RingElem):
             return NotImplemented
-        return reduce(self.lift() * other.lift())
+        # (a*t + b*t^2)(c*t + d*t^2) = ac*t^2 + (ad + bc)*t^3 + bd*t^4
+        a, b, c, d = self.n1, self.n2, other.n1, other.n2
+        ad_bc = a * d + b * c
+        bd = b * d
+        return RingElem(ad_bc - bd, a * c - ad_bc + 2 * bd)
 
     __rmul__ = __mul__
 
     def scale_t(self, power: int) -> "RingElem":
         """t^power * self; valid for negative powers since t is a unit."""
-        return reduce(LaurentPoly.t_power(power) * self.lift())
+        n1, n2 = self.n1, self.n2
+        if power >= 0:
+            for _ in range(power):
+                n1, n2 = n2, n1 - n2  # t*(n1*t + n2*t^2), t^3 = t - t^2
+        else:
+            for _ in range(-power):
+                n1, n2 = n1 + n2, n1  # (n1*t + n2*t^2)/t = n1 + n2*t
+        return RingElem(n1, n2)
 
     def __str__(self) -> str:
         return render_pair(self)
@@ -199,10 +214,3 @@ def parse_elem(text: str) -> RingElem:
 def random_elem(rng: random.Random, bound: int = 50) -> RingElem:
     return RingElem(rng.randint(-bound, bound), rng.randint(-bound, bound))
 
-
-def random_poly(rng: random.Random, max_terms: int = 6, exp_bound: int = 6,
-                coeff_bound: int = 9) -> LaurentPoly:
-    terms = {}
-    for _ in range(rng.randint(0, max_terms)):
-        terms[rng.randint(-exp_bound, exp_bound)] = rng.randint(-coeff_bound, coeff_bound)
-    return LaurentPoly(terms)

@@ -119,15 +119,14 @@ def quotient_by_identity(q: FiniteQuandle,
     classes numbered by smallest member).  A sweep unions the two sides of
     each violated identity instance over the class representatives; each
     pair that merged is pushed, and popping it unions its images under both
-    arguments and the inverse translations, pushing those that merged.  The
-    drained partition is a congruence, so a sweep that merges nothing shows
-    the quotient satisfies the identity, and since every merge was forced the
+    arguments of the operation, pushing those that merged.  The drained
+    partition is a congruence, so a sweep that merges nothing shows the
+    quotient satisfies the identity, and since every merge was forced the
     congruence is the least one.
     """
     cong = Congruence(q)
     union = cong.union
     t = q.table
-    inv = q.inverse_translations()
     elems = range(q.n)
     while True:
         reps = [block[0] for block in cong.blocks()]
@@ -137,10 +136,13 @@ def quotient_by_identity(q: FiniteQuandle,
             break
         while pending:
             a, b = pending.pop()[:2]
-            ta, tb, ia, ib = t[a], t[b], inv[a], inv[b]
+            ta, tb = t[a], t[b]
+            # No inverse images: a translation permutes the finite carrier, so
+            # the map it induces on the classes is onto, hence one-to-one, and
+            # then its inverse respects the classes too.
             for c in elems:
                 tc = t[c]
-                for u, v in ((ta[c], tb[c]), (tc[a], tc[b]), (ia[c], ib[c])):
+                for u, v in ((ta[c], tb[c]), (tc[a], tc[b])):
                     if union(u, v):
                         pending.append((u, v))
     if not cong.is_compatible():

@@ -5,10 +5,19 @@ from itertools import permutations, product
 
 import pytest
 
-from quandleworks import (FiniteQuandle, affine_quandle, check_axioms,
-                          dihedral_quandle, relabel, trivial_quandle)
+from quandleworks import (FiniteQuandle, LaurentPoly, affine_quandle,
+                          check_axioms, dihedral_quandle, relabel,
+                          trivial_quandle)
 
 CORPUS_SEED = 20260815
+
+
+def random_poly(rng: random.Random, max_terms: int = 6, exp_bound: int = 6,
+                coeff_bound: int = 9) -> LaurentPoly:
+    terms = {}
+    for _ in range(rng.randint(0, max_terms)):
+        terms[rng.randint(-exp_bound, exp_bound)] = rng.randint(-coeff_bound, coeff_bound)
+    return LaurentPoly(terms)
 
 
 def enumerate_small_quandles(n: int) -> list[tuple[tuple[int, ...], ...]]:

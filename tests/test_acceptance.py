@@ -11,9 +11,9 @@ from quandleworks import (MEDIAL, ONE, T, T_SQ, ZERO, Point, RingElem,
                           expand_rhs, n_quandle, op, orbit_witness,
                           quotient_by_identity, relation_assignments, reduce,
                           verify_theorem)
-from quandleworks.ring import random_elem, random_poly
+from quandleworks.ring import random_elem
 
-from conftest import partition_from_projection
+from conftest import partition_from_projection, random_poly
 
 SEED = 20260815
 

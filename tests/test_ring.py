@@ -68,6 +68,25 @@ def test_reduce_is_multiplicative(p, q):
     assert reduce(p * q) == reduce(p) * reduce(q)
 
 
+# RingElem computes in closed form on canonical pairs; LaurentPoly + reduce
+# is the specification it must agree with.
+
+@given(elems, elems)
+def test_product_matches_the_specification(a, b):
+    assert a * b == reduce(a.lift() * b.lift())
+
+
+@given(elems, st.integers(min_value=-10**6, max_value=10**6))
+def test_int_product_matches_the_specification(a, k):
+    assert k * a == reduce(LaurentPoly({0: k}) * a.lift())
+    assert a * k == k * a
+
+
+@given(elems, st.integers(min_value=-200, max_value=200))
+def test_scale_t_matches_the_specification(e, k):
+    assert e.scale_t(k) == reduce(LaurentPoly.t_power(k) * e.lift())
+
+
 @given(elems)
 def test_unit_laws(e):
     assert e + ZERO == e

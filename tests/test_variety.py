@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from conftest import partition_from_projection, two_orbit_quandle_mod
+from conftest import (enumerate_small_quandles, partition_from_projection,
+                      two_orbit_quandle_mod)
 from quandleworks import (MEDIAL, Congruence, FiniteQuandle, IdentitySpec,
                           InternalAxiomFailure, TooLarge, affine_quandle,
                           brute_force_smallest_congruence, dihedral_quandle,
@@ -187,3 +188,35 @@ def test_failed_postconditions_raise(monkeypatch):
     monkeypatch.setattr(variety, "_meet_partitions", lambda partitions, n: ((0, 1, 2, 3),))
     with pytest.raises(InternalAxiomFailure):
         brute_force_smallest_congruence(dihedral_quandle(3), MEDIAL)
+
+
+def test_is_compatible_checks_left_images():
+    # column 2 swaps 0 and 1; every other translation is the identity
+    q = FiniteQuandle([[0, 0, 1, 0], [1, 1, 0, 1], [2, 2, 2, 2], [3, 3, 3, 3]])
+    t, inv = q.table, q.inverse_translations()
+    cong = Congruence(q)
+    cong.union(2, 3)
+    assert all(cong.same(t[2][c], t[3][c]) and cong.same(inv[2][c], inv[3][c])
+               for c in range(q.n))
+    assert not cong.same(t[0][2], t[0][3])
+    assert not cong.is_compatible()
+
+
+def test_forward_images_imply_inverse_images():
+    # why the closure and the orbit search follow no inverse translations: on
+    # a finite carrier, a partition closed under both arguments of the
+    # operation is a congruence, and a set closed under every translation is
+    # a union of orbits
+    for table in (tab for n in range(1, 5) for tab in enumerate_small_quandles(n)):
+        q = FiniteQuandle(table)
+        t, inv = q.table, q.inverse_translations()
+        for block in q.orbits():
+            assert {inv[x][y] for x in block for y in range(q.n)} <= set(block)
+        for partition in variety._set_partitions(q.n):
+            cls = variety._class_map(partition)
+            pairs = [(a, b) for block in partition for a in block for b in block]
+            closed = all(cls[t[a][c]] == cls[t[b][c]] and cls[t[c][a]] == cls[t[c][b]]
+                         for a, b in pairs for c in range(q.n))
+            if closed:
+                assert all(cls[inv[a][c]] == cls[inv[b][c]]
+                           for a, b in pairs for c in range(q.n)), (table, partition)
