@@ -232,12 +232,13 @@ def _verify_lattice(lattice: CollapseLattice) -> None:
     # column an explicit integer combination of the generators
     for g in lattice.generators:
         if not lattice.contains(g):
-            raise AssertionError(f"generator {g} escapes its own lattice")
+            raise CollapseError("lattice", f"generator {g} escapes its own lattice")
     for col, comb in zip(lattice.basis_columns(), lattice.basis_combinations):
         sx = sum(k * g.n1 for k, g in zip(comb, lattice.generators))
         sy = sum(k * g.n2 for k, g in zip(comb, lattice.generators))
         if (sx, sy) != col:
-            raise AssertionError(f"combination certificate broken for column {col}")
+            raise CollapseError("lattice",
+                                f"combination certificate broken for column {col}")
 
 
 def hnf_close(shifts: Sequence[RingElem]) -> CollapseLattice:

@@ -3,9 +3,11 @@
 quotient_by_identity computes the quotient by the least congruence whose
 quotient satisfies a chosen identity: the medial law, or "every translation
 has order dividing n", checked by the same code as FiniteQuandle.is_medial
-and is_n_quandle, whose cost does not grow with n.  It is a worklist
-congruence closure, and each merge it makes is forced in every congruence
-with that property, so the fixpoint is the least such congruence;
+and is_n_quandle, whose cost does not grow with n.  It repeatedly joins the
+two sides of the first violated instance over the class representatives;
+Congruence.join is the one routine that closes a partition under the
+operation, a worklist congruence closure.  Each join is forced in every
+congruence with that property, so the fixpoint is the least such congruence;
 brute_force_smallest_congruence certifies this on small tables by
 enumerating all set partitions.
 """
@@ -94,20 +96,42 @@ class Congruence:
         cls = _class_map(self.blocks())
         return [cls[x] for x in range(self.quandle.n)]
 
+    def join(self, a: int, b: int) -> None:
+        """Merge the classes of a and b, then close the partition under the
+        operation: each pair that merged has its images under both arguments
+        unioned, and each of those that merged is handled the same way."""
+        t = self.quandle.table
+        elems = range(self.quandle.n)
+        pending = [(a, b)] if self.union(a, b) else []
+        while pending:
+            a, b = pending.pop()
+            ta, tb = t[a], t[b]
+            # No inverse images: a translation permutes the finite carrier, so
+            # the map it induces on the classes is onto, hence one-to-one, and
+            # then its inverse respects the classes too.
+            for c in elems:
+                tc = t[c]
+                for u, v in ((ta[c], tb[c]), (tc[a], tc[b])):
+                    if self.union(u, v):
+                        pending.append((u, v))
+
     def is_compatible(self) -> bool:
-        """Both operation arguments and the inverse translations respect the classes."""
+        """Both operation arguments and the inverse translations respect the
+        classes.  Each element is compared with its class root, which by
+        transitivity covers every pair inside a class."""
         q = self.quandle
         t = q.table
         inv = q.inverse_translations()
         for a in range(q.n):
-            for b in range(a + 1, q.n):
-                if not self.same(a, b):
-                    continue
-                for c in range(q.n):
-                    if not (self.same(t[a][c], t[b][c])
-                            and self.same(t[c][a], t[c][b])
-                            and self.same(inv[a][c], inv[b][c])):
-                        return False
+            r = self.find(a)
+            if r == a:
+                continue
+            ta, tr, ia, ir = t[a], t[r], inv[a], inv[r]
+            for c in range(q.n):
+                if not (self.same(ta[c], tr[c])
+                        and self.same(t[c][a], t[c][r])
+                        and self.same(ia[c], ir[c])):
+                    return False
         return True
 
 
@@ -116,35 +140,21 @@ def quotient_by_identity(q: FiniteQuandle,
     """Quotient by the least congruence whose quotient satisfies `spec`.
 
     Returns the quotient quandle and the projection list (element -> class,
-    classes numbered by smallest member).  A sweep unions the two sides of
-    each violated identity instance over the class representatives; each
-    pair that merged is pushed, and popping it unions its images under both
-    arguments of the operation, pushing those that merged.  The drained
-    partition is a congruence, so a sweep that merges nothing shows the
-    quotient satisfies the identity, and since every merge was forced the
-    congruence is the least one.
+    classes numbered by smallest member).  Each round takes the class
+    representatives, finds the first violated identity instance over them
+    whose two sides lie in different classes, and joins those sides, which
+    closes the partition into a congruence again.  A round that finds no such
+    instance shows the quotient satisfies the identity, and since every join
+    was forced the congruence is the least one.
     """
     cong = Congruence(q)
-    union = cong.union
-    t = q.table
-    elems = range(q.n)
     while True:
         reps = [block[0] for block in cong.blocks()]
-        pending = [item for item in spec.forced_pairs(q, reps)
-                   if union(item[0], item[1])]
-        if not pending:
+        forced = next((item for item in spec.forced_pairs(q, reps)
+                       if not cong.same(item[0], item[1])), None)
+        if forced is None:
             break
-        while pending:
-            a, b = pending.pop()[:2]
-            ta, tb = t[a], t[b]
-            # No inverse images: a translation permutes the finite carrier, so
-            # the map it induces on the classes is onto, hence one-to-one, and
-            # then its inverse respects the classes too.
-            for c in elems:
-                tc = t[c]
-                for u, v in ((ta[c], tb[c]), (tc[a], tc[b])):
-                    if union(u, v):
-                        pending.append((u, v))
+        cong.join(forced[0], forced[1])
     if not cong.is_compatible():
         raise InternalAxiomFailure("closure ended on a partition that is not"
                                    " a congruence")

@@ -1,10 +1,16 @@
 """Command-line behavior: output shapes and the 0/1/2 exit-status contract."""
 
-import pytest
+import contextlib
+import io
 
-from conftest import conjugation_quandle_s3, two_orbit_quandle_mod
-from quandleworks import (dihedral_quandle, parse_table_text, relabel,
-                          render_table_text, trivial_quandle)
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import (conjugation_quandle_s3, enumerate_small_quandles,
+                      two_orbit_quandle_mod)
+from quandleworks import (collapse, dihedral_quandle, parse_table_text,
+                          relabel, render_table_text, trivial_quandle)
 from quandleworks.cli import main
 
 
@@ -184,6 +190,15 @@ def test_verify_paper_rejects_negative_samples(capsys):
     assert "--samples" in err
 
 
+def test_verify_paper_reports_a_broken_lattice_certificate(capsys, monkeypatch):
+    # a wrong extended gcd gives a Hermite form that fails its own certificate
+    monkeypatch.setattr(collapse, "_xgcd", lambda a, b: (1, 1, 1))
+    code, out, err = run(capsys, "verify-paper", "--samples", "0")
+    assert code == 1 and out == ""
+    assert err.startswith("verification failed at stage lattice: ")
+    assert "escapes its own lattice" in err
+
+
 def test_verify_paper_is_deterministic(capsys):
     _, first, _ = run(capsys, "verify-paper", "--samples", "25", "--seed", "7")
     _, second, _ = run(capsys, "verify-paper", "--samples", "25", "--seed", "7")
@@ -288,3 +303,82 @@ def test_usage_errors(capsys):
     assert code == 2
     code, out, _ = run(capsys, "--help")
     assert code == 0 and "quandleworks" in out
+
+
+VALID_TABLES = [render_table_text(table) for n in (1, 2, 3, 4)
+                for table in enumerate_small_quandles(n)]
+VALID_TABLES.append(render_table_text(conjugation_quandle_s3()))
+
+
+@st.composite
+def table_texts(draw):
+    """Small 'quandle v1' tables, some with a bad header, shape or entry."""
+    n = draw(st.integers(1, 4))
+    declared = draw(st.sampled_from([n, n, n, n + 1, n - 1]))
+    low, high = (0, n + 1) if draw(st.booleans()) else (1, n)
+    rows = [" ".join(str(draw(st.integers(low, high))) for _ in range(n))
+            for _ in range(n)]
+    header = draw(st.sampled_from(["quandle v1", "quandle v1", "quandle v2", ""]))
+    return "\n".join([header, f"n={declared}", *rows]) + "\n"
+
+
+@st.composite
+def file_bytes(draw):
+    """Half of them quandle tables; the rest near misses, text and bytes."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from(VALID_TABLES)).encode()
+    return draw(st.one_of(
+        table_texts().map(str.encode),
+        st.text(st.characters(blacklist_categories=("Cs",)), max_size=40).map(str.encode),
+        st.binary(max_size=40)))
+
+
+flag_ints = st.one_of(st.integers(-2, 5), st.integers()).map(str)
+ring_texts = st.builds("({},{})".format, st.integers(-9, 9), st.integers(-9, 9))
+point_texts = st.one_of(
+    st.builds("{}@{}".format, ring_texts, st.sampled_from("1233")),
+    st.text(max_size=8))
+
+
+@st.composite
+def cli_argvs(draw):
+    """Argument lists; a table command's file goes in at position 1."""
+    command = draw(st.sampled_from(["check", "orbits", "reverse", "quotient",
+                                    "demo-affine"]))
+    if command == "demo-affine":
+        if draw(st.booleans()):
+            return [command, "--op", draw(point_texts), draw(point_texts)]
+        return [command, "--witness", draw(st.one_of(ring_texts, st.text(max_size=8))),
+                draw(st.one_of(st.sampled_from("123"), st.text(max_size=3)))]
+    argv = [command]
+    if command == "check":
+        if draw(st.booleans()):
+            argv.append("--medial")
+        if draw(st.booleans()):
+            argv += ["--nquandle", draw(flag_ints)]
+    elif command == "reverse":
+        argv += ["--element", draw(st.integers(1, 4).map(str) | flag_ints)]
+    elif command == "quotient":
+        variety = draw(st.sampled_from(["medial", "nquandle", "nquandle", "abelian"]))
+        argv += ["--variety", variety]
+        # --n goes with nquandle, except now and then
+        if (variety == "nquandle") != (draw(st.integers(0, 4)) == 0):
+            argv += ["--n", draw(flag_ints)]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "table.txt"
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(content=file_bytes(), argv=cli_argvs())
+def test_cli_fuzz_keeps_the_exit_contract(fuzz_path, content, argv):
+    fuzz_path.write_bytes(content)
+    if argv[0] != "demo-affine":
+        argv.insert(1, str(fuzz_path))
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 2), (argv, content)

@@ -11,7 +11,7 @@ from quandleworks import (MEDIAL, Congruence, FiniteQuandle, IdentitySpec,
                           brute_force_smallest_congruence, dihedral_quandle,
                           n_quandle, quotient_by_identity, relabel,
                           trivial_quandle, variety)
-from seed_closure import seed_projection
+from seed_closure import _close_compatibility, seed_projection
 
 DIFFERENTIAL_SPECS = (MEDIAL,) + tuple(n_quandle(k) for k in (1, 2, 3, -2, 6))
 
@@ -168,6 +168,75 @@ def test_worklist_closure_matches_the_two_phase_oracle():
         for spec in DIFFERENTIAL_SPECS:
             _, proj = quotient_by_identity(q, spec)
             assert proj == seed_projection(q, spec), (name, spec)
+
+
+def _small_tables():
+    return [FiniteQuandle(table) for n in range(1, 5)
+            for table in enumerate_small_quandles(n)]
+
+
+def test_join_gives_the_least_congruence_containing_the_pair():
+    pairs = 0
+    for q in _small_tables():
+        inv = q.inverse_translations()
+        congruences = {p: variety._class_map(p) for p in variety._set_partitions(q.n)
+                       if variety._is_congruence(q, inv, p)}
+        for a in range(q.n):
+            for b in range(a + 1, q.n):
+                containing = [p for p, cls in congruences.items() if cls[a] == cls[b]]
+                cong = Congruence(q)
+                cong.join(a, b)
+                assert cong.blocks() == variety._meet_partitions(containing, q.n), (
+                    q.table, a, b)
+                pairs += 1
+    assert pairs == 232
+
+
+def test_join_matches_union_then_the_full_compatibility_passes():
+    cases = [q for name, q in _differential_cases()
+             if name.startswith("shadow") or name == "affine21t4-rev0"]
+    assert len(cases) == 4
+    for q in cases:
+        inv = q.inverse_translations()
+        for a in range(q.n):
+            for b in range(a + 1, q.n):
+                joined, oracle = Congruence(q), Congruence(q)
+                joined.join(a, b)
+                oracle.union(a, b)
+                _close_compatibility(oracle, q, inv)
+                assert joined.blocks() == oracle.blocks(), (q.table, a, b)
+
+
+def test_closure_work_is_quadratic(monkeypatch):
+    # each join makes one union call plus 2n per merge, and a table of order
+    # n has at most n - 1 merges
+    calls = 0
+    union = Congruence.union
+
+    def counted(self, a, b):
+        nonlocal calls
+        calls += 1
+        return union(self, a, b)
+
+    monkeypatch.setattr(Congruence, "union", counted)
+    for name, q in _differential_cases():
+        if name.startswith("shadow11"):
+            calls = 0
+            quotient, _ = quotient_by_identity(q, MEDIAL)
+            assert quotient.n == 2
+            assert calls <= 2 * q.n ** 2, (name, calls)
+
+
+def test_is_compatible_agrees_with_the_oracle_check():
+    for q in _small_tables():
+        inv = q.inverse_translations()
+        for partition in variety._set_partitions(q.n):
+            cong = Congruence(q)
+            for block in partition:
+                for x in block[1:]:
+                    cong.union(block[0], x)
+            assert cong.is_compatible() == variety._is_congruence(q, inv, partition), (
+                q.table, partition)
 
 
 def test_huge_translation_power_costs_no_more_than_its_residue():
