@@ -6,7 +6,10 @@ has order dividing n", checked by the same code as FiniteQuandle.is_medial
 and is_n_quandle, whose cost does not grow with n.  It repeatedly joins the
 two sides of the first violated instance over the class representatives;
 Congruence.join is the one routine that closes a partition under the
-operation, a worklist congruence closure.  Each join is forced in every
+operation, a worklist congruence closure.  For the medial law, each round
+first asks the displacement group of the current quotient, O(k^2)
+compositions of k-element translations, so the round that confirms the
+quotient is medial scans no instances.  Each join is forced in every
 congruence with that property, so the fixpoint is the least such congruence;
 brute_force_smallest_congruence certifies this on small tables by
 enumerating all set partitions.
@@ -16,7 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .quandle import FiniteQuandle, InternalAxiomFailure
+from .quandle import (FiniteQuandle, InternalAxiomFailure, displacements_commute,
+                      gather)
 
 MEDIAL_TAG = "medial"
 N_QUANDLE_TAG = "n_quandle"
@@ -47,6 +51,25 @@ class IdentitySpec:
         if self.tag == MEDIAL_TAG:
             return q.medial_violations(elems)
         return q.n_quandle_violations(self.parameter, elems)
+
+    def forced_pair(self, cong: "Congruence"):
+        """The first violated instance over the class representatives of the
+        congruence `cong` whose two sides lie in different classes, or None
+        when the quotient satisfies the identity.  For the medial law the
+        quotient's displacement group decides, and only a quotient that is
+        not medial is scanned."""
+        q = cong.quandle
+        blocks = cong.blocks()
+        if self.tag == MEDIAL_TAG and displacements_commute(
+                tuple(zip(*_quotient_rows(q, blocks)))):
+            return None
+        forced = next((item for item in self.forced_pairs(q, [b[0] for b in blocks])
+                       if not cong.same(item[0], item[1])), None)
+        if forced is None and self.tag == MEDIAL_TAG:
+            raise InternalAxiomFailure("the displacement group of the quotient is"
+                                       " not abelian, yet no medial instance is"
+                                       " violated")
+        return forced
 
 
 MEDIAL = IdentitySpec(MEDIAL_TAG)
@@ -117,22 +140,28 @@ class Congruence:
 
     def is_compatible(self) -> bool:
         """Both operation arguments and the inverse translations respect the
-        classes.  Each element is compared with its class root, which by
+        classes: the row, the column and the inverse row of each element,
+        mapped to classes, equal those of its class root, which by
         transitivity covers every pair inside a class."""
         q = self.quandle
-        t = q.table
-        inv = q.inverse_translations()
-        for a in range(q.n):
-            r = self.find(a)
-            if r == a:
-                continue
-            ta, tr, ia, ir = t[a], t[r], inv[a], inv[r]
-            for c in range(q.n):
-                if not (self.same(ta[c], tr[c])
-                        and self.same(t[c][a], t[c][r])
-                        and self.same(ia[c], ir[c])):
-                    return False
+        root = [self.find(x) for x in range(q.n)]
+        pairs = [(a, r) for a, r in enumerate(root) if a != r]
+        if not pairs:
+            return True
+        for lines in (q.table, q.columns(), q.inverse_translations()):
+            if any(gather(lines[a])(root) != gather(lines[r])(root) for a, r in pairs):
+                return False
         return True
+
+
+def _quotient_rows(q: FiniteQuandle, blocks) -> list[tuple[int, ...]]:
+    """The operation on the classes `blocks`, numbered in the given order; a
+    quandle table when the partition is a congruence."""
+    cls = _class_map(blocks)
+    proj = [cls[x] for x in range(q.n)]
+    reps = [block[0] for block in blocks]
+    pick = gather(reps)
+    return [gather(pick(q.table[r]))(proj) for r in reps]
 
 
 def quotient_by_identity(q: FiniteQuandle,
@@ -142,26 +171,20 @@ def quotient_by_identity(q: FiniteQuandle,
     Returns the quotient quandle and the projection list (element -> class,
     classes numbered by smallest member).  Each round takes the class
     representatives, finds the first violated identity instance over them
-    whose two sides lie in different classes, and joins those sides, which
-    closes the partition into a congruence again.  A round that finds no such
-    instance shows the quotient satisfies the identity, and since every join
-    was forced the congruence is the least one.
+    whose two sides lie in different classes (IdentitySpec.forced_pair), and
+    joins those sides, which closes the partition into a congruence again.
+    A round that finds no such instance shows the quotient satisfies the
+    identity, and since every join was forced the congruence is the least
+    one.
     """
     cong = Congruence(q)
-    while True:
-        reps = [block[0] for block in cong.blocks()]
-        forced = next((item for item in spec.forced_pairs(q, reps)
-                       if not cong.same(item[0], item[1])), None)
-        if forced is None:
-            break
+    while (forced := spec.forced_pair(cong)) is not None:
         cong.join(forced[0], forced[1])
     if not cong.is_compatible():
         raise InternalAxiomFailure("closure ended on a partition that is not"
                                    " a congruence")
     proj = cong.projection()
-    reps = [block[0] for block in cong.blocks()]
-    rows = [[proj[q.table[ra][rb]] for rb in reps] for ra in reps]
-    return FiniteQuandle(rows), proj
+    return FiniteQuandle(_quotient_rows(q, cong.blocks())), proj
 
 
 def _set_partitions(n: int):

@@ -2,6 +2,10 @@
 
 import contextlib
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import (conjugation_quandle_s3, enumerate_small_quandles,
                       two_orbit_quandle_mod)
+import quandleworks
 from quandleworks import (collapse, dihedral_quandle, parse_table_text,
                           relabel, render_table_text, trivial_quandle)
 from quandleworks.cli import main
@@ -59,6 +64,24 @@ def test_check_reports_medial_witness(capsys, tmp_path):
     code, out, _ = run(capsys, "check", str(path), "--medial")
     assert code == 1
     assert "medial: False witness=" in out
+
+
+@pytest.mark.parametrize("rows", [
+    conjugation_quandle_s3().table,        # a quandle that is not medial
+    [[0, 2, 0], [2, 1, 1], [1, 0, 2]],     # not right self-distributive
+])
+def test_check_gives_the_same_verdict_under_python_O(tmp_path, rows):
+    path = tmp_path / "table.txt"
+    path.write_text(render_table_text(rows))
+    src = str(Path(quandleworks.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    plain, optimized = (
+        subprocess.run([sys.executable, *flags, "-m", "quandleworks", "check", "--medial",
+                        str(path)], capture_output=True, text=True, env=env, timeout=60)
+        for flags in ([], ["-O"]))
+    assert plain.returncode == 1 and "witness=" in plain.stdout
+    assert (optimized.stdout, optimized.returncode) == (plain.stdout, plain.returncode)
 
 
 def test_parse_errors_exit_two(capsys, tmp_path):

@@ -1,14 +1,20 @@
 """Finite operation tables: axioms, orbits, reversal, and the file format."""
 
+import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import conjugation_quandle_s3
+from conftest import (build_corpus, conjugation_quandle_s3,
+                      enumerate_small_quandles, two_orbit_quandle_mod)
 from quandleworks import (AxiomError, FiniteQuandle, MalformedTable,
                           affine_quandle, check_axioms, dihedral_quandle,
                           parse_table_text, relabel, render_table_text,
                           trivial_quandle)
+from quandleworks.quandle import displacements_commute
+from seed_axioms import seed_check_axioms
 
 BROKEN_IDEMPOTENCE = [[1, 1], [0, 0]]
 BROKEN_BIJECTIVITY = [[0, 0], [0, 1]]
@@ -46,6 +52,94 @@ def test_constructor_rejects_non_quandles():
         check_axioms([[0, 5], [1, 0]])  # out of range
     with pytest.raises(MalformedTable):
         check_axioms([])
+
+
+def test_constructor_stores_the_rows_it_validated():
+    # a one-pass iterable is read once, and the rows checked are the rows kept
+    for table in (iter([[0, 0], [1, 1]]),
+                  ([v, v] for v in range(2)),
+                  [iter([0, 0]), iter([1, 1])]):
+        q = FiniteQuandle(table)
+        assert q.table == ((0, 0), (1, 1)) and q.n == 2
+    with pytest.raises(AxiomError):
+        FiniteQuandle(iter(BROKEN_IDEMPOTENCE))
+
+
+def test_check_axioms_matches_the_scalar_oracle_on_every_order_3_table():
+    count = 0
+    for entries in product(range(3), repeat=9):
+        rows = [entries[0:3], entries[3:6], entries[6:9]]
+        assert check_axioms(rows) == seed_check_axioms(rows), rows
+        count += 1
+    assert count == 3 ** 9
+
+
+def _mutation_bases() -> list[FiniteQuandle]:
+    """Quandles of order at most 12: the corpus, conjugation on S3, and
+    dihedral, affine and finite-shadow tables, reversed ones included."""
+    shadow = two_orbit_quandle_mod(5, 2)
+    bases = [q for _, q in build_corpus()]
+    bases += [conjugation_quandle_s3(), shadow, shadow.reverse_orbit(5)]
+    bases += [dihedral_quandle(n) for n in range(6, 13)]
+    bases += [affine_quandle(n, t) for n, t in ((7, 3), (8, 3), (9, 4), (11, 2), (12, 5))]
+    bases.append(affine_quandle(9, 4).reverse_orbit(0))
+    assert max(q.n for q in bases) == 12
+    return bases
+
+
+MUTATION_BASES = _mutation_bases()
+
+
+@st.composite
+def mutated_tables(draw):
+    """A relabeled base quandle with one entry changed, or with two
+    off-diagonal entries of one column swapped, which keeps idempotence and
+    bijective columns so that only distributivity can fail."""
+    q = draw(st.sampled_from(MUTATION_BASES))
+    rows = [list(row) for row in relabel(q, draw(st.permutations(range(q.n)))).table]
+    j = draw(st.integers(0, q.n - 1))
+    others = [i for i in range(q.n) if i != j]
+    if len(others) >= 2 and draw(st.booleans()):
+        a, b = draw(st.lists(st.sampled_from(others), min_size=2, max_size=2, unique=True))
+        rows[a][j], rows[b][j] = rows[b][j], rows[a][j]
+    else:
+        rows[draw(st.integers(0, q.n - 1))][j] = draw(st.integers(0, q.n - 1))
+    return rows
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(mutated_tables())
+def test_check_axioms_matches_the_scalar_oracle_on_mutated_quandles(rows):
+    assert check_axioms(rows) == seed_check_axioms(rows)
+
+
+def _medial_by_scan(q: FiniteQuandle) -> bool:
+    return next(q.medial_violations(range(q.n)), None) is None
+
+
+def test_displacement_kernel_agrees_with_the_medial_scan():
+    small = [FiniteQuandle(table) for n in range(1, 5)
+             for table in enumerate_small_quandles(n)]
+    assert len(small) == 43
+    rng = random.Random(20261018)
+
+    def shuffled(q):
+        perm = list(range(q.n))
+        rng.shuffle(perm)
+        return relabel(q, perm)
+
+    cases = small + [shuffled(q) for q in MUTATION_BASES]
+    for m in (5, 11):
+        for t in range(m):
+            if (t * t + t - 1) % m == 0:
+                q = shuffled(two_orbit_quandle_mod(m, t))
+                cases += [q] + [q.reverse_orbit(block[0]) for block in q.orbits()]
+    for n, t in ((21, 4), (27, 4), (25, 6), (15, 2)):
+        q = shuffled(affine_quandle(n, t))
+        cases += [q.reverse_orbit(block[0]) for block in q.orbits()]
+    verdicts = [displacements_commute(q.columns()) for q in cases]
+    assert verdicts == [_medial_by_scan(q) for q in cases]
+    assert True in verdicts and False in verdicts
 
 
 def test_corpus_members_satisfy_axioms(corpus):

@@ -9,7 +9,7 @@ from conftest import (enumerate_small_quandles, partition_from_projection,
 from quandleworks import (MEDIAL, Congruence, FiniteQuandle, IdentitySpec,
                           InternalAxiomFailure, TooLarge, affine_quandle,
                           brute_force_smallest_congruence, dihedral_quandle,
-                          n_quandle, quotient_by_identity, relabel,
+                          n_quandle, quandle, quotient_by_identity, relabel,
                           trivial_quandle, variety)
 from seed_closure import _close_compatibility, seed_projection
 
@@ -257,6 +257,18 @@ def test_failed_postconditions_raise(monkeypatch):
     monkeypatch.setattr(variety, "_meet_partitions", lambda partitions, n: ((0, 1, 2, 3),))
     with pytest.raises(InternalAxiomFailure):
         brute_force_smallest_congruence(dihedral_quandle(3), MEDIAL)
+
+
+def test_a_displacement_verdict_the_scan_contradicts_raises(monkeypatch):
+    # "not medial" with no violated instance to name is an internal failure,
+    # not a medial answer and not a quotient that stops early
+    for module in (quandle, variety):
+        monkeypatch.setattr(module, "displacements_commute", lambda columns: False)
+    d5 = dihedral_quandle(5)
+    with pytest.raises(InternalAxiomFailure):
+        d5.is_medial()
+    with pytest.raises(InternalAxiomFailure):
+        quotient_by_identity(d5, MEDIAL)
 
 
 def test_is_compatible_checks_left_images():
