@@ -11,9 +11,10 @@ equals (t^3 - t)*(x - y) -- independent of w and z.  Every violated medial
 instance therefore forces an identification of the form  v ~ v + s  on orbit
 1, a pure shift.  Shifts compose, so the full set of forced shifts is the
 subgroup of the ring's additive group (= Z^2 in the canonical pair basis)
-generated by the shifts realised by concrete substitutions; two of them
-generate all of Z^2, which is certified by a Hermite-form computation with
-explicit combination certificates.  Orbit 1 thus collapses to one class.
+generated by the shifts realised by concrete substitutions.  Two of them
+generate all of Z^2: their 2x2 determinant is 1, and its adjugate writes each
+basis vector as an explicit integer combination of the two, a certificate
+that is checked by recomputing the sums.  Orbit 1 thus collapses to one class.
 Orbit 2 follows by transport: every orbit-2 value is the image of the
 orbit-2 zero under a translation by an orbit-1 element, and translations by
 orbit-1 elements are untouched by the reversal.  No operation crosses orbit
@@ -168,36 +169,21 @@ def relation_assignments() -> list[dict[str, AffineExpr]]:
 def combine_shifts(s1: RingElem, s2: RingElem) -> list[RingElem]:
     """Composition chain of two shift relations: s1, s2, their sum, and the
     sum's inverse.  For the canonical shifts t^2 and -1 the inverted sum is
-    the shift t, the intermediate step of the collapse; the lattice closure
-    subsumes the chain, which is kept for the report."""
+    the shift t, the intermediate step of the collapse; the lattice
+    certificate subsumes the chain, which is kept for the report."""
     total = s1 + s2
     return [s1, s2, total, -total]
 
 
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, x, y) with g = a*x + b*y and g = gcd(a, b) >= 0."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
 @dataclass(frozen=True)
 class CollapseLattice:
-    """Subgroup of Z^2 spanned by shift vectors, in column Hermite form.
+    """Subgroup of Z^2 spanned by two shift vectors, certified to be all of Z^2.
 
-    hnf is ((a, b), (0, c)): basis columns (a, 0) and (b, c) with a, c >= 0
-    and 0 <= b < a when both are positive.  index is a*c for rank 2 and None
-    (infinite) otherwise.  basis_combinations expresses each basis column as
-    an integer combination of the generators, giving a checkable certificate
-    for one inclusion; contains() decides the other.
+    hnf is ((a, b), (0, c)) in column Hermite form: basis columns (a, 0) and
+    (b, c).  The determinant certificate only accepts unimodular generators,
+    so hnf is the identity, rank 2 and index 1.  basis_combinations expresses
+    each basis column as an integer combination of the generators: the
+    checkable certificate that the generators fill Z^2.
     """
 
     generators: tuple[RingElem, ...]
@@ -210,29 +196,9 @@ class CollapseLattice:
         (a, b), (_, c) = self.hnf
         return (a, 0), (b, c)
 
-    def contains(self, value) -> bool:
-        if isinstance(value, RingElem):
-            p, q = value.n1, value.n2
-        else:
-            p, q = int(value[0]), int(value[1])
-        (a, b), (_, c) = self.hnf
-        if c:
-            if q % c:
-                return False
-            p -= (q // c) * b
-        elif q:
-            return False
-        if a:
-            return p % a == 0
-        return p == 0
-
 
 def _verify_lattice(lattice: CollapseLattice) -> None:
-    # mutual membership: generators inside the basis span, and each basis
-    # column an explicit integer combination of the generators
-    for g in lattice.generators:
-        if not lattice.contains(g):
-            raise CollapseError("lattice", f"generator {g} escapes its own lattice")
+    # each basis column must be the stated integer combination of the generators
     for col, comb in zip(lattice.basis_columns(), lattice.basis_combinations):
         sx = sum(k * g.n1 for k, g in zip(comb, lattice.generators))
         sy = sum(k * g.n2 for k, g in zip(comb, lattice.generators))
@@ -242,55 +208,22 @@ def _verify_lattice(lattice: CollapseLattice) -> None:
 
 
 def hnf_close(shifts: Sequence[RingElem]) -> CollapseLattice:
-    """Column Hermite form of the subgroup of Z^2 generated by the shifts."""
-    gens = tuple(shifts)
-    m = len(gens)
+    """Certify by determinant that two shifts generate all of Z^2.
 
-    def combo(alpha, u, beta, v):
-        return [alpha * u[0] + beta * v[0],
-                alpha * u[1] + beta * v[1],
-                [alpha * cu + beta * cv for cu, cv in zip(u[2], v[2])]]
-
-    carrier = None  # the single basis vector allowed a nonzero second coordinate
-    firsts = []     # vectors already reduced to the first axis
-    for i, g in enumerate(gens):
-        if not (g.n1 or g.n2):
-            continue
-        unit = [0] * m
-        unit[i] = 1
-        vec = [g.n1, g.n2, unit]
-        if vec[1] == 0:
-            firsts.append(vec)
-        elif carrier is None:
-            carrier = vec
-        else:
-            g2, alpha, beta = _xgcd(carrier[1], vec[1])
-            merged = combo(alpha, carrier, beta, vec)
-            for old in (carrier, vec):
-                reduced = combo(1, old, -(old[1] // g2), merged)
-                if reduced[0]:
-                    firsts.append(reduced)
-            carrier = merged
-
-    a_val, a_comb = 0, [0] * m
-    for vec in firsts:
-        g2, alpha, beta = _xgcd(a_val, vec[0])
-        a_comb = [alpha * ca + beta * cv for ca, cv in zip(a_comb, vec[2])]
-        a_val = g2
-
-    if carrier is not None and carrier[1] < 0:
-        carrier = combo(-1, carrier, 0, carrier)
-    b_val, c_val = (carrier[0], carrier[1]) if carrier else (0, 0)
-    b_comb = carrier[2] if carrier else [0] * m
-    if a_val and c_val:
-        k = b_val // a_val  # floor keeps 0 <= b < a
-        b_val -= k * a_val
-        b_comb = [cb - k * ca for cb, ca in zip(b_comb, a_comb)]
-
-    rank = (1 if a_val else 0) + (1 if c_val else 0)
-    index = a_val * c_val if rank == 2 else None
-    lattice = CollapseLattice(gens, ((a_val, b_val), (0, c_val)), rank, index,
-                              (tuple(a_comb), tuple(b_comb)))
+    For generators (p1, q1) and (p2, q2) the index of their span is |d| with
+    d = p1*q2 - p2*q1 (infinite when d = 0).  Unless d = +-1, CollapseError
+    is raised: orbit 1 does not collapse.  Otherwise the Hermite form is the
+    identity, and the unique combinations giving its columns are the columns
+    of adj/d; 1/d = d.
+    """
+    s1, s2 = shifts
+    d = s1.n1 * s2.n2 - s2.n1 * s1.n2
+    if d not in (1, -1):
+        raise CollapseError(
+            "lattice",
+            f"shift lattice has index {abs(d) or None}, orbit 1 does not collapse")
+    lattice = CollapseLattice((s1, s2), ((1, 0), (0, 1)), 2, 1,
+                              ((s2.n2 * d, -s1.n2 * d), (-s2.n1 * d, s1.n1 * d)))
     _verify_lattice(lattice)
     return lattice
 
@@ -402,10 +335,6 @@ def verify_theorem(samples: int = 200, seed: int = 0) -> CollapseReport:
     shifts = tuple(derive_relation(asg) for asg in relation_assignments())
     chain = tuple(combine_shifts(shifts[0], shifts[1]))
     lattice = hnf_close(shifts)
-    if lattice.index != 1:
-        raise CollapseError(
-            "lattice",
-            f"shift lattice has index {lattice.index}, orbit 1 does not collapse")
     orbit2 = orbit2_collapse(samples, rng)
     return CollapseReport(lhs_expansion=lhs, relation_shifts=shifts,
                           shift_chain=chain, lattice=lattice,

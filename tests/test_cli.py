@@ -66,6 +66,15 @@ def test_check_reports_medial_witness(capsys, tmp_path):
     assert "medial: False witness=" in out
 
 
+def _run_under_both_optimization_levels(*args):
+    src = str(Path(quandleworks.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    return [subprocess.run([sys.executable, *flags, *args],
+                           capture_output=True, text=True, env=env, timeout=60)
+            for flags in ([], ["-O"])]
+
+
 @pytest.mark.parametrize("rows", [
     conjugation_quandle_s3().table,        # a quandle that is not medial
     [[0, 2, 0], [2, 1, 1], [1, 0, 2]],     # not right self-distributive
@@ -73,15 +82,26 @@ def test_check_reports_medial_witness(capsys, tmp_path):
 def test_check_gives_the_same_verdict_under_python_O(tmp_path, rows):
     path = tmp_path / "table.txt"
     path.write_text(render_table_text(rows))
-    src = str(Path(quandleworks.__file__).parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    plain, optimized = (
-        subprocess.run([sys.executable, *flags, "-m", "quandleworks", "check", "--medial",
-                        str(path)], capture_output=True, text=True, env=env, timeout=60)
-        for flags in ([], ["-O"]))
+    plain, optimized = _run_under_both_optimization_levels(
+        "-m", "quandleworks", "check", "--medial", str(path))
     assert plain.returncode == 1 and "witness=" in plain.stdout
     assert (optimized.stdout, optimized.returncode) == (plain.stdout, plain.returncode)
+
+
+def test_verify_paper_gives_the_same_report_under_python_O():
+    plain, optimized = _run_under_both_optimization_levels(
+        "-m", "quandleworks", "verify-paper", "--samples", "5")
+    assert plain.returncode == 0 and "index=1" in plain.stdout
+    assert (optimized.stdout, optimized.returncode) == (plain.stdout, plain.returncode)
+    # the lattice certificate is still checked under -O
+    plain, optimized = _run_under_both_optimization_levels("-c", (
+        "import sys\n"
+        "from quandleworks import collapse\n"
+        "from quandleworks.cli import main\n"
+        "collapse.CollapseLattice.basis_columns = lambda self: ((2, 0), (0, 1))\n"
+        "sys.exit(main(['verify-paper', '--samples', '0']))\n"))
+    assert plain.returncode == 1 and "combination certificate broken" in plain.stderr
+    assert (optimized.stderr, optimized.returncode) == (plain.stderr, plain.returncode)
 
 
 def test_parse_errors_exit_two(capsys, tmp_path):
@@ -214,12 +234,27 @@ def test_verify_paper_rejects_negative_samples(capsys):
 
 
 def test_verify_paper_reports_a_broken_lattice_certificate(capsys, monkeypatch):
-    # a wrong extended gcd gives a Hermite form that fails its own certificate
-    monkeypatch.setattr(collapse, "_xgcd", lambda a, b: (1, 1, 1))
+    # a basis column the stated combinations do not sum to breaks the certificate
+    monkeypatch.setattr(collapse.CollapseLattice, "basis_columns",
+                        lambda self: ((2, 0), (0, 1)))
     code, out, err = run(capsys, "verify-paper", "--samples", "0")
     assert code == 1 and out == ""
     assert err.startswith("verification failed at stage lattice: ")
-    assert "escapes its own lattice" in err
+    assert "combination certificate broken" in err
+
+
+@pytest.mark.parametrize("shifts, index", [
+    (((2, 0), (0, 1)), 2),      # determinant 2
+    (((1, 1), (2, 2)), None),   # determinant 0: rank 1
+])
+def test_verify_paper_reports_a_shift_lattice_that_is_not_all_of_z2(
+        capsys, monkeypatch, shifts, index):
+    forced = iter(quandleworks.RingElem(*s) for s in shifts)
+    monkeypatch.setattr(collapse, "derive_relation", lambda assignment: next(forced))
+    code, out, err = run(capsys, "verify-paper", "--samples", "0")
+    assert code == 1 and out == ""
+    assert err == (f"verification failed at stage lattice: shift lattice has"
+                   f" index {index}, orbit 1 does not collapse\n")
 
 
 def test_verify_paper_is_deterministic(capsys):

@@ -12,6 +12,7 @@ from quandleworks import (ONE, T, T_SQ, ZERO, AffineExpr, CollapseError,
                           orbit_witness, relation_assignments, reversed_op,
                           shift_gap, verify_theorem)
 from quandleworks.ring import random_elem
+import seed_hnf
 
 MINUS_ONE = RingElem(-1, -1)
 T_CUBED = RingElem(1, -1)
@@ -36,6 +37,8 @@ def test_gap_is_translation_invariant():
     assert gap.constant == ZERO
     assert gap.coeffs == {"x": T_CUBED - T, "y": T - T_CUBED}
     assert T_CUBED - T == -T_SQ
+    # a unit, so the forced shifts (t^3 - t)(x - y) fill the ring: index 1
+    assert (T_CUBED - T) * -ONE.scale_t(-2) == ONE
 
 
 def test_gap_law_on_random_values():
@@ -93,36 +96,40 @@ def test_hnf_of_the_canonical_shifts_is_unimodular():
     lattice = hnf_close([T_SQ, MINUS_ONE])
     assert lattice.hnf == ((1, 0), (0, 1))
     assert lattice.rank == 2 and lattice.index == 1
-    assert lattice.contains(RingElem(17, -23))
+    # (1,0) = -t^2 - (-1) and (0,1) = t^2
+    assert lattice.basis_combinations == ((-1, -1), (1, 0))
+    assert seed_hnf.contains(lattice, RingElem(17, -23))
 
 
 def test_hnf_worked_examples():
     assert hnf_close([T_SQ, ONE]).index == 1       # {(0,1), (1,1)}
-    empty = hnf_close([])
+    empty = seed_hnf.hnf_close([])
     assert empty.rank == 0 and empty.index is None
-    assert empty.contains(ZERO) and not empty.contains(T)
+    assert seed_hnf.contains(empty, ZERO) and not seed_hnf.contains(empty, T)
 
-    rank1 = hnf_close([RingElem(2, 0)])
+    rank1 = seed_hnf.hnf_close([RingElem(2, 0)])
     assert rank1.rank == 1 and rank1.index is None
-    assert rank1.contains(RingElem(4, 0)) and not rank1.contains(RingElem(3, 0))
-    assert not rank1.contains(RingElem(2, 2))
+    assert seed_hnf.contains(rank1, RingElem(4, 0))
+    assert not seed_hnf.contains(rank1, RingElem(3, 0))
+    assert not seed_hnf.contains(rank1, RingElem(2, 2))
 
-    line = hnf_close([RingElem(4, 6), RingElem(6, 9)])
+    line = seed_hnf.hnf_close([RingElem(4, 6), RingElem(6, 9)])
     assert line.hnf == ((0, 2), (0, 3)) and line.rank == 1
 
-    box = hnf_close([RingElem(2, 0), RingElem(0, 3)])
+    box = seed_hnf.hnf_close([RingElem(2, 0), RingElem(0, 3)])
     assert box.index == 6
-    assert box.contains(RingElem(2, 3)) and not box.contains(RingElem(1, 0))
+    assert seed_hnf.contains(box, RingElem(2, 3))
+    assert not seed_hnf.contains(box, RingElem(1, 0))
 
 
 def test_hnf_index_counts_residues():
     for gens in ([RingElem(2, 0), RingElem(0, 3)],
                  [RingElem(2, 1), RingElem(0, 5)],
                  [RingElem(3, 1), RingElem(1, 3)]):
-        lattice = hnf_close(gens)
+        lattice = seed_hnf.hnf_close(gens)
         assert lattice.index is not None
         span = lattice.index * 2
-        members = sum(lattice.contains((p, q))
+        members = sum(seed_hnf.contains(lattice, (p, q))
                       for p, q in product(range(span), repeat=2))
         assert members * lattice.index == span * span
 
@@ -132,26 +139,44 @@ def test_hnf_membership_both_ways_random():
     for _ in range(50):
         gens = [RingElem(rng.randint(-9, 9), rng.randint(-9, 9))
                 for _ in range(rng.randint(0, 4))]
-        lattice = hnf_close(gens)
+        lattice = seed_hnf.hnf_close(gens)
         for g in gens:
-            assert lattice.contains(g)
+            assert seed_hnf.contains(lattice, g)
         # random integer combinations stay inside
         for _ in range(10):
             coeffs = [rng.randint(-4, 4) for _ in gens]
             p = sum(c * g.n1 for c, g in zip(coeffs, gens))
             q = sum(c * g.n2 for c, g in zip(coeffs, gens))
-            assert lattice.contains((p, q))
+            assert seed_hnf.contains(lattice, (p, q))
         # each Hermite basis column is certified as a generator combination
         for col, comb in zip(lattice.basis_columns(), lattice.basis_combinations):
             assert col == (sum(k * g.n1 for k, g in zip(comb, gens)),
                            sum(k * g.n2 for k, g in zip(comb, gens)))
 
 
+def test_determinant_certificate_matches_the_general_hnf():
+    rng = random.Random(14)
+    unimodular = 0
+    for _ in range(4000):
+        pair = [RingElem(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(2)]
+        oracle = seed_hnf.hnf_close(pair)
+        if oracle.index == 1:
+            unimodular += 1
+            assert hnf_close(pair) == oracle
+        else:
+            with pytest.raises(CollapseError) as info:
+                hnf_close(pair)
+            assert info.value.stage == "lattice"
+            assert str(info.value) == (f"shift lattice has index {oracle.index},"
+                                       " orbit 1 does not collapse")
+    assert unimodular >= 20
+
+
 def test_shift_chain_reproduces_the_intermediate_shift():
     chain = combine_shifts(T_SQ, MINUS_ONE)
     assert chain[:2] == [T_SQ, MINUS_ONE]
     assert T in chain
-    assert hnf_close(chain).hnf == hnf_close([T_SQ, ONE]).hnf
+    assert seed_hnf.hnf_close(chain).hnf == seed_hnf.hnf_close([T_SQ, ONE]).hnf
     assert combine_shifts(ZERO, ZERO) == [ZERO] * 4
 
 

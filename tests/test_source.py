@@ -28,6 +28,25 @@ def test_no_assert_statements_in_the_library():
     assert found == []
 
 
+def test_the_library_imports_only_the_standard_library_and_itself():
+    # quandleworks has no runtime dependencies
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.partition(".")[0] not in sys.stdlib_module_names
+                      and name.partition(".")[0] != "quandleworks"]
+    assert len(list(PACKAGE_DIR.glob("*.py"))) > 1
+    assert found == []
+
+
 def cli(*argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
