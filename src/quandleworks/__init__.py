@@ -22,8 +22,7 @@ from .quandle import (AxiomError, AxiomReport, FiniteQuandle,
                       relabel, render_table_text, trivial_quandle)
 from .ring import (ONE, T, T_INV, T_SQ, ZERO, LaurentPoly, RingElem,
                    parse_elem, reduce, render_elem, render_pair)
-from .variety import (MEDIAL, Congruence, IdentitySpec, TooLarge,
-                      brute_force_smallest_congruence, n_quandle,
+from .variety import (MEDIAL, Congruence, IdentitySpec, n_quandle,
                       quotient_by_identity)
 
 __version__ = "0.1.0"
@@ -33,8 +32,8 @@ __all__ = [
     "CollapseLattice", "CollapseReport", "Congruence", "ExpansionMismatch",
     "FiniteQuandle", "IdentitySpec", "InternalAxiomFailure", "LaurentPoly",
     "MEDIAL", "MalformedTable", "NonUniformRelation", "ONE", "Point",
-    "RingElem", "SymPoint", "T", "T_INV", "T_SQ", "TooLarge",
-    "WitnessFailure", "ZERO", "affine_quandle", "brute_force_smallest_congruence",
+    "RingElem", "SymPoint", "T", "T_INV", "T_SQ", "WitnessFailure", "ZERO",
+    "affine_quandle",
     "check_axioms", "check_axioms_symbolic", "combine_shifts",
     "derive_relation", "dihedral_quandle", "expand_lhs", "expand_rhs",
     "hnf_close", "n_quandle", "op", "op_inv", "orbit2_collapse",

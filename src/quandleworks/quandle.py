@@ -8,8 +8,11 @@ parse/render.
 The table checks compose whole translations, held as tuples, with gather
 (operator.itemgetter, so each composition runs at C speed): distributivity
 is R_k R_j = R_{j*k} R_k for every pair (j, k), and mediality is decided by
-the displacement group (displacements_commute).  Witnesses are still the
-lexicographically first violating instances.
+the displacement group (displacements_commute).  Each identity is one
+function of a table, a sequence of row tuples: medial_violation and
+n_quandle_violation return the lexicographically first violating instance,
+and FiniteQuandle.is_medial / is_n_quandle and the quotient closure in
+variety.py all ask them.
 """
 
 from __future__ import annotations
@@ -165,6 +168,67 @@ def displacements_commute(columns) -> bool:
     return True
 
 
+def scan_medial(rows):
+    """The first (lhs, rhs, w, x, y, z) with (w*x)*(y*z) = lhs differing
+    from (w*y)*(x*z) = rhs in the table `rows`, lexicographic over x < y, or
+    None.  Swapping x and y gives the other violations, sides exchanged;
+    x = y never violates."""
+    n = len(rows)
+    for w in range(n):
+        tw = rows[w]
+        for x in range(n):
+            twx = rows[tw[x]]
+            tx = rows[x]
+            for y in range(x + 1, n):
+                twy = rows[tw[y]]
+                ty = rows[y]
+                for z in range(n):
+                    lhs = twx[ty[z]]
+                    rhs = twy[tx[z]]
+                    if lhs != rhs:
+                        return lhs, rhs, w, x, y, z
+    return None
+
+
+def medial_violation(rows):
+    """scan_medial's witness for a quandle table `rows`, or None when it is
+    medial.  The displacement group decides; only a table it finds not
+    medial is scanned, to name the witness."""
+    if displacements_commute(tuple(zip(*rows))):
+        return None
+    first = scan_medial(rows)
+    if first is None:
+        raise InternalAxiomFailure("the displacement group is not abelian,"
+                                   " yet no medial instance is violated")
+    return first
+
+
+def n_quandle_violation(rows, power: int):
+    """The first (lhs, rhs, x, y), y outermost, where x acted on `power`
+    times by y is lhs, not rhs = x, in the quandle table `rows`, or None; a
+    negative power iterates inverse translations.  Each translation is
+    walked cycle by cycle, so the cost does not grow with |power|."""
+    n = len(rows)
+    for y in range(n):
+        seen = [False] * n
+        for start in range(n):
+            if seen[start]:
+                continue
+            # every smaller element lies on an earlier cycle, so start is the
+            # least element of this one
+            seen[start] = True
+            cycle = [start]
+            x = rows[start][y]
+            while not seen[x]:
+                seen[x] = True
+                cycle.append(x)
+                x = rows[x][y]
+            shift = power % len(cycle)
+            if shift:
+                return cycle[shift], start, start, y
+    return None
+
+
 class FiniteQuandle:
     """Validated, immutable operation table.  Construction checks all axioms."""
 
@@ -254,71 +318,15 @@ class FiniteQuandle:
             raise InternalAxiomFailure(
                 f"reversing the orbit of {x} broke the axioms: {exc}") from exc
 
-    @cached_property
-    def _translation_cycles(self) -> tuple:
-        """[y][x] is (the cycle through x, in the order the translation by y
-        walks it; the index of x in that cycle)."""
-        t = self.table
-        columns = []
-        for y in range(self.n):
-            place: list = [None] * self.n
-            for start in range(self.n):
-                cycle: list[int] = []
-                x = start
-                while place[x] is None:
-                    place[x] = (cycle, len(cycle))
-                    cycle.append(x)
-                    x = t[x][y]
-            columns.append(tuple(place))
-        return tuple(columns)
-
-    def medial_violations(self, elems):
-        """Yield (lhs, rhs, w, x, y, z) for each (w*x)*(y*z) != (w*y)*(x*z)
-        over `elems` with x before y, in lexicographic order.  Swapping x and
-        y gives the other violations, sides exchanged; x = y never violates."""
-        t = self.table
-        for w in elems:
-            tw = t[w]
-            for j, x in enumerate(elems):
-                twx = t[tw[x]]
-                tx = t[x]
-                for y in elems[j + 1:]:
-                    twy = t[tw[y]]
-                    ty = t[y]
-                    for z in elems:
-                        lhs = twx[ty[z]]
-                        rhs = twy[tx[z]]
-                        if lhs != rhs:
-                            yield lhs, rhs, w, x, y, z
-
-    def n_quandle_violations(self, power: int, elems):
-        """Yield (lhs, rhs, x, y) for each x acted on `power` times by y that
-        is not x, over `elems` with y outermost; a negative power iterates
-        inverse translations.  The cost does not grow with |power|."""
-        cycles = self._translation_cycles
-        for y in elems:
-            image = [cycle[(i + power) % len(cycle)] for cycle, i in cycles[y]]
-            for x in elems:
-                if image[x] != x:
-                    yield image[x], x, x, y
-
     def is_medial(self) -> tuple[bool, tuple[int, int, int, int] | None]:
-        """(holds, lexicographically first violating (w, x, y, z) or None).
-
-        The displacement group decides; only a table it finds not medial is
-        scanned, to name the witness."""
-        if displacements_commute(self._columns):
-            return True, None
-        first = next(self.medial_violations(range(self.n)), None)
-        if first is None:
-            raise InternalAxiomFailure("the displacement group is not abelian,"
-                                       " yet no medial instance is violated")
-        return False, first[2:]
+        """(holds, lexicographically first violating (w, x, y, z) or None)."""
+        first = medial_violation(self.table)
+        return (True, None) if first is None else (False, first[2:])
 
     def is_n_quandle(self, power: int) -> bool:
         """True when every translation iterated `power` times is the identity
         (negative powers iterate the inverse translations)."""
-        return next(self.n_quandle_violations(power, range(self.n)), None) is None
+        return n_quandle_violation(self.table, power) is None
 
 
 def trivial_quandle(n: int) -> FiniteQuandle:
@@ -385,7 +393,10 @@ def parse_table_text(text: str) -> list[list[int]]:
     m = _ORDER_RE.match(s)
     if not m:
         raise MalformedTable("expected order line 'n=<order>'", line=lineno)
-    n = int(m.group(1))
+    try:
+        n = int(m.group(1))
+    except ValueError:  # more digits than Python converts
+        raise MalformedTable("order is too large", line=lineno) from None
     if n < 1:
         raise MalformedTable("order must be positive", line=lineno)
 

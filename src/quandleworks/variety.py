@@ -2,32 +2,24 @@
 
 quotient_by_identity computes the quotient by the least congruence whose
 quotient satisfies a chosen identity: the medial law, or "every translation
-has order dividing n", checked by the same code as FiniteQuandle.is_medial
-and is_n_quandle, whose cost does not grow with n.  It repeatedly joins the
-two sides of the first violated instance over the class representatives;
+has order dividing n".  Each round builds the current quotient's table and
+asks the identity's function of a table (quandle.medial_violation or
+n_quandle_violation, which FiniteQuandle.is_medial and is_n_quandle ask
+too) for its first violated instance, then joins the two classes it names;
 Congruence.join is the one routine that closes a partition under the
-operation, a worklist congruence closure.  For the medial law, each round
-first asks the displacement group of the current quotient, O(k^2)
-compositions of k-element translations, so the round that confirms the
-quotient is medial scans no instances.  Each join is forced in every
-congruence with that property, so the fixpoint is the least such congruence;
-brute_force_smallest_congruence certifies this on small tables by
-enumerating all set partitions.
+operation, a worklist congruence closure.  Each join is forced in every
+congruence with that property, so the fixpoint is the least such congruence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .quandle import (FiniteQuandle, InternalAxiomFailure, displacements_commute,
-                      gather)
+from .quandle import (FiniteQuandle, InternalAxiomFailure, gather,
+                      medial_violation, n_quandle_violation)
 
 MEDIAL_TAG = "medial"
 N_QUANDLE_TAG = "n_quandle"
-
-
-class TooLarge(ValueError):
-    """The table is too big for the partition-enumeration oracle."""
 
 
 @dataclass(frozen=True)
@@ -46,30 +38,12 @@ class IdentitySpec:
         if self.tag not in (MEDIAL_TAG, N_QUANDLE_TAG):
             raise ValueError(f"unknown identity tag {self.tag!r}")
 
-    def forced_pairs(self, q: FiniteQuandle, elems):
-        """Violated instances over `elems`, each starting with its two sides."""
+    def violation(self, rows):
+        """The first violated instance in the quandle table `rows`, starting
+        with its two sides, or None when the table satisfies the identity."""
         if self.tag == MEDIAL_TAG:
-            return q.medial_violations(elems)
-        return q.n_quandle_violations(self.parameter, elems)
-
-    def forced_pair(self, cong: "Congruence"):
-        """The first violated instance over the class representatives of the
-        congruence `cong` whose two sides lie in different classes, or None
-        when the quotient satisfies the identity.  For the medial law the
-        quotient's displacement group decides, and only a quotient that is
-        not medial is scanned."""
-        q = cong.quandle
-        blocks = cong.blocks()
-        if self.tag == MEDIAL_TAG and displacements_commute(
-                tuple(zip(*_quotient_rows(q, blocks)))):
-            return None
-        forced = next((item for item in self.forced_pairs(q, [b[0] for b in blocks])
-                       if not cong.same(item[0], item[1])), None)
-        if forced is None and self.tag == MEDIAL_TAG:
-            raise InternalAxiomFailure("the displacement group of the quotient is"
-                                       " not abelian, yet no medial instance is"
-                                       " violated")
-        return forced
+            return medial_violation(rows)
+        return n_quandle_violation(rows, self.parameter)
 
 
 MEDIAL = IdentitySpec(MEDIAL_TAG)
@@ -169,41 +143,25 @@ def quotient_by_identity(q: FiniteQuandle,
     """Quotient by the least congruence whose quotient satisfies `spec`.
 
     Returns the quotient quandle and the projection list (element -> class,
-    classes numbered by smallest member).  Each round takes the class
-    representatives, finds the first violated identity instance over them
-    whose two sides lie in different classes (IdentitySpec.forced_pair), and
-    joins those sides, which closes the partition into a congruence again.
-    A round that finds no such instance shows the quotient satisfies the
-    identity, and since every join was forced the congruence is the least
-    one.
+    classes numbered by smallest member).  Each round builds the table of
+    the current quotient, asks IdentitySpec.violation for its first violated
+    instance, and joins representatives of the two classes it names, which
+    closes the partition into a congruence again.  A round that finds no
+    violation shows the quotient satisfies the identity, and since every
+    join was forced the congruence is the least one.
     """
     cong = Congruence(q)
-    while (forced := spec.forced_pair(cong)) is not None:
-        cong.join(forced[0], forced[1])
+    while True:
+        blocks = cong.blocks()
+        rows = _quotient_rows(q, blocks)
+        forced = spec.violation(rows)
+        if forced is None:
+            break
+        cong.join(blocks[forced[0]][0], blocks[forced[1]][0])
     if not cong.is_compatible():
         raise InternalAxiomFailure("closure ended on a partition that is not"
                                    " a congruence")
-    proj = cong.projection()
-    return FiniteQuandle(_quotient_rows(q, cong.blocks())), proj
-
-
-def _set_partitions(n: int):
-    """All partitions of range(n), blocks ordered by smallest member."""
-    blocks: list[list[int]] = []
-
-    def rec(k: int):
-        if k == n:
-            yield tuple(tuple(b) for b in blocks)
-            return
-        for b in blocks:
-            b.append(k)
-            yield from rec(k + 1)
-            b.pop()
-        blocks.append([k])
-        yield from rec(k + 1)
-        blocks.pop()
-
-    yield from rec(0)
+    return FiniteQuandle(rows), cong.projection()
 
 
 def _class_map(partition) -> dict[int, int]:
@@ -212,55 +170,3 @@ def _class_map(partition) -> dict[int, int]:
         for x in block:
             out[x] = ci
     return out
-
-
-def _is_congruence(q: FiniteQuandle, inv, partition) -> bool:
-    cls = _class_map(partition)
-    t = q.table
-    for block in partition:
-        for a in block:
-            for b in block:
-                if a >= b:
-                    continue
-                for c in range(q.n):
-                    if (cls[t[a][c]] != cls[t[b][c]]
-                            or cls[t[c][a]] != cls[t[c][b]]
-                            or cls[inv[a][c]] != cls[inv[b][c]]):
-                        return False
-    return True
-
-
-def _quotient_satisfies(q: FiniteQuandle, partition, spec: IdentitySpec) -> bool:
-    cls = _class_map(partition)
-    reps = [block[0] for block in partition]
-    rows = [[cls[q.table[ra][rb]] for rb in reps] for ra in reps]
-    quot = FiniteQuandle(rows)
-    return next(spec.forced_pairs(quot, range(quot.n)), None) is None
-
-
-def _meet_partitions(partitions, n: int):
-    maps = [_class_map(p) for p in partitions]
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for x in range(n):
-        groups.setdefault(tuple(m[x] for m in maps), []).append(x)
-    return tuple(tuple(sorted(g)) for g in sorted(groups.values(), key=min))
-
-
-def brute_force_smallest_congruence(q: FiniteQuandle, spec: IdentitySpec):
-    """Oracle: enumerate every set partition, keep the congruences whose
-    quotient satisfies the identity, and return the finest one.
-
-    Congruences with the property are closed under intersection, so the
-    finest exists; the meet of all valid partitions must itself appear in
-    the valid list, which is checked.
-    """
-    if q.n > 6:
-        raise TooLarge(f"partition enumeration capped at order 6, got {q.n}")
-    inv = q.inverse_translations()
-    valid = [p for p in _set_partitions(q.n)
-             if _is_congruence(q, inv, p) and _quotient_satisfies(q, p, spec)]
-    finest = _meet_partitions(valid, q.n)
-    if finest not in valid:
-        raise InternalAxiomFailure("the meet of the valid congruences is not"
-                                   " one of them")
-    return finest

@@ -1,0 +1,85 @@
+"""Test oracle: the least congruence with a property, found by enumerating
+every set partition of a small table.
+
+It shares only the quotient-table builder and the instance scans with the
+library: mediality is decided by scanning every instance, never by the
+displacement group.
+"""
+
+from quandleworks import FiniteQuandle, InternalAxiomFailure
+from quandleworks.quandle import n_quandle_violation, scan_medial
+from quandleworks.variety import MEDIAL_TAG, _class_map, _quotient_rows
+
+
+class TooLarge(ValueError):
+    """The table is too big for the partition-enumeration oracle."""
+
+
+def _set_partitions(n: int):
+    """All partitions of range(n), blocks ordered by smallest member."""
+    blocks: list[list[int]] = []
+
+    def rec(k: int):
+        if k == n:
+            yield tuple(tuple(b) for b in blocks)
+            return
+        for b in blocks:
+            b.append(k)
+            yield from rec(k + 1)
+            b.pop()
+        blocks.append([k])
+        yield from rec(k + 1)
+        blocks.pop()
+
+    yield from rec(0)
+
+
+def _is_congruence(q: FiniteQuandle, inv, partition) -> bool:
+    cls = _class_map(partition)
+    t = q.table
+    for block in partition:
+        for a in block:
+            for b in block:
+                if a >= b:
+                    continue
+                for c in range(q.n):
+                    if (cls[t[a][c]] != cls[t[b][c]]
+                            or cls[t[c][a]] != cls[t[c][b]]
+                            or cls[inv[a][c]] != cls[inv[b][c]]):
+                        return False
+    return True
+
+
+def _quotient_satisfies(q: FiniteQuandle, partition, spec) -> bool:
+    rows = FiniteQuandle(_quotient_rows(q, partition)).table
+    if spec.tag == MEDIAL_TAG:
+        return scan_medial(rows) is None
+    return n_quandle_violation(rows, spec.parameter) is None
+
+
+def _meet_partitions(partitions, n: int):
+    maps = [_class_map(p) for p in partitions]
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for x in range(n):
+        groups.setdefault(tuple(m[x] for m in maps), []).append(x)
+    return tuple(tuple(sorted(g)) for g in sorted(groups.values(), key=min))
+
+
+def brute_force_smallest_congruence(q: FiniteQuandle, spec):
+    """Enumerate every set partition, keep the congruences whose quotient
+    satisfies the identity, and return the finest one.
+
+    Congruences with the property are closed under intersection, so the
+    finest exists; the meet of all valid partitions must itself appear in
+    the valid list, which is checked.
+    """
+    if q.n > 6:
+        raise TooLarge(f"partition enumeration capped at order 6, got {q.n}")
+    inv = q.inverse_translations()
+    valid = [p for p in _set_partitions(q.n)
+             if _is_congruence(q, inv, p) and _quotient_satisfies(q, p, spec)]
+    finest = _meet_partitions(valid, q.n)
+    if finest not in valid:
+        raise InternalAxiomFailure("the meet of the valid congruences is not"
+                                   " one of them")
+    return finest

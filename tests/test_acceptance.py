@@ -6,7 +6,6 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the verdict lines.
 import random
 
 from quandleworks import (MEDIAL, ONE, T, T_SQ, ZERO, Point, RingElem,
-                          brute_force_smallest_congruence,
                           check_axioms_symbolic, derive_relation, expand_lhs,
                           expand_rhs, n_quandle, op, orbit_witness,
                           quotient_by_identity, relation_assignments, reduce,
@@ -14,6 +13,7 @@ from quandleworks import (MEDIAL, ONE, T, T_SQ, ZERO, Point, RingElem,
 from quandleworks.ring import random_elem
 
 from conftest import partition_from_projection, random_poly
+from seed_partitions import brute_force_smallest_congruence
 
 SEED = 20260815
 

@@ -118,16 +118,31 @@ def test_missing_file_exits_two(capsys, tmp_path):
     assert "error:" in err
 
 
-@pytest.mark.parametrize("argv", [
+FILE_COMMANDS = pytest.mark.parametrize("argv", [
     ("check",), ("orbits",), ("reverse", "--element", "1"),
     ("quotient", "--variety", "medial"),
 ], ids=lambda argv: argv[0])
+
+# more digits than Python converts from a string by default (4,300)
+HUGE_ORDER = "quandle v1\nn=" + "9" * 5000 + "\n1\n"
+
+
+@FILE_COMMANDS
 def test_non_utf8_file_exits_two(capsys, tmp_path, argv):
     path = tmp_path / "latin1.txt"
     path.write_bytes(b"quandle v1\nn=1\n\xff\xfe\n")
     code, out, err = run(capsys, argv[0], str(path), *argv[1:])
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "UTF-8" in err
+
+
+@FILE_COMMANDS
+def test_an_order_too_long_to_convert_exits_two(capsys, tmp_path, argv):
+    path = tmp_path / "huge.txt"
+    path.write_text(HUGE_ORDER)
+    code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert (code, out) == (2, "")
+    assert err == "error: line 2: order is too large\n"
 
 
 def test_check_with_a_huge_translation_power(capsys, d3_file):
@@ -341,6 +356,15 @@ def test_reversal_experiment_skips_unsuitable_files(capsys, tmp_path):
     assert "skipping broken.txt: not a quandle" in err
     assert "skipping conj.txt: not medial" in err
     assert "skipping junk.txt" in err
+
+
+def test_reversal_experiment_skips_an_order_too_long_to_convert(capsys, tmp_path):
+    root = _write_corpus(tmp_path, [("d3.txt", dihedral_quandle(3))])
+    (tmp_path / "corpus" / "huge.txt").write_text(HUGE_ORDER)
+    code, out, err = run(capsys, "reversal-experiment", root)
+    assert code == 0
+    assert "d3.txt 1 3 3 -" in out
+    assert err == "warning: skipping huge.txt: line 2: order is too large\n"
 
 
 def test_reversal_experiment_empty_directory(capsys, tmp_path):

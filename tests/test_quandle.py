@@ -13,7 +13,8 @@ from quandleworks import (AxiomError, FiniteQuandle, MalformedTable,
                           affine_quandle, check_axioms, dihedral_quandle,
                           parse_table_text, relabel, render_table_text,
                           trivial_quandle)
-from quandleworks.quandle import displacements_commute
+from quandleworks.quandle import (displacements_commute, n_quandle_violation,
+                                 scan_medial)
 from seed_axioms import seed_check_axioms
 
 BROKEN_IDEMPOTENCE = [[1, 1], [0, 0]]
@@ -114,7 +115,7 @@ def test_check_axioms_matches_the_scalar_oracle_on_mutated_quandles(rows):
 
 
 def _medial_by_scan(q: FiniteQuandle) -> bool:
-    return next(q.medial_violations(range(q.n)), None) is None
+    return scan_medial(q.table) is None
 
 
 def test_displacement_kernel_agrees_with_the_medial_scan():
@@ -263,6 +264,44 @@ def test_is_n_quandle_known_values():
     assert a.is_n_quandle(4)
 
 
+def _n_quandle_violation_by_iteration(q: FiniteQuandle, power: int):
+    lines = q.table if power >= 0 else q.inverse_translations()
+    for y in range(q.n):
+        for x in range(q.n):
+            image = x
+            for _ in range(abs(power)):
+                image = lines[image][y]
+            if image != x:
+                return image, x, x, y
+    return None
+
+
+def test_n_quandle_witness_matches_iterated_translations():
+    # the witness, not only the verdict: a walk that steps the wrong way
+    # round a cycle still finds the same violated (x, y) but the wrong image
+    rng = random.Random(20261018)
+    cases = [FiniteQuandle(table) for n in range(1, 5)
+             for table in enumerate_small_quandles(n)]
+    for m in (5, 11):
+        for t in range(m):
+            if (t * t + t - 1) % m == 0:
+                perm = list(range(2 * m))
+                rng.shuffle(perm)
+                q = relabel(two_orbit_quandle_mod(m, t), perm)
+                cases += [q] + [q.reverse_orbit(block[0]) for block in q.orbits()]
+    assert len(cases) == 43 + 3 * 3
+    witnesses = {}
+    for i, q in enumerate(cases):
+        for power in range(-7, 13):
+            expected = _n_quandle_violation_by_iteration(q, power)
+            assert n_quandle_violation(q.table, power) == expected, (q.table, power)
+            assert q.is_n_quandle(power) == (expected is None)
+            witnesses[i, power] = expected
+    assert None in witnesses.values()
+    assert any(witnesses[i, power] != witnesses[i, -power]
+               for i, power in witnesses if 0 < power <= 7), "no case where the sign matters"
+
+
 def test_is_n_quandle_sign_symmetry(corpus):
     for name, q in corpus:
         for n in (1, 2, 3):
@@ -331,6 +370,7 @@ n=2
     ("quandle v1\n", "missing order line"),
     ("quandle v1\nn=two\n", "line 2"),
     ("quandle v1\nn=0\n", "order must be positive"),
+    ("quandle v1\nn=" + "9" * 5000 + "\n", "line 2: order is too large"),
     ("quandle v1\nn=2\n1 1\n", "expected 2 table rows"),
     ("quandle v1\nn=2\n1 1 1\n2 2\n", "line 3"),
     ("quandle v1\nn=2\n1 x\n2 2\n", "bad entry"),

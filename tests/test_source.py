@@ -2,19 +2,21 @@
 
 import ast
 import contextlib
+import importlib
 import io
 import sys
 from pathlib import Path
 
 import quandleworks
 from conftest import build_corpus
-from quandleworks import (FiniteQuandle, affine_quandle, check_axioms_symbolic,
-                          dihedral_quandle, quandle, render_table_text,
-                          trivial_quandle, verify_theorem)
+from quandleworks import (affine_quandle, check_axioms_symbolic, dihedral_quandle,
+                          quandle, render_table_text, trivial_quandle,
+                          verify_theorem)
 from quandleworks.cli import main
 from quandleworks.ring import LaurentPoly, RingElem, reduce
 
 PACKAGE_DIR = Path(quandleworks.__file__).parent
+BENCH_TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
 
 def test_no_assert_statements_in_the_library():
@@ -117,7 +119,7 @@ def test_confirming_mediality_never_scans_instances(monkeypatch, tmp_path):
     def forbidden(*args, **kwargs):
         raise AssertionError("a medial table was scanned instance by instance")
 
-    monkeypatch.setattr(FiniteQuandle, "medial_violations", forbidden)
+    monkeypatch.setattr(quandle, "scan_medial", forbidden)
     assert _medial_confirmations(tables, tmp_path) == expected
 
 
@@ -138,3 +140,24 @@ def test_is_medial_composes_quadratically_many_translations(monkeypatch):
     monkeypatch.setattr(quandle, "gather", counted)
     assert q.is_medial() == (True, None)
     assert 0 < calls <= q.n ** 2
+
+
+def test_every_name_the_bench_tracer_wraps_exists():
+    # bench/run.py --trace 1 wraps these by name, looked up the way
+    # Tracer.install looks them up; the source is executed, not imported,
+    # so no bytecode cache is written beside it
+    tracer = {"__name__": "bench_tracer"}
+    exec(compile(BENCH_TRACER.read_text(encoding="utf-8"), str(BENCH_TRACER), "exec"),
+         tracer)
+    missing = []
+    for module, path, *_ in tracer["TARGETS"]:
+        owner = importlib.import_module(f"{tracer['PACKAGE']}.{module}")
+        *outer, attr = path.split(".")
+        try:
+            for part in outer:
+                owner = getattr(owner, part)
+            vars(owner)[attr]
+        except (AttributeError, KeyError):
+            missing.append(f"{module}.{path}")
+    assert len(tracer["TARGETS"]) > 20
+    assert missing == []

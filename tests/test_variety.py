@@ -4,14 +4,15 @@ import random
 
 import pytest
 
+import seed_partitions
 from conftest import (enumerate_small_quandles, partition_from_projection,
                       two_orbit_quandle_mod)
 from quandleworks import (MEDIAL, Congruence, FiniteQuandle, IdentitySpec,
-                          InternalAxiomFailure, TooLarge, affine_quandle,
-                          brute_force_smallest_congruence, dihedral_quandle,
+                          InternalAxiomFailure, affine_quandle, dihedral_quandle,
                           n_quandle, quandle, quotient_by_identity, relabel,
                           trivial_quandle, variety)
 from seed_closure import _close_compatibility, seed_projection
+from seed_partitions import TooLarge, brute_force_smallest_congruence
 
 DIFFERENTIAL_SPECS = (MEDIAL,) + tuple(n_quandle(k) for k in (1, 2, 3, -2, 6))
 
@@ -179,14 +180,14 @@ def test_join_gives_the_least_congruence_containing_the_pair():
     pairs = 0
     for q in _small_tables():
         inv = q.inverse_translations()
-        congruences = {p: variety._class_map(p) for p in variety._set_partitions(q.n)
-                       if variety._is_congruence(q, inv, p)}
+        congruences = {p: variety._class_map(p) for p in seed_partitions._set_partitions(q.n)
+                       if seed_partitions._is_congruence(q, inv, p)}
         for a in range(q.n):
             for b in range(a + 1, q.n):
                 containing = [p for p, cls in congruences.items() if cls[a] == cls[b]]
                 cong = Congruence(q)
                 cong.join(a, b)
-                assert cong.blocks() == variety._meet_partitions(containing, q.n), (
+                assert cong.blocks() == seed_partitions._meet_partitions(containing, q.n), (
                     q.table, a, b)
                 pairs += 1
     assert pairs == 232
@@ -230,12 +231,12 @@ def test_closure_work_is_quadratic(monkeypatch):
 def test_is_compatible_agrees_with_the_oracle_check():
     for q in _small_tables():
         inv = q.inverse_translations()
-        for partition in variety._set_partitions(q.n):
+        for partition in seed_partitions._set_partitions(q.n):
             cong = Congruence(q)
             for block in partition:
                 for x in block[1:]:
                     cong.union(block[0], x)
-            assert cong.is_compatible() == variety._is_congruence(q, inv, partition), (
+            assert cong.is_compatible() == seed_partitions._is_congruence(q, inv, partition), (
                 q.table, partition)
 
 
@@ -254,7 +255,7 @@ def test_failed_postconditions_raise(monkeypatch):
     monkeypatch.setattr(Congruence, "is_compatible", lambda self: False)
     with pytest.raises(InternalAxiomFailure):
         quotient_by_identity(dihedral_quandle(3), MEDIAL)
-    monkeypatch.setattr(variety, "_meet_partitions", lambda partitions, n: ((0, 1, 2, 3),))
+    monkeypatch.setattr(seed_partitions, "_meet_partitions", lambda partitions, n: ((0, 1, 2, 3),))
     with pytest.raises(InternalAxiomFailure):
         brute_force_smallest_congruence(dihedral_quandle(3), MEDIAL)
 
@@ -262,8 +263,7 @@ def test_failed_postconditions_raise(monkeypatch):
 def test_a_displacement_verdict_the_scan_contradicts_raises(monkeypatch):
     # "not medial" with no violated instance to name is an internal failure,
     # not a medial answer and not a quotient that stops early
-    for module in (quandle, variety):
-        monkeypatch.setattr(module, "displacements_commute", lambda columns: False)
+    monkeypatch.setattr(quandle, "displacements_commute", lambda columns: False)
     d5 = dihedral_quandle(5)
     with pytest.raises(InternalAxiomFailure):
         d5.is_medial()
@@ -293,7 +293,7 @@ def test_forward_images_imply_inverse_images():
         t, inv = q.table, q.inverse_translations()
         for block in q.orbits():
             assert {inv[x][y] for x in block for y in range(q.n)} <= set(block)
-        for partition in variety._set_partitions(q.n):
+        for partition in seed_partitions._set_partitions(q.n):
             cls = variety._class_map(partition)
             pairs = [(a, b) for block in partition for a in block for b in block]
             closed = all(cls[t[a][c]] == cls[t[b][c]] and cls[t[c][a]] == cls[t[c][b]]
