@@ -14,11 +14,15 @@ identity check per orbit-tag pattern is exact, because an affine map over
 the ring vanishes everywhere iff all its coefficients vanish.  Orbit 2 is
 the reversed orbit throughout this package: reversed_op swaps in the undo
 formula exactly when the acting element carries tag 2.
+
+Point, the concrete element, is a slotted immutable value with the
+semantics of a frozen dataclass, as RingElem is; SymPoint and the reports
+stay frozen dataclasses.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from itertools import product
 from typing import Mapping
 
@@ -26,6 +30,9 @@ from .ring import ONE, T, T_INV, T_SQ, ZERO, RingElem, parse_elem, render_elem
 
 ORBIT_TAGS = (1, 2)
 ORBIT_MARK = {1: ZERO, 2: ONE}  # additive marker of each copy
+# m_j - m_i for the tag pair (i, j), the shift in both formulas
+_SHIFT = {(i, j): ORBIT_MARK[j] - ORBIT_MARK[i]
+          for i in ORBIT_TAGS for j in ORBIT_TAGS}
 
 PLAIN = "plain"
 REVERSED = "reversed"
@@ -127,15 +134,42 @@ class AffineExpr:
         return f"AffineExpr[{self.render()}]"
 
 
-@dataclass(frozen=True)
 class Point:
     """Concrete element: an orbit tag and a ring value."""
 
-    orbit: int
-    value: RingElem
+    __slots__ = ("orbit", "value")
+
+    def __init__(self, orbit: int, value: RingElem) -> None:
+        _set_orbit(self, orbit)
+        _set_value(self, value)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.orbit == other.orbit and self.value == other.value
+
+    def __hash__(self) -> int:
+        return hash((self.orbit, self.value))
+
+    def __repr__(self) -> str:
+        return (f"{self.__class__.__qualname__}"
+                f"(orbit={self.orbit!r}, value={self.value!r})")
+
+    def __reduce__(self):
+        return self.__class__, (self.orbit, self.value)
 
     def __str__(self) -> str:
         return f"({self.value.n1},{self.value.n2})@{self.orbit}"
+
+
+_set_orbit = Point.orbit.__set__
+_set_value = Point.value.__set__
 
 
 @dataclass(frozen=True)
@@ -181,13 +215,13 @@ def op(a, b):
 
     Accepts Point or SymPoint in either slot (mixed calls yield a SymPoint).
     """
-    shift = ORBIT_MARK[b.orbit] - ORBIT_MARK[a.orbit]
+    shift = _SHIFT[a.orbit, b.orbit]
     return _wrap(a.orbit, shift + T * _payload(a) + T_SQ * _payload(b))
 
 
 def op_inv(a, b):
     """The unique c with op(c, b) = a; inverts the translation by b."""
-    shift = ORBIT_MARK[a.orbit] - ORBIT_MARK[b.orbit]
+    shift = _SHIFT[b.orbit, a.orbit]
     return _wrap(a.orbit, T_INV * (shift + _payload(a) - T_SQ * _payload(b)))
 
 

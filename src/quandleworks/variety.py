@@ -68,9 +68,6 @@ class Congruence:
             a = parent[a]
         return a
 
-    def same(self, a: int, b: int) -> bool:
-        return self.find(a) == self.find(b)
-
     def union(self, a: int, b: int) -> bool:
         ra, rb = self.find(a), self.find(b)
         if ra == rb:

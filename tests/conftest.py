@@ -1,5 +1,8 @@
 """Shared fixtures: a corpus of small quandles and a few special tables."""
 
+import copy
+import dataclasses
+import pickle
 import random
 from itertools import permutations, product
 
@@ -119,3 +122,30 @@ def partition_from_projection(proj) -> tuple[tuple[int, ...], ...]:
     for x, c in enumerate(proj):
         groups.setdefault(c, []).append(x)
     return tuple(tuple(sorted(g)) for g in sorted(groups.values(), key=min))
+
+
+def assert_frozen_dataclass_semantics(cls, fields, args_list):
+    """Instances of cls built from args_list behave as instances of a frozen
+    dataclass of the same name and fields built from the same arguments:
+    equality, hashing, repr, immutability, copying and pickling."""
+    reference = dataclasses.make_dataclass(cls.__name__, fields, frozen=True)
+    pairs = [(cls(*args), reference(*args)) for args in args_list]
+    for value, ref in pairs:
+        assert repr(value) == repr(ref)
+        assert hash(value) == hash(ref)
+        for other, other_ref in pairs:
+            assert (value == other) == (ref == other_ref)
+            assert (value != other) == (ref != other_ref)
+        assert value != ref and value != tuple(args_list[0])
+        assert not hasattr(value, "__dict__")
+        for name in (*fields, "unknown"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, name, 0)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(value, name)
+        assert [getattr(value, name) for name in fields] == [
+            getattr(ref, name) for name in fields]
+        assert copy.copy(value) == value
+        assert copy.deepcopy([value]) == [value]
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(value, protocol)) == value

@@ -4,6 +4,7 @@ import random
 from itertools import product
 
 import pytest
+from conftest import assert_frozen_dataclass_semantics
 
 from quandleworks import (ONE, T, T_INV, T_SQ, ZERO, AffineExpr, Point,
                           RingElem, SymPoint, check_axioms_symbolic, op,
@@ -17,6 +18,15 @@ ZERO2 = Point(2, ZERO)
 
 def random_point(rng: random.Random) -> Point:
     return Point(rng.choice((1, 2)), random_elem(rng))
+
+
+def test_points_are_frozen_dataclass_values():
+    rng = random.Random(12)
+    args = [(rng.choice((1, 2)), RingElem(rng.randint(-1, 1), rng.randint(-1, 1)))
+            for _ in range(40)]
+    assert_frozen_dataclass_semantics(Point, ("orbit", "value"), args)
+    assert Point(1, ZERO) != (1, ZERO)
+    assert Point(orbit=2, value=ONE) == Point(2, ONE)
 
 
 def test_operation_on_orbit_zeros():

@@ -1,12 +1,15 @@
 """Exact arithmetic in Z[t, 1/t] modulo t^2 + t - 1."""
 
+import random
+
 import pytest
+from conftest import assert_frozen_dataclass_semantics
 from hypothesis import given
 from hypothesis import strategies as st
 
 from quandleworks.ring import (ONE, T, T_INV, T_SQ, ZERO, LaurentPoly,
-                               RingElem, parse_elem, reduce, render_elem,
-                               render_pair)
+                               RingElem, parse_elem, random_elem, reduce,
+                               render_elem, render_pair)
 
 elems = st.builds(RingElem,
                   st.integers(min_value=-60, max_value=60),
@@ -141,3 +144,25 @@ def test_parse_accepts_bare_integers():
 def test_parse_rejects_garbage(bad):
     with pytest.raises(ValueError):
         parse_elem(bad)
+
+
+def test_ring_elements_are_frozen_dataclass_values():
+    rng = random.Random(11)
+    pairs = [(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(40)]
+    pairs += [(10**30, -(10**30)), (0, 0), (True, 1)]
+    assert_frozen_dataclass_semantics(RingElem, ("n1", "n2"), pairs)
+    assert RingElem(1, 2) != (1, 2)
+    assert RingElem(n1=1, n2=2) == RingElem(1, 2)
+
+
+def test_random_elem_makes_the_draws_of_randint():
+    # verify-paper never prints its samples, so only this test sees a drift
+    # in the sample stream
+    for seed in range(200):
+        r, s = random.Random(seed), random.Random(seed)
+        for _ in range(50):
+            assert random_elem(r) == RingElem(s.randint(-50, 50), s.randint(-50, 50))
+        for bound in (0, 1, 7, 10**20):
+            assert random_elem(r, bound) == RingElem(s.randint(-bound, bound),
+                                                     s.randint(-bound, bound))
+        assert r.getstate() == s.getstate()

@@ -277,9 +277,10 @@ def test_is_compatible_checks_left_images():
     t, inv = q.table, q.inverse_translations()
     cong = Congruence(q)
     cong.union(2, 3)
-    assert all(cong.same(t[2][c], t[3][c]) and cong.same(inv[2][c], inv[3][c])
+    find = cong.find
+    assert all(find(t[2][c]) == find(t[3][c]) and find(inv[2][c]) == find(inv[3][c])
                for c in range(q.n))
-    assert not cong.same(t[0][2], t[0][3])
+    assert find(t[0][2]) != find(t[0][3])
     assert not cong.is_compatible()
 
 
