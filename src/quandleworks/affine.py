@@ -17,7 +17,7 @@ formula exactly when the acting element carries tag 2.
 
 Point, the concrete element, is a slotted immutable value with the
 semantics of a frozen dataclass, as RingElem is; SymPoint and the reports
-stay frozen dataclasses.
+stay frozen dataclasses, unhashable because an AffineExpr is.
 """
 
 from __future__ import annotations
@@ -179,6 +179,8 @@ class SymPoint:
     orbit: int
     expr: AffineExpr
 
+    __hash__ = None  # an AffineExpr is unhashable
+
     def evaluate(self, values: Mapping[str, RingElem]) -> Point:
         return Point(self.orbit, self.expr.evaluate(values))
 
@@ -290,11 +292,15 @@ class SymbolicCase:
     rhs: SymPoint
     counterexample: dict[str, RingElem] | None  # present iff not passed
 
+    __hash__ = None  # it holds SymPoints
+
 
 @dataclass(frozen=True)
 class SymbolicAxiomReport:
     mode: str
     cases: tuple[SymbolicCase, ...]
+
+    __hash__ = None  # it holds SymPoints
 
     def select(self, axiom: str) -> tuple[SymbolicCase, ...]:
         return tuple(c for c in self.cases if c.axiom == axiom)

@@ -269,6 +269,8 @@ class CollapseReport:
     samples: int
     seed: int
 
+    __hash__ = None  # it holds a SymPoint
+
     @property
     def lattice_index(self) -> int | None:
         return self.lattice.index

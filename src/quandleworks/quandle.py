@@ -8,11 +8,13 @@ parse/render.
 The table checks compose whole translations, held as tuples, with gather
 (operator.itemgetter, so each composition runs at C speed): distributivity
 is R_k R_j = R_{j*k} R_k for every pair (j, k), and mediality is decided by
-the displacement group (displacements_commute).  Each identity is one
-function of a table, a sequence of row tuples: medial_violation and
-n_quandle_violation return the lexicographically first violating instance,
-and FiniteQuandle.is_medial / is_n_quandle and the quotient closure in
-variety.py all ask them.
+the displacement group (displacements_commute).  Derived tables are built
+from whole translations too: the inverse table and an orbit reversal invert
+columns with _inverse, and relabel picks and renames rows with gather.  Each
+identity is one function of a table, a sequence of row tuples:
+medial_violation and n_quandle_violation return the lexicographically first
+violating instance, and FiniteQuandle.is_medial / is_n_quandle and the
+quotient closure in variety.py all ask them.
 """
 
 from __future__ import annotations
@@ -76,6 +78,14 @@ def gather(indices):
         (i,) = indices
         return lambda f: (f[i],)
     return itemgetter(*indices)
+
+
+def _inverse(perm) -> tuple[int, ...]:
+    """The inverse of perm, a permutation of range(len(perm))."""
+    inverse = [0] * len(perm)
+    for i, v in enumerate(perm):
+        inverse[v] = i
+    return tuple(inverse)
 
 
 def _as_rows(table) -> tuple[tuple[int, ...], ...]:
@@ -155,10 +165,7 @@ def displacements_commute(columns) -> bool:
     Jedlicka, Pilitowska, Stanovsky and Zamojska-Dzienio, J. Algebra 2015).
     So on a quandle table this decides mediality with O(n^2) compositions.
     """
-    inverse = [0] * len(columns)
-    for i, v in enumerate(columns[0]):
-        inverse[v] = i
-    disp = list(map(gather(inverse), columns))
+    disp = list(map(gather(_inverse(columns[0])), columns))
     after = [gather(g) for g in disp]  # after[b](f) is f g_b
     for a in range(1, len(disp)):
         ga, after_a = disp[a], after[a]
@@ -253,11 +260,7 @@ class FiniteQuandle:
 
     @cached_property
     def _inverse_table(self) -> tuple[tuple[int, ...], ...]:
-        inv = [[0] * self.n for _ in range(self.n)]
-        for j in range(self.n):
-            for i in range(self.n):
-                inv[self.table[i][j]][j] = i
-        return tuple(tuple(row) for row in inv)
+        return tuple(zip(*map(_inverse, self._columns)))
 
     def inverse_translations(self) -> tuple[tuple[int, ...], ...]:
         """result[i][j] is the unique x with x acted on by j giving i."""
@@ -309,11 +312,10 @@ class FiniteQuandle:
     def reverse_orbit(self, x: int) -> "FiniteQuandle":
         """Replace the translation by every member of x's orbit with its inverse."""
         block = set(self.orbit_of(x))
-        inv = self.inverse_translations()
-        rows = [[inv[i][j] if j in block else self.table[i][j]
-                 for j in range(self.n)] for i in range(self.n)]
+        columns = [_inverse(column) if j in block else column
+                   for j, column in enumerate(self._columns)]
         try:
-            return FiniteQuandle(rows)
+            return FiniteQuandle(zip(*columns))
         except AxiomError as exc:
             raise InternalAxiomFailure(
                 f"reversing the orbit of {x} broke the axioms: {exc}") from exc
@@ -330,15 +332,13 @@ class FiniteQuandle:
 
 
 def trivial_quandle(n: int) -> FiniteQuandle:
-    if n < 1:
-        raise ValueError("order must be positive")
-    return FiniteQuandle([[i] * n for i in range(n)])
+    """x acted on by y gives x: the affine table with t = 1."""
+    return affine_quandle(n, 1)
 
 
 def dihedral_quandle(n: int) -> FiniteQuandle:
-    if n < 1:
-        raise ValueError("order must be positive")
-    return FiniteQuandle([[(2 * j - i) % n for j in range(n)] for i in range(n)])
+    """x acted on by y gives 2*y - x mod n: the affine table with t = -1."""
+    return affine_quandle(n, -1)
 
 
 def affine_quandle(n: int, t: int) -> FiniteQuandle:
@@ -356,11 +356,9 @@ def relabel(q: FiniteQuandle, perm) -> FiniteQuandle:
     perm = list(perm)
     if sorted(perm) != list(range(q.n)):
         raise ValueError("perm is not a permutation of the carrier")
-    inv = [0] * q.n
-    for old, new in enumerate(perm):
-        inv[new] = old
-    rows = [[perm[q.table[inv[i]][inv[j]]] for j in range(q.n)] for i in range(q.n)]
-    return FiniteQuandle(rows)
+    old = _inverse(perm)  # old[i] is the element relabeled i
+    pick = gather(old)
+    return FiniteQuandle(gather(pick(q.table[r]))(perm) for r in old)
 
 
 _ORDER_RE = re.compile(r"^n=(\d+)$")
@@ -372,24 +370,17 @@ def parse_table_text(text: str) -> list[list[int]]:
     Blank lines and lines starting with '#' are skipped.  The result is a
     raw table: shape and entry ranges are enforced here, the axioms are not.
     """
-    lines = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        s = raw.strip()
-        if not s or s.startswith("#"):
-            continue
-        lines.append((lineno, s))
-
-    if not lines:
+    content = ((lineno, s) for lineno, s in
+               enumerate(map(str.strip, text.splitlines()), start=1)
+               if s and not s.startswith("#"))
+    lineno, s = next(content, (None, None))
+    if s is None:
         raise MalformedTable(f"empty file, expected header {FORMAT_HEADER!r}")
-    idx = 0
-    lineno, s = lines[idx]
-    idx += 1
     if s != FORMAT_HEADER:
         raise MalformedTable(f"expected header {FORMAT_HEADER!r}", line=lineno)
-    if idx >= len(lines):
+    lineno, s = next(content, (None, None))
+    if s is None:
         raise MalformedTable("missing order line 'n=<order>'")
-    lineno, s = lines[idx]
-    idx += 1
     m = _ORDER_RE.match(s)
     if not m:
         raise MalformedTable("expected order line 'n=<order>'", line=lineno)
@@ -401,15 +392,13 @@ def parse_table_text(text: str) -> list[list[int]]:
         raise MalformedTable("order must be positive", line=lineno)
 
     rows = []
-    for r in range(n):
-        if idx >= len(lines):
-            raise MalformedTable(f"expected {n} table rows, found {r}")
-        lineno, s = lines[idx]
-        idx += 1
+    for lineno, s in content:
+        if len(rows) == n:
+            raise MalformedTable("unexpected content after table", line=lineno)
         parts = s.split()
         if len(parts) != n:
-            raise MalformedTable(f"row {r + 1} has {len(parts)} entries, expected {n}",
-                                 line=lineno)
+            raise MalformedTable(f"row {len(rows) + 1} has {len(parts)} entries,"
+                                 f" expected {n}", line=lineno)
         row = []
         for part in parts:
             try:
@@ -420,9 +409,8 @@ def parse_table_text(text: str) -> list[list[int]]:
                 raise MalformedTable(f"entry {v} out of range 1..{n}", line=lineno)
             row.append(v - 1)
         rows.append(row)
-    if idx < len(lines):
-        lineno, _ = lines[idx]
-        raise MalformedTable("unexpected content after table", line=lineno)
+    if len(rows) < n:
+        raise MalformedTable(f"expected {n} table rows, found {len(rows)}")
     return rows
 
 

@@ -54,12 +54,14 @@ def n_quandle(power: int) -> IdentitySpec:
 
 
 class Congruence:
-    """Union-find partition of a quandle's elements (path halving, union by rank)."""
+    """Union-find partition of a quandle's elements with path halving.  A
+    union links the larger root under the smaller, so each class's root is
+    its least member; path halving alone keeps finds logarithmic amortized
+    (Tarjan and van Leeuwen, J. ACM 31, 1984)."""
 
     def __init__(self, quandle: FiniteQuandle) -> None:
         self.quandle = quandle
         self._parent = list(range(quandle.n))
-        self._rank = [0] * quandle.n
 
     def find(self, a: int) -> int:
         parent = self._parent
@@ -72,23 +74,21 @@ class Congruence:
         ra, rb = self.find(a), self.find(b)
         if ra == rb:
             return False
-        if self._rank[ra] < self._rank[rb]:
-            ra, rb = rb, ra
-        self._parent[rb] = ra
-        if self._rank[ra] == self._rank[rb]:
-            self._rank[ra] += 1
+        self._parent[max(ra, rb)] = min(ra, rb)
         return True
 
     def blocks(self) -> tuple[tuple[int, ...], ...]:
+        """The classes, each ascending, ordered by least member: x runs
+        upward, so each class is met first at its least member."""
         groups: dict[int, list[int]] = {}
         for x in range(self.quandle.n):
             groups.setdefault(self.find(x), []).append(x)
-        return tuple(tuple(sorted(g)) for g in sorted(groups.values(), key=min))
+        return tuple(map(tuple, groups.values()))
 
     def projection(self) -> list[int]:
-        """Element -> class index, classes numbered by smallest member."""
-        cls = _class_map(self.blocks())
-        return [cls[x] for x in range(self.quandle.n)]
+        """Element -> class index, classes numbered by least member."""
+        index: dict[int, int] = {}
+        return [index.setdefault(self.find(x), len(index)) for x in range(self.quandle.n)]
 
     def join(self, a: int, b: int) -> None:
         """Merge the classes of a and b, then close the partition under the

@@ -1,5 +1,7 @@
 """The two-orbit quandle over the ring: concrete, symbolic, and reversed."""
 
+import collections.abc
+import dataclasses
 import random
 from itertools import product
 
@@ -9,7 +11,7 @@ from conftest import assert_frozen_dataclass_semantics
 from quandleworks import (ONE, T, T_INV, T_SQ, ZERO, AffineExpr, Point,
                           RingElem, SymPoint, check_axioms_symbolic, op,
                           op_inv, orbit_witness, parse_point, reversed_op,
-                          reversed_op_inv)
+                          reversed_op_inv, verify_theorem)
 from quandleworks.ring import random_elem
 
 ZERO1 = Point(1, ZERO)
@@ -27,6 +29,25 @@ def test_points_are_frozen_dataclass_values():
     assert_frozen_dataclass_semantics(Point, ("orbit", "value"), args)
     assert Point(1, ZERO) != (1, ZERO)
     assert Point(orbit=2, value=ONE) == Point(2, ONE)
+
+
+def test_symbolic_values_say_they_are_unhashable():
+    # frozen, but they hold an AffineExpr, which cannot be hashed; the class
+    # itself says so, rather than a generated __hash__ failing inside
+    axioms = check_axioms_symbolic("plain")
+    values = (SymPoint(1, AffineExpr.var("x")), axioms.cases[0], axioms, verify_theorem(0))
+    for value in values:
+        cls = type(value)
+        with pytest.raises(TypeError, match=f"^unhashable type: '{cls.__name__}'$"):
+            hash(value)
+        assert not isinstance(value, collections.abc.Hashable)
+        fields = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
+        assert cls(**fields) == value
+        assert repr(value) == f"{cls.__qualname__}(" + ", ".join(
+            f"{name}={field!r}" for name, field in fields.items()) + ")"
+    assert values[0] != SymPoint(2, AffineExpr.var("x"))
+    assert values[2] != check_axioms_symbolic("reversed")
+    assert values[3] != verify_theorem(1)
 
 
 def test_operation_on_orbit_zeros():

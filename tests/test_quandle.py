@@ -322,6 +322,24 @@ def test_relabel_round_trip():
         relabel(q, [0, 0, 1, 2, 3])
 
 
+def test_relabel_renames_every_entry(corpus):
+    rng = random.Random(20261018)
+    for name, q in corpus:
+        for _ in range(3):
+            perm = list(range(q.n))
+            rng.shuffle(perm)
+            r = relabel(q, perm)
+            for i, j in product(range(q.n), repeat=2):
+                assert r.table[perm[i]][perm[j]] == perm[q.table[i][j]], (name, perm)
+
+
+def test_trivial_and_dihedral_tables_match_their_formulas():
+    for n in range(1, 41):
+        assert trivial_quandle(n).table == tuple((i,) * n for i in range(n))
+        assert dihedral_quandle(n).table == tuple(
+            tuple((2 * j - i) % n for j in range(n)) for i in range(n))
+
+
 def test_relabel_preserves_properties(conj_s3):
     r = relabel(conj_s3, [3, 1, 4, 0, 5, 2])
     assert not r.is_medial()[0]
@@ -330,10 +348,10 @@ def test_relabel_preserves_properties(conj_s3):
 
 
 def test_constructors_validate_parameters():
-    with pytest.raises(ValueError):
-        trivial_quandle(0)
-    with pytest.raises(ValueError):
-        dihedral_quandle(0)
+    for n in (0, -1, -7):
+        for make in (trivial_quandle, dihedral_quandle):
+            with pytest.raises(ValueError, match="^order must be positive$"):
+                make(n)
     with pytest.raises(ValueError):
         affine_quandle(4, 2)  # 2 is not a unit mod 4
 
@@ -362,6 +380,7 @@ n=2
 2 2
 """
     assert parse_table_text(text) == [[0, 0], [1, 1]]
+    assert parse_table_text(text + "\n# trailing comment\n  \n#\n") == [[0, 0], [1, 1]]
 
 
 @pytest.mark.parametrize("text,fragment", [
@@ -376,6 +395,19 @@ n=2
     ("quandle v1\nn=2\n1 x\n2 2\n", "bad entry"),
     ("quandle v1\nn=2\n1 3\n2 2\n", "out of range"),
     ("quandle v1\nn=2\n1 1\n2 2\nextra\n", "line 5"),
+    # whole messages; rows are parsed in file order, so a bad row is named
+    # before a missing one
+    ("", "empty file, expected header 'quandle v1'"),
+    ("not a header\n", "line 1: expected header 'quandle v1'"),
+    ("quandle v1\n# only a comment\n", "missing order line 'n=<order>'"),
+    ("quandle v1\nn=two\n", "line 2: expected order line 'n=<order>'"),
+    ("quandle v1\nn=0\n", "line 2: order must be positive"),
+    ("quandle v1\nn=3\n1 x 1\n2 2 2\n", "line 3: bad entry 'x'"),
+    ("quandle v1\nn=3\n1 1 1\nx\n", "line 4: row 2 has 1 entries, expected 3"),
+    ("quandle v1\nn=2\n1 1\n2 9\nextra\n", "line 4: entry 9 out of range 1..2"),
+    ("quandle v1\nn=3\n1 1 1\n2 2 2\n# trailing\n\n", "expected 3 table rows, found 2"),
+    ("quandle v1\nn=2\n1 1\n2 2\n\nextra\n", "line 6: unexpected content after table"),
+    ("quandle v1\nn=1\n1\n# c\n1 1\n", "line 5: unexpected content after table"),
 ])
 def test_parse_diagnostics(text, fragment):
     with pytest.raises(MalformedTable) as excinfo:

@@ -228,6 +228,34 @@ def test_closure_work_is_quadratic(monkeypatch):
             assert calls <= 2 * q.n ** 2, (name, calls)
 
 
+def test_classes_are_ordered_by_least_member_under_any_union_order():
+    # blocks and projection number classes by least member without sorting,
+    # and find returns that member, whatever order the classes were merged in
+    rng = random.Random(20261018)
+    cases = _small_tables()
+    for m in (5, 11):
+        for t in range(m):
+            if (t * t + t - 1) % m == 0:
+                perm = list(range(2 * m))
+                rng.shuffle(perm)
+                cases.append(relabel(two_orbit_quandle_mod(m, t), perm))
+    assert len(cases) == 43 + 3
+    for q in cases:
+        for _ in range(8):
+            cong = Congruence(q)
+            merge = rng.choice((cong.union, cong.join, None))
+            for _ in range(rng.randint(1, q.n)):
+                a, b = rng.randrange(q.n), rng.randrange(q.n)
+                (merge or rng.choice((cong.union, cong.join)))(a, b)
+                roots = [cong.find(x) for x in range(q.n)]
+                reference = partition_from_projection(roots)
+                block_of = {x: block for block in reference for x in block}
+                assert roots == [block_of[x][0] for x in range(q.n)], (q.table, reference)
+                assert cong.blocks() == reference
+                assert cong.projection() == [reference.index(block_of[x])
+                                             for x in range(q.n)]
+
+
 def test_is_compatible_agrees_with_the_oracle_check():
     for q in _small_tables():
         inv = q.inverse_translations()
