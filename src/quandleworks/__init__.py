@@ -20,8 +20,8 @@ from .quandle import (AxiomError, AxiomReport, FiniteQuandle,
                       InternalAxiomFailure, MalformedTable, affine_quandle,
                       check_axioms, dihedral_quandle, parse_table_text,
                       relabel, render_table_text, trivial_quandle)
-from .ring import (ONE, T, T_INV, T_SQ, ZERO, LaurentPoly, RingElem,
-                   parse_elem, reduce, render_elem, render_pair)
+from .ring import (ONE, T, T_INV, T_SQ, ZERO, RingElem, parse_elem, reduce,
+                   render_elem, render_pair)
 from .variety import (MEDIAL, Congruence, IdentitySpec, n_quandle,
                       quotient_by_identity)
 
@@ -30,9 +30,9 @@ __version__ = "0.1.0"
 __all__ = [
     "AffineExpr", "AxiomError", "AxiomReport", "CollapseError",
     "CollapseLattice", "CollapseReport", "Congruence", "ExpansionMismatch",
-    "FiniteQuandle", "IdentitySpec", "InternalAxiomFailure", "LaurentPoly",
-    "MEDIAL", "MalformedTable", "NonUniformRelation", "ONE", "Point",
-    "RingElem", "SymPoint", "T", "T_INV", "T_SQ", "WitnessFailure", "ZERO",
+    "FiniteQuandle", "IdentitySpec", "InternalAxiomFailure", "MEDIAL",
+    "MalformedTable", "NonUniformRelation", "ONE", "Point", "RingElem",
+    "SymPoint", "T", "T_INV", "T_SQ", "WitnessFailure", "ZERO",
     "affine_quandle",
     "check_axioms", "check_axioms_symbolic", "combine_shifts",
     "derive_relation", "dihedral_quandle", "expand_lhs", "expand_rhs",

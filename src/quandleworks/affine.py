@@ -26,7 +26,8 @@ from dataclasses import FrozenInstanceError, dataclass
 from itertools import product
 from typing import Mapping
 
-from .ring import ONE, T, T_INV, T_SQ, ZERO, RingElem, parse_elem, render_elem
+from .ring import (ONE, T, T_INV, T_SQ, ZERO, RingElem, parse_elem, render_elem,
+                   render_pair)
 
 ORBIT_TAGS = (1, 2)
 ORBIT_MARK = {1: ZERO, 2: ONE}  # additive marker of each copy
@@ -165,7 +166,7 @@ class Point:
         return self.__class__, (self.orbit, self.value)
 
     def __str__(self) -> str:
-        return f"({self.value.n1},{self.value.n2})@{self.orbit}"
+        return f"{render_pair(self.value)}@{self.orbit}"
 
 
 _set_orbit = Point.orbit.__set__

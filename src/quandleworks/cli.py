@@ -142,8 +142,8 @@ def cmd_reversal_experiment(args) -> int:
     print("not up to isomorphism")
     print("file orbit_rep order reversed_medial_order drop")
 
-    # quotient text -> {input table: first (file, rep) seen}
-    outcomes: dict[str, dict[tuple, tuple[str, int]]] = {}
+    # (quotient text, quotient order) -> {input table: first (file, rep) seen}
+    outcomes: dict[tuple[str, int], dict[tuple, tuple[str, int]]] = {}
     for path in sorted(p for p in root.iterdir() if p.is_file()):
         try:
             q = FiniteQuandle(parse_table_text(path.read_text(encoding="utf-8")))
@@ -162,14 +162,13 @@ def cmd_reversal_experiment(args) -> int:
             quotient, _ = quotient_by_identity(q.reverse_orbit(rep), MEDIAL)
             drop = "drop" if quotient.n < q.n else "-"
             print(f"{path.name} {rep + 1} {q.n} {quotient.n} {drop}")
-            key = render_table_text(quotient)
+            key = (render_table_text(quotient), quotient.n)
             outcomes.setdefault(key, {}).setdefault(q.table, (path.name, rep + 1))
 
-    for key in sorted(outcomes):
-        sources = outcomes[key]
+    for text, order in sorted(outcomes):
+        sources = outcomes[text, order]
         if len(sources) < 2:
             continue
-        order = key.count("\n") - 2
         where = ", ".join(f"{name}:{rep}" for name, rep in sorted(sources.values()))
         print(f"collision: distinct inputs share one reversed-medial table"
               f" (order {order}): {where}")

@@ -228,7 +228,7 @@ def hnf_close(shifts: Sequence[RingElem]) -> CollapseLattice:
     return lattice
 
 
-def orbit2_collapse(sample_count: int, rng: random.Random | None = None) -> int:
+def orbit2_collapse(sample_count: int, rng: random.Random) -> int:
     """Class count for orbit 2 once orbit 1 has collapsed (always 1).
 
     The witness identity op(zero-of-2, t^(-2)*(x+1) in orbit 1) = x-of-2 is
@@ -236,13 +236,14 @@ def orbit2_collapse(sample_count: int, rng: random.Random | None = None) -> int:
     each time that the acting element lies in orbit 1 and that the reversed
     structure applies the very same translation.
     """
+    if sample_count < 0:
+        raise ValueError(f"sample_count must be at least 0, got {sample_count}")
     x = AffineExpr.var("x")
     witness = SymPoint(1, ONE.scale_t(-2) * (x + ONE))
     base = SymPoint(2, AffineExpr.const(ZERO))
     if op(base, witness) != SymPoint(2, x):
         raise WitnessFailure("symbolic witness identity failed")
 
-    rng = rng if rng is not None else random.Random(0)
     zero2 = Point(2, ZERO)
     for _ in range(sample_count):
         value = random_elem(rng)
@@ -310,6 +311,8 @@ def verify_theorem(samples: int = 200, seed: int = 0) -> CollapseReport:
     the (t^3 - t)*(x - y) gap law, and the orbit-2 witness transport) are
     driven by a generator seeded with `seed`, so output is reproducible.
     """
+    if samples < 0:
+        raise ValueError(f"samples must be at least 0, got {samples}")
     rng = random.Random(seed)
     lhs = expand_lhs()
     rhs = expand_rhs()

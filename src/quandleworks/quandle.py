@@ -10,11 +10,12 @@ The table checks compose whole translations, held as tuples, with gather
 is R_k R_j = R_{j*k} R_k for every pair (j, k), and mediality is decided by
 the displacement group (displacements_commute).  Derived tables are built
 from whole translations too: the inverse table and an orbit reversal invert
-columns with _inverse, and relabel picks and renames rows with gather.  Each
-identity is one function of a table, a sequence of row tuples:
-medial_violation and n_quandle_violation return the lexicographically first
-violating instance, and FiniteQuandle.is_medial / is_n_quandle and the
-quotient closure in variety.py all ask them.
+columns with _inverse, and induced_rows picks and renames rows with gather:
+relabel and the quotient closure in variety.py share it.  Each identity is
+one function of a table, a sequence of row tuples: medial_violation and
+n_quandle_violation return the lexicographically first violating instance,
+and FiniteQuandle.is_medial / is_n_quandle and the quotient closure all ask
+them.
 """
 
 from __future__ import annotations
@@ -88,6 +89,15 @@ def _inverse(perm) -> tuple[int, ...]:
     return tuple(inverse)
 
 
+def induced_rows(table, reps, rename) -> list[tuple[int, ...]]:
+    """The operation `table` induces on the elements `reps`, renamed: entry
+    (i, j) is rename[table[reps[i]][reps[j]]].  With the class
+    representatives and the class numbering this is a quotient table; with
+    a permutation's inverse and the permutation, a relabeled table."""
+    pick = gather(reps)
+    return [gather(pick(table[r]))(rename) for r in reps]
+
+
 def _as_rows(table) -> tuple[tuple[int, ...], ...]:
     rows = list(table)
     n = len(rows)
@@ -101,7 +111,7 @@ def _as_rows(table) -> tuple[tuple[int, ...], ...]:
         if not (set(map(type, entries)) == {int}
                 and 0 <= min(entries) and max(entries) < n):
             for v in entries:  # name the first bad entry
-                if not isinstance(v, int):
+                if type(v) is not int:
                     raise MalformedTable(f"row {i} has non-integer entry {v!r}")
                 if not 0 <= v < n:
                     raise MalformedTable(f"row {i} entry {v} out of range 0..{n - 1}")
@@ -354,11 +364,10 @@ def affine_quandle(n: int, t: int) -> FiniteQuandle:
 def relabel(q: FiniteQuandle, perm) -> FiniteQuandle:
     """Isomorphic copy of q along the permutation perm (old index -> new)."""
     perm = list(perm)
-    if sorted(perm) != list(range(q.n)):
+    if any(type(v) is not int for v in perm) or sorted(perm) != list(range(q.n)):
         raise ValueError("perm is not a permutation of the carrier")
     old = _inverse(perm)  # old[i] is the element relabeled i
-    pick = gather(old)
-    return FiniteQuandle(gather(pick(q.table[r]))(perm) for r in old)
+    return FiniteQuandle(induced_rows(q.table, old, perm))
 
 
 _ORDER_RE = re.compile(r"^n=(\d+)$")

@@ -5,13 +5,14 @@ Every residue class in the quotient has a unique representative of the form
 n1*t + n2*t^2, so quotient elements are stored as plain integer pairs and
 RingElem computes on them in closed form: products use t^3 = t - t^2 and
 t^4 = -t + 2*t^2, and multiplying by t or by 1/t is a linear map of the
-pair.  LaurentPoly and reduce are the specification: reduce rewrites
-t^2 -> 1 - t and t^(-1) -> 1 + t until only the exponents 0 and 1 remain,
-then converts a + b*t into the canonical pair (a + b, a) using 1 = t + t^2.
-The tests check every RingElem operation against reduce; RingElem itself
-never calls it.  All arithmetic is over arbitrary-precision integers;
-coefficients grow Fibonacci-fast under powers of t, so nothing here may
-round.
+pair.  The specification is Laurent-polynomial arithmetic followed by
+reduce: reduce rewrites t^2 -> 1 - t and t^(-1) -> 1 + t until only the
+exponents 0 and 1 remain, then converts a + b*t into the canonical pair
+(a + b, a) using 1 = t + t^2.  The polynomials themselves live with the
+tests (tests/seed_ring.py), which check every RingElem operation against
+them; the library never calls reduce.  All arithmetic is over
+arbitrary-precision integers; coefficients grow Fibonacci-fast under powers
+of t, so nothing here may round.
 
 RingElem is a slotted immutable value with the semantics of a frozen
 dataclass (equality within the class, hash of the pair, keyword repr,
@@ -25,67 +26,6 @@ import random
 import re
 from dataclasses import FrozenInstanceError
 from typing import Mapping
-
-
-class LaurentPoly:
-    """Integer Laurent polynomial as an exponent -> coefficient mapping.
-
-    Zero coefficients are never stored; the zero polynomial is the empty
-    mapping.  Exponents may be negative.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Mapping[int, int] | None = None) -> None:
-        table: dict[int, int] = {}
-        if coeffs:
-            for exp, coeff in coeffs.items():
-                if coeff:
-                    table[int(exp)] = int(coeff)
-        self.coeffs = table
-
-    @classmethod
-    def t_power(cls, exp: int, coeff: int = 1) -> "LaurentPoly":
-        return cls({exp: coeff})
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    __hash__ = None  # carries a mutable mapping
-
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        merged = dict(self.coeffs)
-        for exp, coeff in other.coeffs.items():
-            merged[exp] = merged.get(exp, 0) + coeff
-        return LaurentPoly(merged)
-
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({exp: -coeff for exp, coeff in self.coeffs.items()})
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        out: dict[int, int] = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
-        return LaurentPoly(out)
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{e}: {c}" for e, c in sorted(self.coeffs.items()))
-        return f"LaurentPoly({{{inner}}})"
 
 
 class RingElem:
@@ -121,9 +61,6 @@ class RingElem:
     def from_int(cls, value: int) -> "RingElem":
         # 1 = t + t^2, so the integer c is the pair (c, c)
         return cls(value, value)
-
-    def lift(self) -> LaurentPoly:
-        return LaurentPoly({1: self.n1, 2: self.n2})
 
     def is_zero(self) -> bool:
         return not (self.n1 or self.n2)
@@ -174,14 +111,15 @@ _set_n1 = RingElem.n1.__set__
 _set_n2 = RingElem.n2.__set__
 
 
-def reduce(poly: LaurentPoly) -> RingElem:
-    """Canonical pair of a Laurent polynomial modulo t^2 + t - 1.
+def reduce(poly: Mapping[int, int]) -> RingElem:
+    """Canonical pair of the Laurent polynomial with the exponent ->
+    coefficient mapping `poly`, modulo t^2 + t - 1.
 
     Top exponents rewrite through t^e = t^(e-2) - t^(e-1) and bottom ones
     through t^e = t^(e+1) + t^(e+2); both strictly shrink the support range,
     so the loop terminates with support inside {0, 1}.
     """
-    coeffs = dict(poly.coeffs)
+    coeffs = dict(poly)
 
     def bump(exp: int, delta: int) -> None:
         value = coeffs.get(exp, 0) + delta

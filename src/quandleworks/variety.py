@@ -2,8 +2,9 @@
 
 quotient_by_identity computes the quotient by the least congruence whose
 quotient satisfies a chosen identity: the medial law, or "every translation
-has order dividing n".  Each round builds the current quotient's table and
-asks the identity's function of a table (quandle.medial_violation or
+has order dividing n".  Each round builds the current quotient's table
+with quandle.induced_rows, the builder relabel uses too, and asks the
+identity's function of a table (quandle.medial_violation or
 n_quandle_violation, which FiniteQuandle.is_medial and is_n_quandle ask
 too) for its first violated instance, then joins the two classes it names;
 Congruence.join is the one routine that closes a partition under the
@@ -16,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .quandle import (FiniteQuandle, InternalAxiomFailure, gather,
-                      medial_violation, n_quandle_violation)
+                      induced_rows, medial_violation, n_quandle_violation)
 
 MEDIAL_TAG = "medial"
 N_QUANDLE_TAG = "n_quandle"
@@ -37,6 +38,9 @@ class IdentitySpec:
     def __post_init__(self) -> None:
         if self.tag not in (MEDIAL_TAG, N_QUANDLE_TAG):
             raise ValueError(f"unknown identity tag {self.tag!r}")
+        if self.tag == MEDIAL_TAG and self.parameter:
+            raise ValueError(f"the medial law takes no parameter,"
+                             f" got {self.parameter}")
 
     def violation(self, rows):
         """The first violated instance in the quandle table `rows`, starting
@@ -125,16 +129,6 @@ class Congruence:
         return True
 
 
-def _quotient_rows(q: FiniteQuandle, blocks) -> list[tuple[int, ...]]:
-    """The operation on the classes `blocks`, numbered in the given order; a
-    quandle table when the partition is a congruence."""
-    cls = _class_map(blocks)
-    proj = [cls[x] for x in range(q.n)]
-    reps = [block[0] for block in blocks]
-    pick = gather(reps)
-    return [gather(pick(q.table[r]))(proj) for r in reps]
-
-
 def quotient_by_identity(q: FiniteQuandle,
                          spec: IdentitySpec) -> tuple[FiniteQuandle, list[int]]:
     """Quotient by the least congruence whose quotient satisfies `spec`.
@@ -149,21 +143,14 @@ def quotient_by_identity(q: FiniteQuandle,
     """
     cong = Congruence(q)
     while True:
-        blocks = cong.blocks()
-        rows = _quotient_rows(q, blocks)
+        reps = [block[0] for block in cong.blocks()]
+        proj = cong.projection()
+        rows = induced_rows(q.table, reps, proj)
         forced = spec.violation(rows)
         if forced is None:
             break
-        cong.join(blocks[forced[0]][0], blocks[forced[1]][0])
+        cong.join(reps[forced[0]], reps[forced[1]])
     if not cong.is_compatible():
         raise InternalAxiomFailure("closure ended on a partition that is not"
                                    " a congruence")
-    return FiniteQuandle(rows), cong.projection()
-
-
-def _class_map(partition) -> dict[int, int]:
-    out = {}
-    for ci, block in enumerate(partition):
-        for x in block:
-            out[x] = ci
-    return out
+    return FiniteQuandle(rows), proj

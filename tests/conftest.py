@@ -8,9 +8,9 @@ from itertools import permutations, product
 
 import pytest
 
-from quandleworks import (FiniteQuandle, LaurentPoly, affine_quandle,
-                          check_axioms, dihedral_quandle, relabel,
-                          trivial_quandle)
+from quandleworks import (FiniteQuandle, affine_quandle, check_axioms,
+                          dihedral_quandle, relabel, trivial_quandle)
+from seed_ring import LaurentPoly
 
 CORPUS_SEED = 20260815
 

@@ -1,18 +1,23 @@
 """Test oracle: the least congruence with a property, found by enumerating
 every set partition of a small table.
 
-It shares only the quotient-table builder and the instance scans with the
-library: mediality is decided by scanning every instance, never by the
-displacement group.
+It shares only the quotient-table builder (quandle.induced_rows) and the
+instance scans with the library: mediality is decided by scanning every
+instance, never by the displacement group.
 """
 
 from quandleworks import FiniteQuandle, InternalAxiomFailure
-from quandleworks.quandle import n_quandle_violation, scan_medial
-from quandleworks.variety import MEDIAL_TAG, _class_map, _quotient_rows
+from quandleworks.quandle import induced_rows, n_quandle_violation, scan_medial
+from quandleworks.variety import MEDIAL_TAG
 
 
 class TooLarge(ValueError):
     """The table is too big for the partition-enumeration oracle."""
+
+
+def _class_map(partition) -> dict[int, int]:
+    """Element -> index of its block."""
+    return {x: ci for ci, block in enumerate(partition) for x in block}
 
 
 def _set_partitions(n: int):
@@ -51,7 +56,10 @@ def _is_congruence(q: FiniteQuandle, inv, partition) -> bool:
 
 
 def _quotient_satisfies(q: FiniteQuandle, partition, spec) -> bool:
-    rows = FiniteQuandle(_quotient_rows(q, partition)).table
+    cls = _class_map(partition)
+    proj = [cls[x] for x in range(q.n)]
+    reps = [block[0] for block in partition]
+    rows = FiniteQuandle(induced_rows(q.table, reps, proj)).table
     if spec.tag == MEDIAL_TAG:
         return scan_medial(rows) is None
     return n_quandle_violation(rows, spec.parameter) is None

@@ -181,8 +181,10 @@ def test_shift_chain_reproduces_the_intermediate_shift():
 
 
 def test_orbit2_collapse_counts_one_class():
-    assert orbit2_collapse(100) == 1
-    assert orbit2_collapse(0) == 1  # symbolic witness identity alone
+    assert orbit2_collapse(100, random.Random(0)) == 1
+    assert orbit2_collapse(0, random.Random(0)) == 1  # symbolic witness identity alone
+    with pytest.raises(ValueError, match="sample_count must be at least 0, got -1"):
+        orbit2_collapse(-1, random.Random(0))
     wit = orbit_witness(ZERO, 2)
     assert wit == Point(1, RingElem(3, 2))
     assert op(Point(2, ZERO), wit) == Point(2, ZERO)
@@ -199,6 +201,9 @@ def test_verify_theorem_report():
     text = report.render()
     assert text.endswith("total classes: 2\n")
     assert "index=1" in text
+    # a report of samples=-3 would claim a run whose sampled checks never ran
+    with pytest.raises(ValueError, match="samples must be at least 0, got -3"):
+        verify_theorem(samples=-3)
 
 
 def test_verify_theorem_is_deterministic():

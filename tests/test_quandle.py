@@ -53,6 +53,11 @@ def test_constructor_rejects_non_quandles():
         check_axioms([[0, 5], [1, 0]])  # out of range
     with pytest.raises(MalformedTable):
         check_axioms([])
+    # bool is a subclass of int, but a table of bools holds no elements
+    with pytest.raises(MalformedTable, match="row 0 has non-integer entry False"):
+        FiniteQuandle([[False, False], [True, True]])
+    with pytest.raises(MalformedTable, match=r"row 1 has non-integer entry 1\.0"):
+        FiniteQuandle([[0, 0], [1.0, 1]])
 
 
 def test_constructor_stores_the_rows_it_validated():
@@ -318,8 +323,11 @@ def test_relabel_round_trip():
     assert r != q
     assert relabel(r, inverse) == q
     assert relabel(q, list(range(5))) == q
-    with pytest.raises(ValueError):
-        relabel(q, [0, 0, 1, 2, 3])
+    # bool is a subclass of int and 0.0 == 0, so sorted() alone would accept
+    # the last two
+    for perm in ([0, 0, 1, 2, 3], [True, False, 2, 3, 4], [0.0, 1.0, 2.0, 3.0, 4.0]):
+        with pytest.raises(ValueError, match="perm is not a permutation"):
+            relabel(q, perm)
 
 
 def test_relabel_renames_every_entry(corpus):

@@ -7,9 +7,10 @@ from conftest import assert_frozen_dataclass_semantics
 from hypothesis import given
 from hypothesis import strategies as st
 
-from quandleworks.ring import (ONE, T, T_INV, T_SQ, ZERO, LaurentPoly,
-                               RingElem, parse_elem, random_elem, reduce,
-                               render_elem, render_pair)
+from quandleworks.ring import (ONE, T, T_INV, T_SQ, ZERO, RingElem,
+                               parse_elem, random_elem, reduce, render_elem,
+                               render_pair)
+from seed_ring import LaurentPoly, lift
 
 elems = st.builds(RingElem,
                   st.integers(min_value=-60, max_value=60),
@@ -34,7 +35,7 @@ def test_defining_relation_collapses():
     # t^2 + t - 1 reduces to zero, equivalently 1 - t = t^2
     assert T_SQ + T - ONE == ZERO
     assert ONE - T == T_SQ
-    assert reduce(LaurentPoly({2: 1, 1: 1, 0: -1})) == ZERO
+    assert reduce({2: 1, 1: 1, 0: -1}) == ZERO
 
 
 def test_integers_embed_on_the_diagonal():
@@ -45,49 +46,49 @@ def test_integers_embed_on_the_diagonal():
 
 def test_t_is_a_unit():
     assert T * T_INV == ONE
-    assert T_INV == reduce(LaurentPoly({0: 1, 1: 1}))  # 1/t = 1 + t
+    assert T_INV == reduce({0: 1, 1: 1})  # 1/t = 1 + t
 
 
 def test_reduce_of_single_powers():
-    assert reduce(LaurentPoly.t_power(0)) == ONE
-    assert reduce(LaurentPoly.t_power(1)) == T
-    assert reduce(LaurentPoly.t_power(2)) == T_SQ
-    assert reduce(LaurentPoly.t_power(-1)) == T_INV
-    assert reduce(LaurentPoly()) == ZERO
+    assert reduce(LaurentPoly.t_power(0).coeffs) == ONE
+    assert reduce(LaurentPoly.t_power(1).coeffs) == T
+    assert reduce(LaurentPoly.t_power(2).coeffs) == T_SQ
+    assert reduce(LaurentPoly.t_power(-1).coeffs) == T_INV
+    assert reduce(LaurentPoly().coeffs) == ZERO
 
 
 @given(elems)
 def test_lift_reduce_round_trip(e):
-    assert reduce(e.lift()) == e
+    assert reduce(lift(e).coeffs) == e
 
 
 @given(polys, polys)
 def test_reduce_is_additive(p, q):
-    assert reduce(p + q) == reduce(p) + reduce(q)
+    assert reduce((p + q).coeffs) == reduce(p.coeffs) + reduce(q.coeffs)
 
 
 @given(polys, polys)
 def test_reduce_is_multiplicative(p, q):
-    assert reduce(p * q) == reduce(p) * reduce(q)
+    assert reduce((p * q).coeffs) == reduce(p.coeffs) * reduce(q.coeffs)
 
 
-# RingElem computes in closed form on canonical pairs; LaurentPoly + reduce
-# is the specification it must agree with.
+# RingElem computes in closed form on canonical pairs; LaurentPoly (from the
+# seed_ring oracle) + reduce is the specification it must agree with.
 
 @given(elems, elems)
 def test_product_matches_the_specification(a, b):
-    assert a * b == reduce(a.lift() * b.lift())
+    assert a * b == reduce((lift(a) * lift(b)).coeffs)
 
 
 @given(elems, st.integers(min_value=-10**6, max_value=10**6))
 def test_int_product_matches_the_specification(a, k):
-    assert k * a == reduce(LaurentPoly({0: k}) * a.lift())
+    assert k * a == reduce((LaurentPoly({0: k}) * lift(a)).coeffs)
     assert a * k == k * a
 
 
 @given(elems, st.integers(min_value=-200, max_value=200))
 def test_scale_t_matches_the_specification(e, k):
-    assert e.scale_t(k) == reduce(LaurentPoly.t_power(k) * e.lift())
+    assert e.scale_t(k) == reduce((LaurentPoly.t_power(k) * lift(e)).coeffs)
 
 
 @given(elems)

@@ -10,7 +10,7 @@ from conftest import (enumerate_small_quandles, partition_from_projection,
 from quandleworks import (MEDIAL, Congruence, FiniteQuandle, IdentitySpec,
                           InternalAxiomFailure, affine_quandle, dihedral_quandle,
                           n_quandle, quandle, quotient_by_identity, relabel,
-                          trivial_quandle, variety)
+                          trivial_quandle)
 from seed_closure import _close_compatibility, seed_projection
 from seed_partitions import TooLarge, brute_force_smallest_congruence
 
@@ -20,6 +20,11 @@ DIFFERENTIAL_SPECS = (MEDIAL,) + tuple(n_quandle(k) for k in (1, 2, 3, -2, 6))
 def test_identity_spec_validation():
     with pytest.raises(ValueError):
         IdentitySpec("associative")
+    # the medial law has no parameter, so a nonzero one would only make a
+    # spec that compares unequal to MEDIAL yet quotients the same way
+    with pytest.raises(ValueError, match="medial law takes no parameter"):
+        IdentitySpec("medial", 5)
+    assert IdentitySpec("medial", 0) == MEDIAL
     assert n_quandle(2).parameter == 2
     assert MEDIAL.tag == "medial"
 
@@ -180,7 +185,8 @@ def test_join_gives_the_least_congruence_containing_the_pair():
     pairs = 0
     for q in _small_tables():
         inv = q.inverse_translations()
-        congruences = {p: variety._class_map(p) for p in seed_partitions._set_partitions(q.n)
+        congruences = {p: seed_partitions._class_map(p)
+                       for p in seed_partitions._set_partitions(q.n)
                        if seed_partitions._is_congruence(q, inv, p)}
         for a in range(q.n):
             for b in range(a + 1, q.n):
@@ -323,7 +329,7 @@ def test_forward_images_imply_inverse_images():
         for block in q.orbits():
             assert {inv[x][y] for x in block for y in range(q.n)} <= set(block)
         for partition in seed_partitions._set_partitions(q.n):
-            cls = variety._class_map(partition)
+            cls = seed_partitions._class_map(partition)
             pairs = [(a, b) for block in partition for a in block for b in block]
             closed = all(cls[t[a][c]] == cls[t[b][c]] and cls[t[c][a]] == cls[t[c][b]]
                          for a, b in pairs for c in range(q.n))
