@@ -6,9 +6,12 @@ text "quandle v1" file format is 1-indexed, with the conversion confined to
 parse/render.
 
 The table checks compose whole translations, held as tuples, with gather
-(operator.itemgetter, so each composition runs at C speed): distributivity
-is R_k R_j = R_{j*k} R_k for every pair (j, k), and mediality is decided by
-the displacement group (displacements_commute).  Derived tables are built
+(operator.itemgetter, so each composition runs at C speed), and only those
+of a small generating set S (generators): distributivity is
+R_s R_j = R_{j*s} R_s for s in S and every j, and mediality is decided by
+the displacement group (displacements_commute), each |S| n compositions
+where a pair-by-pair check takes n^2.  Only a table that fails is scanned
+instance by instance, to name its witness.  Derived tables are built
 from whole translations too: the inverse table and an orbit reversal invert
 columns with _inverse, and induced_rows picks and renames rows with gather:
 relabel and the quotient closure in variety.py share it.  Each identity is
@@ -124,6 +127,13 @@ def check_axioms(table) -> AxiomReport:
 
     Witnesses are deterministic: the lexicographically first violating
     instance of the first failing axiom (unused slots are None).
+
+    Right self-distributivity says that every translation R_k is an
+    automorphism.  With bijective columns it is enough that each R_s is,
+    for s in S = generators(columns): then every h in H = <R_s : s in S> is
+    an automorphism, so is R_{h(s)} = h R_s h^-1 (Joyce, JPAA 23, 1982),
+    and every element is such an h(s).  Only a table that fails this is
+    scanned pair by pair (scan_distributive), to name its witness.
     """
     rows = _as_rows(table)
     n = len(rows)
@@ -146,41 +156,105 @@ def check_axioms(table) -> AxiomReport:
                 seen[v] = i
             break
 
-    # (i*j)*k = (i*k)*(j*k) for all i is R_k R_j = R_{j*k} R_k.  A failing
-    # pair's first violating i is its first differing entry, so the least
-    # (i, j, k) over the failing pairs is the first violating triple.
+    # (i*j)*k = (i*k)*(j*k) for all i is R_k R_j = R_{j*k} R_k
     after = [gather(column) for column in columns]  # after[j](f) is f R_j
-    dist_wit = None
-    for j, row in enumerate(rows):
-        after_j = after[j]
-        for k, jk in enumerate(row):
-            lhs = after_j(columns[k])
-            rhs = after[k](columns[jk])
-            if lhs != rhs:
-                i = next(i for i, (u, v) in enumerate(zip(lhs, rhs)) if u != v)
-                witness = (i, j, k)
-                if dist_wit is None or witness < dist_wit:
-                    dist_wit = witness
+    distributive = bij_wit is None and all(
+        after[j](columns[s]) == after[s](columns[rows[j][s]])
+        for s in generators(columns) for j in range(n))
+    dist_wit = None if distributive else scan_distributive(columns)
 
     first = next((w for w in (idem_wit, bij_wit, dist_wit) if w is not None), None)
     return AxiomReport(idem_wit is None, bij_wit is None, dist_wit is None, first)
 
 
-def displacements_commute(columns) -> bool:
-    """Whether the maps g_x = R_x R_0^-1 commute pairwise, where columns[x]
-    is the translation R_x as a tuple.
+def generators(columns):
+    """Yield a set S of elements, ascending from 0, that generates the table
+    whose translations R_x are columns[x], which must be bijective: every
+    element is h(s) for some s in S and h in the group H = <R_s : s in S>.
 
-    The g_x generate the displacement group Dis(Q) = <R_x R_y^-1>, and a
-    quandle is medial exactly when Dis(Q) is abelian (Joyce, JPAA 23, 1982;
-    Jedlicka, Pilitowska, Stanovsky and Zamojska-Dzienio, J. Algebra 2015).
-    So on a quandle table this decides mediality with O(n^2) compositions.
+    The least element not yet reached joins S, and the reached set is
+    closed under the R_s with a worklist, so each element meets each
+    translation once.  Each s is yielded as it joins S, so a check that
+    fails on an early generator stops before the rest are found.
     """
-    disp = list(map(gather(_inverse(columns[0])), columns))
-    after = [gather(g) for g in disp]  # after[b](f) is f g_b
-    for a in range(1, len(disp)):
-        ga, after_a = disp[a], after[a]
-        for b in range(a + 1, len(disp)):
-            if after[b](ga) != after_a(disp[b]):
+    n = len(columns)
+    reached = [False] * n
+    gens: list[int] = []
+    for start in range(n):
+        if reached[start]:
+            continue
+        yield start
+        # the elements reached so far are closed under the earlier
+        # generators, so they meet only the new one; a newly reached
+        # element meets them all
+        old = [x for x in range(n) if reached[x]]
+        gens.append(start)
+        reached[start] = True
+        work = [start]
+        translate = columns[start]
+        for x in old:
+            y = translate[x]
+            if not reached[y]:
+                reached[y] = True
+                work.append(y)
+        while work:
+            x = work.pop()
+            for s in gens:
+                y = columns[s][x]
+                if not reached[y]:
+                    reached[y] = True
+                    work.append(y)
+
+
+def scan_distributive(columns):
+    """The lexicographically first (i, j, k) with (i*j)*k differing from
+    (i*k)*(j*k) in the table whose translations are `columns`, or None."""
+    after = [gather(column) for column in columns]  # after[j](f) is f R_j
+    first = None
+    # A failing pair's first violating i is its first differing entry, so
+    # the least (i, j, k) over the failing pairs is the first violating
+    # triple.
+    for k, column in enumerate(columns):
+        after_k = after[k]
+        for j, jk in enumerate(column):
+            lhs = after[j](column)
+            rhs = after_k(columns[jk])
+            if lhs != rhs:
+                i = next(i for i, (u, v) in enumerate(zip(lhs, rhs)) if u != v)
+                if first is None or (i, j, k) < first:
+                    first = (i, j, k)
+    return first
+
+
+def displacements_commute(columns) -> bool:
+    """Whether the displacement group Dis(Q) = <R_x R_y^-1> is abelian, where
+    columns[x] is the translation R_x of a quandle Q, as a tuple; a quandle
+    is medial exactly when it is (Joyce, JPAA 23, 1982; Jedlicka,
+    Pilitowska, Stanovsky and Zamojska-Dzienio, J. Algebra 2015).
+
+    With S = generators(columns), e = S[0] and g_x = R_x R_e^-1, it is
+    abelian iff each g_s commutes with every g_x.  The g_x generate Dis(Q),
+    and Inn(Q) = <R_s>, as each R_x is some h R_s h^-1 with h in <R_s> (see
+    check_axioms).  Let N be the normal closure of the g_s in Inn(Q):
+    modulo N every R_s is R_e, so Inn(Q)/N is cyclic, each R_x = h R_s h^-1
+    is R_e modulo N, and Dis(Q) = N.  When every g_s commutes with every
+    g_x, the g_s lie in the centralizer of Dis(Q), which is normal in
+    Inn(Q) and so contains N = Dis(Q): Dis(Q) is abelian.  The converse is
+    immediate.  g_e is the identity, so that is (|S| - 1) n commutations of
+    two compositions each; each g_x is built when it is first reached.
+    """
+    gens = generators(columns)
+    displace = gather(_inverse(columns[next(gens)]))  # displace(R_x) is g_x
+    disp = []  # (g_x, f -> f g_x) for the first len(disp) elements x
+    for s in gens:
+        gs = displace(columns[s])
+        after_s = gather(gs)  # after_s(f) is f g_s
+        for x, column in enumerate(columns):
+            if x == len(disp):
+                g = displace(column)
+                disp.append((g, gather(g)))
+            g, after_g = disp[x]
+            if after_g(gs) != after_s(g):
                 return False
     return True
 
@@ -338,6 +412,8 @@ class FiniteQuandle:
     def is_n_quandle(self, power: int) -> bool:
         """True when every translation iterated `power` times is the identity
         (negative powers iterate the inverse translations)."""
+        if type(power) is not int:
+            raise TypeError(f"the power must be an int, got {power!r}")
         return n_quandle_violation(self.table, power) is None
 
 

@@ -38,6 +38,9 @@ class IdentitySpec:
     def __post_init__(self) -> None:
         if self.tag not in (MEDIAL_TAG, N_QUANDLE_TAG):
             raise ValueError(f"unknown identity tag {self.tag!r}")
+        if type(self.parameter) is not int:
+            raise TypeError(f"the identity's parameter must be an int,"
+                            f" got {self.parameter!r}")
         if self.tag == MEDIAL_TAG and self.parameter:
             raise ValueError(f"the medial law takes no parameter,"
                              f" got {self.parameter}")

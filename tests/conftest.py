@@ -63,8 +63,9 @@ def conjugation_quandle_s3() -> FiniteQuandle:
 def two_orbit_quandle_mod(n: int, t: int) -> FiniteQuandle:
     """Finite two-orbit analogue over the integers mod n: elements are two
     copies of range(n) with markers 0 and 1, and x in copy i acted on by y in
-    copy j gives (m_j - m_i + t*x + (1-t)*y) mod n in copy i.  Distributivity
-    needs t*t + t - 1 = 0 mod n, which the constructor ends up checking."""
+    copy j gives (m_j - m_i + t*x + (1-t)*y) mod n in copy i.  This is a
+    medial quandle for every unit t mod n; a root of t*t + t - 1 mod n only
+    makes 1 - t equal t*t, the coefficient of y over the paper's ring."""
     marks = {1: 0, 2: 1}
 
     def idx(copy: int, v: int) -> int:

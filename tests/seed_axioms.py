@@ -1,5 +1,6 @@
-"""Test oracle: the scalar axiom check, one instance at a time, written
-independently of the column-by-column check in quandleworks.quandle.
+"""Test oracles: the scalar axiom check, one instance at a time, written
+independently of the column-by-column check in quandleworks.quandle, and
+the displacement-group mediality check over every pair of displacements.
 
 The table must already have the right shape and entry range.
 """
@@ -7,6 +8,7 @@ The table must already have the right shape and entry range.
 from itertools import product
 
 from quandleworks import AxiomReport
+from quandleworks.quandle import _inverse, gather
 
 
 def seed_check_axioms(rows) -> AxiomReport:
@@ -41,3 +43,18 @@ def seed_check_axioms(rows) -> AxiomReport:
 
     first = next((w for w in (idem_wit, bij_wit, dist_wit) if w is not None), None)
     return AxiomReport(idem_wit is None, bij_wit is None, dist_wit is None, first)
+
+
+def seed_displacements_commute(columns) -> bool:
+    """Whether the maps g_x = R_x R_0^-1 commute pairwise, where columns[x]
+    is the translation R_x of a quandle as a tuple: they generate the
+    displacement group, so this decides mediality with O(n^2)
+    compositions."""
+    disp = list(map(gather(_inverse(columns[0])), columns))
+    after = [gather(g) for g in disp]  # after[b](f) is f g_b
+    for a in range(1, len(disp)):
+        ga, after_a = disp[a], after[a]
+        for b in range(a + 1, len(disp)):
+            if after[b](ga) != after_a(disp[b]):
+                return False
+    return True

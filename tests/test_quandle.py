@@ -1,5 +1,6 @@
 """Finite operation tables: axioms, orbits, reversal, and the file format."""
 
+import math
 import random
 from itertools import product
 
@@ -13,9 +14,9 @@ from quandleworks import (AxiomError, FiniteQuandle, MalformedTable,
                           affine_quandle, check_axioms, dihedral_quandle,
                           parse_table_text, relabel, render_table_text,
                           trivial_quandle)
-from quandleworks.quandle import (displacements_commute, n_quandle_violation,
-                                 scan_medial)
-from seed_axioms import seed_check_axioms
+from quandleworks.quandle import (displacements_commute, generators,
+                                 n_quandle_violation, scan_medial)
+from seed_axioms import seed_check_axioms, seed_displacements_commute
 
 BROKEN_IDEMPOTENCE = [[1, 1], [0, 0]]
 BROKEN_BIJECTIVITY = [[0, 0], [0, 1]]
@@ -145,7 +146,89 @@ def test_displacement_kernel_agrees_with_the_medial_scan():
         cases += [q.reverse_orbit(block[0]) for block in q.orbits()]
     verdicts = [displacements_commute(q.columns()) for q in cases]
     assert verdicts == [_medial_by_scan(q) for q in cases]
+    assert verdicts == [seed_displacements_commute(q.columns()) for q in cases]
     assert True in verdicts and False in verdicts
+
+
+@pytest.fixture(scope="module")
+def generating_set_cases() -> list[FiniteQuandle]:
+    """Relabeled shadows for m < 40 at every root of t^2 + t - 1 and at the
+    units t = 2, 3, and relabeled affine(n, t) for n <= 25 at every unit t;
+    each with every orbit reversed in turn."""
+    rng = random.Random(20261118)
+
+    def with_reversals(q):
+        perm = list(range(q.n))
+        rng.shuffle(perm)
+        q = relabel(q, perm)
+        return [q] + [q.reverse_orbit(block[0]) for block in q.orbits()]
+
+    cases = []
+    for m in range(2, 40):
+        for t in range(m):
+            if (t * t + t - 1) % m == 0 or (t in (2 % m, 3 % m) and math.gcd(t, m) == 1):
+                cases += with_reversals(two_orbit_quandle_mod(m, t))
+    for n in range(1, 26):
+        cases += [case for t in range(n) if math.gcd(t, n) == 1
+                  for case in with_reversals(affine_quandle(n, t))]
+    return cases
+
+
+def _column_swap(rows, rng: random.Random):
+    """rows with two off-diagonal entries of one column exchanged: the
+    columns stay bijective and idempotence holds, so only distributivity
+    can fail."""
+    rows = [list(row) for row in rows]
+    j = rng.randrange(len(rows))
+    a, b = rng.sample([i for i in range(len(rows)) if i != j], 2)
+    rows[a][j], rows[b][j] = rows[b][j], rows[a][j]
+    return rows
+
+
+def test_generating_set_checks_agree_with_the_oracles(generating_set_cases):
+    # the table checks compose only the translations of a generating set;
+    # the scalar axiom oracle and the all-pairs displacement oracle try
+    # every instance, on quandles and on mutants that are not quandles
+    cases = generating_set_cases
+    assert len(cases) > 1000 and max(q.n for q in cases) == 78
+    verdicts = [displacements_commute(q.columns()) for q in cases]
+    assert verdicts == [seed_displacements_commute(q.columns()) for q in cases]
+    assert verdicts.count(False) > 100
+    rng = random.Random(20261119)
+    mutants = [_column_swap(q.table, rng) for q in cases if q.n >= 3]
+    reports = [check_axioms(rows) for rows in mutants]
+    assert reports == [seed_check_axioms(rows) for rows in mutants]
+    assert len(mutants) > 1000 and sum(not r.distributive for r in reports) > 600
+    for q in cases:
+        assert check_axioms(q.table) == seed_check_axioms(q.table)
+
+
+def test_generators_are_the_least_elements_not_yet_reached(generating_set_cases):
+    def reach(columns, gens):  # the closure of gens under their translations
+        reached, work = set(gens), list(gens)
+        while work:
+            x = work.pop()
+            for s in gens:
+                if columns[s][x] not in reached:
+                    reached.add(columns[s][x])
+                    work.append(columns[s][x])
+        return reached
+
+    cases = generating_set_cases + [conjugation_quandle_s3()]
+    for q in cases:
+        columns = q.columns()
+        gens = list(generators(columns))
+        assert gens[0] == 0 and gens == sorted(gens)
+        assert reach(columns, gens) == set(range(q.n))
+        for k, s in enumerate(gens):
+            assert min(set(range(q.n)) - reach(columns, gens[:k])) == s
+    assert len(list(generators(dihedral_quandle(33).columns()))) == 2
+    assert len(list(generators(trivial_quandle(5).columns()))) == 5
+    for m in (5, 11, 19, 29):
+        for t in range(m):
+            if (t * t + t - 1) % m == 0:
+                shadow = two_orbit_quandle_mod(m, t)
+                assert len(list(generators(shadow.reverse_orbit(m).columns()))) == 3
 
 
 def test_corpus_members_satisfy_axioms(corpus):
@@ -267,6 +350,9 @@ def test_is_n_quandle_known_values():
     a = affine_quandle(5, 2)  # translation multiplier 2 has order 4 mod 5
     assert not a.is_n_quandle(2)
     assert a.is_n_quandle(4)
+    for bad in (2.0, 2.5, "2", True, None):
+        with pytest.raises(TypeError, match="power must be an int"):
+            d3.is_n_quandle(bad)
 
 
 def _n_quandle_violation_by_iteration(q: FiniteQuandle, power: int):

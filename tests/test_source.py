@@ -8,10 +8,11 @@ import sys
 from pathlib import Path
 
 import quandleworks
-from conftest import build_corpus
-from quandleworks import (affine_quandle, check_axioms_symbolic, dihedral_quandle,
-                          quandle, render_table_text, trivial_quandle,
-                          verify_theorem)
+from conftest import build_corpus, two_orbit_quandle_mod
+from quandleworks import (MEDIAL, FiniteQuandle, affine_quandle, check_axioms,
+                          check_axioms_symbolic, dihedral_quandle, n_quandle,
+                          quandle, quotient_by_identity, relabel,
+                          render_table_text, trivial_quandle, verify_theorem)
 from quandleworks.cli import main
 from quandleworks.ring import reduce
 
@@ -108,39 +109,79 @@ def _medial_confirmations(tables, directory):
     ]
 
 
+def _corpus_validations(corpus):
+    """The tables the engine builds, each validated, while it rebuilds,
+    relabels, reverses and quotients every corpus quandle."""
+    built = []
+    for _, q in corpus:
+        built += [FiniteQuandle(q.table), relabel(q, reversed(range(q.n)))]
+        built += [q.reverse_orbit(block[0]) for block in q.orbits()]
+        built += [quotient_by_identity(q, spec)[0]
+                  for spec in (MEDIAL, n_quandle(2), n_quandle(3))]
+    return [q.table for q in built]
+
+
 def test_confirming_mediality_never_scans_instances(monkeypatch, tmp_path):
-    # the displacement group confirms a medial table or quotient on its own;
-    # the O(n^4) instance scan runs only to name the witness of a failure
-    tables = [q for _, q in build_corpus() if q.is_medial()[0]]
+    # a generating set confirms distributivity, and the displacement group
+    # a medial table or quotient, on its own; the instance scans run only to
+    # name the witness of a failure
+    corpus = build_corpus()
+    tables = [q for _, q in corpus if q.is_medial()[0]]
     assert len(tables) > 20
     expected = _medial_confirmations(tables, tmp_path)
     assert expected[1] == (0, "axioms: idempotent=True bijective_columns=True"
                                " distributive=True\nmedial: True\n", "")
+    validations = _corpus_validations(corpus)
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("a medial table was scanned instance by instance")
+        raise AssertionError("a quandle was scanned instance by instance")
 
+    monkeypatch.setattr(quandle, "scan_distributive", forbidden)
+    assert _corpus_validations(corpus) == validations
     monkeypatch.setattr(quandle, "scan_medial", forbidden)
     assert _medial_confirmations(tables, tmp_path) == expected
 
 
-def test_is_medial_composes_quadratically_many_translations(monkeypatch):
-    q = dihedral_quandle(33)
-    calls = 0
+def _count_compositions(monkeypatch):
+    """Patch quandle.gather so that each call of a composition it builds is
+    counted; the running count is the one entry of the list returned."""
+    calls = [0]
     gather = quandle.gather
 
     def counted(indices):
         take = gather(indices)
 
         def composed(f):
-            nonlocal calls
-            calls += 1
+            calls[0] += 1
             return take(f)
         return composed
 
     monkeypatch.setattr(quandle, "gather", counted)
+    return calls
+
+
+def test_is_medial_composes_linearly_many_translations(monkeypatch):
+    # |S| = 2 generators, the first of them e with g_e the identity: n
+    # displacements g_x, each commuted with g_s for the other generator s,
+    # against two compositions for each of the n^2 / 2 pairs of them
+    q = dihedral_quandle(33)
+    assert len(list(quandle.generators(q.columns()))) == 2
+    calls = _count_compositions(monkeypatch)
     assert q.is_medial() == (True, None)
-    assert 0 < calls <= q.n ** 2
+    assert calls[0] == 1 + 33 + 2 * 33
+
+
+def test_check_axioms_composes_linearly_many_translations(monkeypatch):
+    # the reversed shadow of order n = 202 has |S| = 3 generators: two
+    # compositions for each generator s and element j, against two for
+    # each of the n^2 pairs (j, k)
+    m = 101
+    t = next(t for t in range(m) if (t * t + t - 1) % m == 0)
+    q = two_orbit_quandle_mod(m, t).reverse_orbit(m)
+    assert len(list(quandle.generators(q.columns()))) == 3
+    calls = _count_compositions(monkeypatch)
+    assert check_axioms(q.table).ok
+    assert calls[0] == 2 * 3 * 202
 
 
 def test_every_name_the_bench_tracer_wraps_exists():

@@ -25,6 +25,16 @@ def test_identity_spec_validation():
     with pytest.raises(ValueError, match="medial law takes no parameter"):
         IdentitySpec("medial", 5)
     assert IdentitySpec("medial", 0) == MEDIAL
+    # bool and float parameters are not translation powers, even when they
+    # compare equal to one
+    for bad in (2.5, 2.0, "2", True, None):
+        with pytest.raises(TypeError, match="parameter must be an int"):
+            n_quandle(bad)
+        with pytest.raises(TypeError, match="parameter must be an int"):
+            IdentitySpec("n_quandle", bad)
+    for bad in (0.0, False):
+        with pytest.raises(TypeError, match="parameter must be an int"):
+            IdentitySpec("medial", bad)
     assert n_quandle(2).parameter == 2
     assert MEDIAL.tag == "medial"
 
