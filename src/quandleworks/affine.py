@@ -8,12 +8,23 @@ With m_1 = 0 and m_2 = 1 marking the copies:
     x in copy i acted on by y in copy j  ->  (m_j - m_i + t*x + t^2*y) in copy i
     undone by                                t^(-1) * (m_i - m_j + x - t^2*y)
 
-(1 - t reduces to t^2, hence the t^2 in the first formula).  Both formulas
-are affine in both arguments, so they close over AffineExpr; a symbolic
-identity check per orbit-tag pattern is exact, because an affine map over
-the ring vanishes everywhere iff all its coefficients vanish.  Orbit 2 is
-the reversed orbit throughout this package: reversed_op swaps in the undo
-formula exactly when the acting element carries tag 2.
+(1 - t reduces to t^2, hence the t^2 in the first formula).  On two
+concrete points both formulas are closed forms in the canonical pairs
+x = (x1, x2), y = (y1, y2) and shift s = m_j - m_i = (s1, s2), using
+t*(n1, n2) = (n2, n1 - n2) and t^2*(n1, n2) = (n1 - n2, 2*n2 - n1):
+
+    op      (s1 + x2 + y1 - y2,  s2 + x1 - x2 + 2*y2 - y1)
+    op_inv  (u1 + u2, u1)  for  u = -s + x - t^2*y
+            = (-s1 + x1 - y1 + y2,  -s2 + x2 - 2*y2 + y1)
+
+so op and op_inv build one RingElem and one Point there.  Any SymPoint
+argument takes the generic ring-and-AffineExpr path instead.
+
+Both formulas are affine in both arguments, so they close over AffineExpr;
+a symbolic identity check per orbit-tag pattern is exact, because an affine
+map over the ring vanishes everywhere iff all its coefficients vanish.
+Orbit 2 is the reversed orbit throughout this package: reversed_op swaps in
+the undo formula exactly when the acting element carries tag 2.
 
 Point, the concrete element, is a slotted immutable value with the
 semantics of a frozen dataclass, as RingElem is; SymPoint and the reports
@@ -26,8 +37,8 @@ from dataclasses import FrozenInstanceError, dataclass
 from itertools import product
 from typing import Mapping
 
-from .ring import (ONE, T, T_INV, T_SQ, ZERO, RingElem, parse_elem, render_elem,
-                   render_pair)
+from .ring import (ONE, T, T_INV, T_SQ, ZERO, RingElem, parse_elem,
+                   product_pair, render_elem, render_pair)
 
 ORBIT_TAGS = (1, 2)
 ORBIT_MARK = {1: ZERO, 2: ONE}  # additive marker of each copy
@@ -113,10 +124,15 @@ class AffineExpr:
         return out
 
     def evaluate(self, values: Mapping[str, RingElem]) -> RingElem:
-        total = self.constant
+        """The value at a RingElem for each variable, summed as integer
+        pairs through product_pair and built as one RingElem."""
+        n1, n2 = self.constant.n1, self.constant.n2
         for v, c in self.coeffs.items():
-            total = total + c * values[v]
-        return total
+            x = values[v]
+            p1, p2 = product_pair(c.n1, c.n2, x.n1, x.n2)
+            n1 += p1
+            n2 += p2
+        return RingElem(n1, n2)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AffineExpr):
@@ -209,23 +225,34 @@ def _payload(p):
     return p.value if isinstance(p, Point) else p.expr
 
 
-def _wrap(orbit: int, value):
-    return Point(orbit, value) if isinstance(value, RingElem) else SymPoint(orbit, value)
-
-
 def op(a, b):
     """a acted on by b; the result keeps a's orbit tag.
 
     Accepts Point or SymPoint in either slot (mixed calls yield a SymPoint).
+    Two Points take the closed form of the module docstring; anything else
+    computes shift + t*a + t^2*b with ring and AffineExpr arithmetic.
     """
     shift = _SHIFT[a.orbit, b.orbit]
-    return _wrap(a.orbit, shift + T * _payload(a) + T_SQ * _payload(b))
+    if a.__class__ is Point and b.__class__ is Point:
+        x, y = a.value, b.value
+        return Point(a.orbit, RingElem(shift.n1 + x.n2 + y.n1 - y.n2,
+                                       shift.n2 + x.n1 - x.n2 + 2 * y.n2 - y.n1))
+    return SymPoint(a.orbit, shift + T * _payload(a) + T_SQ * _payload(b))
 
 
 def op_inv(a, b):
-    """The unique c with op(c, b) = a; inverts the translation by b."""
+    """The unique c with op(c, b) = a; inverts the translation by b.
+
+    Two Points take the closed form of the module docstring; anything else
+    computes t^(-1) * (shift + a - t^2*b) with ring and AffineExpr arithmetic.
+    """
     shift = _SHIFT[b.orbit, a.orbit]
-    return _wrap(a.orbit, T_INV * (shift + _payload(a) - T_SQ * _payload(b)))
+    if a.__class__ is Point and b.__class__ is Point:
+        x, y = a.value, b.value
+        u1 = shift.n1 + x.n1 - y.n1 + y.n2
+        u2 = shift.n2 + x.n2 - 2 * y.n2 + y.n1
+        return Point(a.orbit, RingElem(u1 + u2, u1))
+    return SymPoint(a.orbit, T_INV * (shift + _payload(a) - T_SQ * _payload(b)))
 
 
 def reversed_op(a, b):

@@ -310,6 +310,12 @@ def verify_theorem(samples: int = 200, seed: int = 0) -> CollapseReport:
     Randomized coherence checks (symbolic expansion vs concrete evaluation,
     the (t^3 - t)*(x - y) gap law, and the orbit-2 witness transport) are
     driven by a generator seeded with `seed`, so output is reproducible.
+
+    The expansion check compares two independent derivations of the same
+    term: the symbolic one builds it with ring and AffineExpr arithmetic,
+    checked against the frozen coefficients, while the concrete one runs
+    the closed-form pair kernels that op and op_inv take on Points.  A
+    wrong coefficient in either is caught at stage 'expansion'.
     """
     if samples < 0:
         raise ValueError(f"samples must be at least 0, got {samples}")

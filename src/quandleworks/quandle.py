@@ -101,7 +101,14 @@ def induced_rows(table, reps, rename) -> list[tuple[int, ...]]:
     return [gather(pick(table[r]))(rename) for r in reps]
 
 
-def _as_rows(table) -> tuple[tuple[int, ...], ...]:
+class _Rows(tuple):
+    """Row tuples that _as_rows has validated, so that check_axioms can
+    take them as they are: FiniteQuandle validates the shape once."""
+
+    __slots__ = ()
+
+
+def _as_rows(table) -> _Rows:
     rows = list(table)
     n = len(rows)
     if n == 0:
@@ -119,14 +126,16 @@ def _as_rows(table) -> tuple[tuple[int, ...], ...]:
                 if not 0 <= v < n:
                     raise MalformedTable(f"row {i} entry {v} out of range 0..{n - 1}")
         out.append(entries)
-    return tuple(out)
+    return _Rows(out)
 
 
 def check_axioms(table) -> AxiomReport:
     """Test idempotence, column bijectivity, and right self-distributivity.
 
     Witnesses are deterministic: the lexicographically first violating
-    instance of the first failing axiom (unused slots are None).
+    instance of the first failing axiom (unused slots are None).  Input of
+    the wrong shape raises MalformedTable; rows that _as_rows has already
+    validated, as FiniteQuandle passes them, are not validated again.
 
     Right self-distributivity says that every translation R_k is an
     automorphism.  With bijective columns it is enough that each R_s is,
@@ -135,7 +144,7 @@ def check_axioms(table) -> AxiomReport:
     and every element is such an h(s).  Only a table that fails this is
     scanned pair by pair (scan_distributive), to name its witness.
     """
-    rows = _as_rows(table)
+    rows = table if table.__class__ is _Rows else _as_rows(table)
     n = len(rows)
     columns = tuple(zip(*rows))
 

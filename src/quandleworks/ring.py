@@ -3,14 +3,22 @@ the principal ideal generated by t^2 + t - 1.
 
 Every residue class in the quotient has a unique representative of the form
 n1*t + n2*t^2, so quotient elements are stored as plain integer pairs and
-RingElem computes on them in closed form: products use t^3 = t - t^2 and
-t^4 = -t + 2*t^2, and multiplying by t or by 1/t is a linear map of the
-pair.  The specification is Laurent-polynomial arithmetic followed by
-reduce: reduce rewrites t^2 -> 1 - t and t^(-1) -> 1 + t until only the
-exponents 0 and 1 remain, then converts a + b*t into the canonical pair
-(a + b, a) using 1 = t + t^2.  The polynomials themselves live with the
-tests (tests/seed_ring.py), which check every RingElem operation against
-them; the library never calls reduce.  All arithmetic is over
+RingElem computes on them in closed form.  Products use t^3 = t - t^2 and
+t^4 = -t + 2*t^2 (product_pair, the one copy of the formula), and
+multiplying by a power of t is a linear map of the pair:
+
+    t    * (n1, n2) = (n2, n1 - n2)
+    t^2  * (n1, n2) = (n1 - n2, 2*n2 - n1)
+    t^-1 * (n1, n2) = (n1 + n2, n1)
+
+scale_t iterates the first and the last; the concrete kernels of
+affine.op and affine.op_inv apply them inline.  The specification is
+Laurent-polynomial arithmetic followed by reduce: reduce rewrites
+t^2 -> 1 - t and t^(-1) -> 1 + t until only the exponents 0 and 1 remain,
+then converts a + b*t into the canonical pair (a + b, a) using
+1 = t + t^2.  The polynomials themselves live with the tests
+(tests/seed_ring.py), which check every RingElem operation against them;
+the library never calls reduce.  All arithmetic is over
 arbitrary-precision integers; coefficients grow Fibonacci-fast under powers
 of t, so nothing here may round.
 
@@ -84,11 +92,8 @@ class RingElem:
                 return RingElem(other * self.n1, other * self.n2)
             if not isinstance(other, RingElem):
                 return NotImplemented
-        # (a*t + b*t^2)(c*t + d*t^2) = ac*t^2 + (ad + bc)*t^3 + bd*t^4
-        a, b, c, d = self.n1, self.n2, other.n1, other.n2
-        ad_bc = a * d + b * c
-        bd = b * d
-        return RingElem(ad_bc - bd, a * c - ad_bc + 2 * bd)
+        n1, n2 = product_pair(self.n1, self.n2, other.n1, other.n2)
+        return RingElem(n1, n2)
 
     __rmul__ = __mul__
 
@@ -109,6 +114,19 @@ class RingElem:
 
 _set_n1 = RingElem.n1.__set__
 _set_n2 = RingElem.n2.__set__
+
+
+def product_pair(a: int, b: int, c: int, d: int) -> tuple[int, int]:
+    """Canonical pair of (a*t + b*t^2)(c*t + d*t^2).
+
+    The product is ac*t^2 + (ad + bc)*t^3 + bd*t^4, and t^3 = t - t^2,
+    t^4 = -t + 2*t^2 give (ad + bc - bd, ac - (ad + bc) + 2*bd).  Callers
+    that sum products, such as AffineExpr.evaluate, accumulate the pairs
+    and build one RingElem at the end.
+    """
+    ad_bc = a * d + b * c
+    bd = b * d
+    return ad_bc - bd, a * c - ad_bc + 2 * bd
 
 
 def reduce(poly: Mapping[int, int]) -> RingElem:

@@ -12,7 +12,9 @@ from quandleworks import (ONE, T, T_INV, T_SQ, ZERO, AffineExpr, Point,
                           RingElem, SymPoint, check_axioms_symbolic, op,
                           op_inv, orbit_witness, parse_point, reversed_op,
                           reversed_op_inv, verify_theorem)
-from quandleworks.ring import random_elem
+from quandleworks.affine import ORBIT_TAGS
+from quandleworks.ring import random_elem, reduce
+from seed_ring import LaurentPoly, lift
 
 ZERO1 = Point(1, ZERO)
 ZERO2 = Point(2, ZERO)
@@ -166,9 +168,14 @@ def test_symbolic_concrete_coherence():
         a = SymPoint(rng.choice((1, 2)), random_sym_expr(rng, names))
         b = SymPoint(rng.choice((1, 2)), random_sym_expr(rng, names))
         values = {name: random_elem(rng) for name in names}
+        conc_a, conc_b = a.evaluate(values), b.evaluate(values)
         for f in (op, op_inv, reversed_op, reversed_op_inv):
-            assert f(a, b).evaluate(values) == f(a.evaluate(values),
-                                                 b.evaluate(values))
+            # any SymPoint argument takes the generic path, two Points the
+            # closed form
+            expected = f(conc_a, conc_b)
+            assert f(a, b).evaluate(values) == expected
+            assert f(a, conc_b).evaluate(values) == expected
+            assert f(conc_a, b).evaluate(values) == expected
 
 
 def test_mixed_symbolic_concrete_arguments():
@@ -248,3 +255,101 @@ def test_symbolic_axiom_suite_reversed():
 def test_symbolic_axiom_suite_rejects_unknown_mode():
     with pytest.raises(ValueError):
         check_axioms_symbolic("sideways")
+
+
+# --- closed-form kernels on concrete points -------------------------------
+
+MARK = {1: 0, 2: 1}  # m_i of each copy, as an integer
+# entries grow Fibonacci-fast under powers of t
+FIB_VALUES = (ONE.scale_t(300), ONE.scale_t(-300), -ONE.scale_t(299),
+              T_SQ.scale_t(-301) - ONE, ZERO)
+
+
+def generic_op(a, b):
+    shift = RingElem.from_int(MARK[b.orbit] - MARK[a.orbit])
+    return Point(a.orbit, shift + T * a.value + T_SQ * b.value)
+
+
+def generic_op_inv(a, b):
+    shift = RingElem.from_int(MARK[a.orbit] - MARK[b.orbit])
+    return Point(a.orbit, T_INV * (shift + a.value - T_SQ * b.value))
+
+
+def oracle_op(a, b):
+    poly = (LaurentPoly({0: MARK[b.orbit] - MARK[a.orbit]})
+            + LaurentPoly.t_power(1) * lift(a.value)
+            + LaurentPoly.t_power(2) * lift(b.value))
+    return Point(a.orbit, reduce(poly.coeffs))
+
+
+def oracle_op_inv(a, b):
+    poly = LaurentPoly.t_power(-1) * (
+        LaurentPoly({0: MARK[a.orbit] - MARK[b.orbit]}) + lift(a.value)
+        - LaurentPoly.t_power(2) * lift(b.value))
+    return Point(a.orbit, reduce(poly.coeffs))
+
+
+def reversal_of(f, g):
+    return lambda a, b: g(a, b) if b.orbit == 2 else f(a, b)
+
+
+KERNELS = (
+    (op, generic_op, oracle_op),
+    (op_inv, generic_op_inv, oracle_op_inv),
+    (reversed_op, reversal_of(generic_op, generic_op_inv),
+     reversal_of(oracle_op, oracle_op_inv)),
+    (reversed_op_inv, reversal_of(generic_op_inv, generic_op),
+     reversal_of(oracle_op_inv, oracle_op)),
+)
+
+
+def kernel_value_pairs():
+    rng = random.Random(13)
+    pairs = [(random_elem(rng), random_elem(rng)) for _ in range(60)]
+    pairs += [(random_elem(rng, bound=10**30), random_elem(rng, bound=10**30))
+              for _ in range(20)]
+    pairs += list(product(FIB_VALUES, repeat=2))
+    return pairs
+
+
+@pytest.mark.parametrize("tags", list(product(ORBIT_TAGS, repeat=2)),
+                         ids=lambda tags: f"{tags[0]}-{tags[1]}")
+def test_point_kernels_match_the_generic_expression_and_the_oracle(tags):
+    i, j = tags
+    for x, y in kernel_value_pairs():
+        a, b = Point(i, x), Point(j, y)
+        for kernel, generic, oracle in KERNELS:
+            out = kernel(a, b)
+            assert out.__class__ is Point and out.value.__class__ is RingElem
+            assert out == generic(a, b) == oracle(a, b)
+
+
+def generic_evaluate(expr, values):
+    total = expr.constant
+    for v, c in expr.coeffs.items():
+        total = total + c * values[v]
+    return total
+
+
+def oracle_evaluate(expr, values):
+    poly = lift(expr.constant)
+    for v, c in expr.coeffs.items():
+        poly = poly + lift(c) * lift(values[v])
+    return reduce(poly.coeffs)
+
+
+def test_evaluate_matches_the_generic_sum_and_the_oracle():
+    rng = random.Random(15)
+    names = ("w", "x", "y", "z")
+    exprs = [random_sym_expr(rng, names) for _ in range(40)]
+    exprs += [AffineExpr(FIB_VALUES[0], {"w": FIB_VALUES[1], "z": FIB_VALUES[2]}),
+              AffineExpr.const(FIB_VALUES[3]), AffineExpr(),
+              verify_theorem(0).lhs_expansion.expr]
+    assignments = [{v: random_elem(rng) for v in names} for _ in range(10)]
+    assignments += [dict(zip(names, values))
+                    for values in product(FIB_VALUES[:3], repeat=4)][::7]
+    for expr in exprs:
+        for values in assignments:
+            out = expr.evaluate(values)
+            assert out.__class__ is RingElem
+            assert out == generic_evaluate(expr, values) == oracle_evaluate(expr, values)

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import json
 import os
 import subprocess
 import sys
@@ -17,6 +18,11 @@ import quandleworks
 from quandleworks import (collapse, dihedral_quandle, parse_table_text,
                           relabel, render_table_text, trivial_quandle)
 from quandleworks.cli import main
+
+# verify-paper and demo-affine runs, frozen before the closed-form point
+# kernels replaced the generic ring arithmetic on concrete points
+GOLDEN_RUNS = json.loads(
+    Path(__file__).with_name("golden_cli.json").read_text(encoding="utf-8"))
 
 
 def run(capsys, *argv):
@@ -286,6 +292,12 @@ def test_verify_paper_show_expansion(capsys):
     assert lines[0] == "expansion coefficients:"
     assert lines[1:6] == ["  constant (-1,0)", "  w (0,1)", "  x (1,-1)",
                           "  y (1,0)", "  z (-1,1)"]
+
+
+@pytest.mark.parametrize("golden", GOLDEN_RUNS, ids=[g["name"] for g in GOLDEN_RUNS])
+def test_output_matches_the_frozen_golden_run(capsys, golden):
+    assert run(capsys, *golden["argv"]) == (
+        golden["code"], golden["stdout"], golden["stderr"])
 
 
 def test_demo_affine_op(capsys):

@@ -1,13 +1,15 @@
 """The two-element collapse: expansion, forced shifts, lattice, transport."""
 
+import inspect
 import random
+import textwrap
 from itertools import product
 
 import pytest
 
 from quandleworks import (ONE, T, T_SQ, ZERO, AffineExpr, CollapseError,
                           NonUniformRelation, Point, RingElem, WitnessFailure,
-                          combine_shifts, derive_relation, expand_lhs,
+                          affine, combine_shifts, derive_relation, expand_lhs,
                           expand_rhs, hnf_close, op, orbit2_collapse,
                           orbit_witness, relation_assignments, reversed_op,
                           shift_gap, verify_theorem)
@@ -219,3 +221,32 @@ def test_failure_types_carry_stages():
     assert WitnessFailure.stage == "orbit-2 transport"
     err = CollapseError("lattice", "boom")
     assert err.stage == "lattice" and "boom" in str(err)
+
+
+# one wrong coefficient in the closed form of op or op_inv on two Points
+KERNEL_MUTANTS = [
+    ("op", "y.n1 - y.n2,", "y.n1 + y.n2,"),
+    ("op", "x.n1 - x.n2 +", "x.n1 + x.n2 +"),
+    ("op", "2 * y.n2 - y.n1", "3 * y.n2 - y.n1"),
+    ("op_inv", "- y.n1 + y.n2", "- y.n1 - y.n2"),
+    ("op_inv", "- 2 * y.n2", "- 3 * y.n2"),
+    ("op_inv", "RingElem(u1 + u2, u1)", "RingElem(u1 + 2 * u2, u1)"),
+]
+
+
+@pytest.mark.parametrize("name, old, new", KERNEL_MUTANTS)
+def test_a_wrong_kernel_coefficient_fails_verification_at_the_expansion(
+        monkeypatch, name, old, new):
+    # the sampled check compares the closed form against the symbolic
+    # expansion, which the mutant leaves alone: the frozen coefficients still
+    # match, and the concrete samples disagree with them
+    source = textwrap.dedent(inspect.getsource(getattr(affine, name)))
+    assert source.count(old) == 1
+    namespace = dict(vars(affine))
+    exec(compile(source.replace(old, new), affine.__file__, "exec"), namespace)
+    monkeypatch.setattr(affine, name, namespace[name])
+    expand_lhs()
+    expand_rhs()
+    with pytest.raises(CollapseError, match="disagrees with the expansion") as info:
+        verify_theorem(200)
+    assert info.value.stage == "expansion"

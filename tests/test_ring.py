@@ -8,8 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from quandleworks.ring import (ONE, T, T_INV, T_SQ, ZERO, RingElem,
-                               parse_elem, random_elem, reduce, render_elem,
-                               render_pair)
+                               parse_elem, product_pair, random_elem, reduce,
+                               render_elem, render_pair)
 from seed_ring import LaurentPoly, lift
 
 elems = st.builds(RingElem,
@@ -78,6 +78,17 @@ def test_reduce_is_multiplicative(p, q):
 @given(elems, elems)
 def test_product_matches_the_specification(a, b):
     assert a * b == reduce((lift(a) * lift(b)).coeffs)
+
+
+def test_product_pair_matches_the_specification_on_fibonacci_sized_entries():
+    # product_pair is the one copy of the product formula: RingElem * and
+    # AffineExpr.evaluate both go through it
+    big = [ONE.scale_t(k) for k in (300, -300, 299, -1)] + [RingElem(-7, 10**40)]
+    for a in big:
+        for b in big:
+            expected = reduce((lift(a) * lift(b)).coeffs)
+            assert product_pair(a.n1, a.n2, b.n1, b.n2) == (expected.n1, expected.n2)
+            assert a * b == expected
 
 
 @given(elems, st.integers(min_value=-10**6, max_value=10**6))

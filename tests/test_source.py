@@ -7,12 +7,15 @@ import io
 import sys
 from pathlib import Path
 
+import pytest
+
 import quandleworks
 from conftest import build_corpus, two_orbit_quandle_mod
-from quandleworks import (MEDIAL, FiniteQuandle, affine_quandle, check_axioms,
-                          check_axioms_symbolic, dihedral_quandle, n_quandle,
-                          quandle, quotient_by_identity, relabel,
-                          render_table_text, trivial_quandle, verify_theorem)
+from quandleworks import (MEDIAL, FiniteQuandle, MalformedTable,
+                          affine_quandle, check_axioms, check_axioms_symbolic,
+                          dihedral_quandle, n_quandle, quandle,
+                          quotient_by_identity, relabel, render_table_text,
+                          trivial_quandle, verify_theorem)
 from quandleworks.cli import main
 from quandleworks.ring import reduce
 
@@ -182,6 +185,34 @@ def test_check_axioms_composes_linearly_many_translations(monkeypatch):
     calls = _count_compositions(monkeypatch)
     assert check_axioms(q.table).ok
     assert calls[0] == 2 * 3 * 202
+
+
+def test_a_quandle_validates_its_table_shape_once(monkeypatch):
+    # FiniteQuandle checks the shape, then hands the validated rows to
+    # check_axioms, which bench/tracer.py counts and which still checks the
+    # shape of anything else it is given
+    m = 19
+    q = two_orbit_quandle_mod(m, 4).reverse_orbit(m)
+    raw = [list(row) for row in q.table]
+    calls = {"_as_rows": 0, "check_axioms": 0}
+    for name in calls:
+        original = getattr(quandle, name)
+
+        def counted(table, name=name, original=original):
+            calls[name] += 1
+            return original(table)
+        monkeypatch.setattr(quandle, name, counted)
+    built = [FiniteQuandle(raw), FiniteQuandle(q.table), relabel(q, range(q.n)[::-1]),
+             q.reverse_orbit(m), quotient_by_identity(q, MEDIAL)[0]]
+    assert calls == {"_as_rows": 5, "check_axioms": 5}
+    assert quandle.check_axioms(raw) == quandle.check_axioms(q.table)
+    assert calls == {"_as_rows": 6, "check_axioms": 7}
+    assert built[0] == built[1] == q and built[4].n == 2
+    for bad in ([[0, 1], [1]], [[0, 2], [1, 1]], [[0, 1.0], [1, 1]], ()):
+        with pytest.raises(MalformedTable):
+            check_axioms(bad)
+        with pytest.raises(MalformedTable):
+            FiniteQuandle(bad)
 
 
 def test_every_name_the_bench_tracer_wraps_exists():
