@@ -200,8 +200,18 @@ def parse_elem(text: str) -> RingElem:
 
 
 def random_elem(rng: random.Random, bound: int = 50) -> RingElem:
-    # randrange(2*bound + 1) - bound is the draw randint(-bound, bound) makes,
-    # without its extra layer of calls
+    # randint(-bound, bound) is randrange(span) - bound, and randrange(span)
+    # draws getrandbits(span.bit_length()) until the value is below span;
+    # calling getrandbits directly gives the same values and leaves the
+    # generator in the same state, without the layers of calls
     span = 2 * bound + 1
-    return RingElem(rng.randrange(span) - bound, rng.randrange(span) - bound)
+    bits = span.bit_length()
+    draw = rng.getrandbits
+    n1 = draw(bits)
+    while n1 >= span:
+        n1 = draw(bits)
+    n2 = draw(bits)
+    while n2 >= span:
+        n2 = draw(bits)
+    return RingElem(n1 - bound, n2 - bound)
 

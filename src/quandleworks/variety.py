@@ -8,13 +8,25 @@ identity's function of a table (quandle.medial_violation or
 n_quandle_violation, which FiniteQuandle.is_medial and is_n_quandle ask
 too) for its first violated instance, then joins the two classes it names;
 Congruence.join is the one routine that closes a partition under the
-operation, a worklist congruence closure.  Each join is forced in every
-congruence with that property, so the fixpoint is the least such congruence.
+operation, a worklist congruence closure over class lists (Downey, Sethi and
+Tarjan, J. ACM 27, 1980).  Each join is forced in every congruence with that
+property, so the fixpoint is the least such congruence.
+
+A Congruence labels each element with its class's least member.  For each
+pair that merged, join maps the two rows, and then the two columns, to
+labels with quandle.gather and compares them whole; union runs only where
+they differ.  A union that merges adds one pair to the worklist.  A merge
+can still cost up to 2n union calls, one per differing position, but on the
+reversed finite shadows a whole medial quotient makes fewer than 2n of them
+(34 at n = 22, 304 at n = 202), where unioning the images at every position
+made 2n per merge (881 at n = 22).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
+from operator import ne
 
 from .quandle import (FiniteQuandle, InternalAxiomFailure, gather,
                       induced_rows, medial_violation, n_quandle_violation)
@@ -61,73 +73,84 @@ def n_quandle(power: int) -> IdentitySpec:
 
 
 class Congruence:
-    """Union-find partition of a quandle's elements with path halving.  A
-    union links the larger root under the smaller, so each class's root is
-    its least member; path halving alone keeps finds logarithmic amortized
-    (Tarjan and van Leeuwen, J. ACM 31, 1984)."""
+    """Partition of a quandle's elements as a class label per element, the
+    class's least member, plus the member list of each class.  find is a
+    list lookup; a union relabels the members of the class whose least
+    member is larger, so labels stay least members and the classes come out
+    ordered without sorting.  A quotient makes at most n - 1 merges, so
+    relabeling costs O(n^2) element writes over a whole closure."""
 
     def __init__(self, quandle: FiniteQuandle) -> None:
         self.quandle = quandle
-        self._parent = list(range(quandle.n))
+        self._label = list(range(quandle.n))
+        self._members = [[x] for x in range(quandle.n)]
 
     def find(self, a: int) -> int:
-        parent = self._parent
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]  # path halving
-            a = parent[a]
-        return a
+        return self._label[a]
 
     def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
+        label = self._label
+        keep, gone = sorted((label[a], label[b]))
+        if keep == gone:
             return False
-        self._parent[max(ra, rb)] = min(ra, rb)
+        moved = self._members[gone]
+        for x in moved:
+            label[x] = keep
+        self._members[keep] += moved
+        self._members[gone] = []
         return True
 
     def blocks(self) -> tuple[tuple[int, ...], ...]:
         """The classes, each ascending, ordered by least member: x runs
         upward, so each class is met first at its least member."""
         groups: dict[int, list[int]] = {}
-        for x in range(self.quandle.n):
-            groups.setdefault(self.find(x), []).append(x)
+        for x, r in enumerate(self._label):
+            groups.setdefault(r, []).append(x)
         return tuple(map(tuple, groups.values()))
 
     def projection(self) -> list[int]:
         """Element -> class index, classes numbered by least member."""
         index: dict[int, int] = {}
-        return [index.setdefault(self.find(x), len(index)) for x in range(self.quandle.n)]
+        return [index.setdefault(r, len(index)) for r in self._label]
 
     def join(self, a: int, b: int) -> None:
         """Merge the classes of a and b, then close the partition under the
-        operation: each pair that merged has its images under both arguments
-        unioned, and each of those that merged is handled the same way."""
-        t = self.quandle.table
-        elems = range(self.quandle.n)
-        pending = [(a, b)] if self.union(a, b) else []
+        operation.  For each pair that merged, the rows of its two elements
+        are mapped to class labels and compared whole, and so are their
+        columns; union runs only where the mapped lines differ, and each
+        pair that merges there is handled the same way.  Positions equal in
+        the snapshot stay equal, since labels only merge."""
+        q = self.quandle
+        label, union = self._label, self.union
+        pending = [(a, b)] if union(a, b) else []
         while pending:
             a, b = pending.pop()
-            ta, tb = t[a], t[b]
             # No inverse images: a translation permutes the finite carrier, so
             # the map it induces on the classes is onto, hence one-to-one, and
             # then its inverse respects the classes too.
-            for c in elems:
-                tc = t[c]
-                for u, v in ((ta[c], tb[c]), (tc[a], tc[b])):
-                    if self.union(u, v):
+            for lines in (q.table, q.columns()):
+                la, lb = lines[a], lines[b]
+                mapped_a, mapped_b = gather(la)(label), gather(lb)(label)
+                if mapped_a == mapped_b:
+                    continue
+                for u, v in compress(zip(la, lb), map(ne, mapped_a, mapped_b)):
+                    if union(u, v):
                         pending.append((u, v))
 
     def is_compatible(self) -> bool:
         """Both operation arguments and the inverse translations respect the
-        classes: the row, the column and the inverse row of each element,
-        mapped to classes, equal those of its class root, which by
-        transitivity covers every pair inside a class."""
+        classes: the row, the column and the inverse row of each element of
+        a class with two or more members, mapped to class labels, equal
+        those of the class's least member, which by transitivity covers
+        every pair inside a class."""
         q = self.quandle
-        root = [self.find(x) for x in range(q.n)]
-        pairs = [(a, r) for a, r in enumerate(root) if a != r]
-        if not pairs:
+        label = self._label
+        merged = [x for block in self._members if len(block) > 1 for x in block]
+        if not merged:
             return True
         for lines in (q.table, q.columns(), q.inverse_translations()):
-            if any(gather(lines[a])(root) != gather(lines[r])(root) for a, r in pairs):
+            mapped = {x: gather(lines[x])(label) for x in merged}
+            if any(mapped[x] != mapped[label[x]] for x in merged):
                 return False
         return True
 

@@ -1,5 +1,11 @@
-"""Test oracle: a two-phase congruence closure, written independently of the
-worklist closure in quandleworks.variety.
+"""Test oracles: a union-find partition, and a two-phase congruence closure
+written independently of the worklist closure in quandleworks.variety.
+
+UnionFindCongruence is the union-find design quandleworks.variety.Congruence
+had before it kept a class label per element: a forest with path halving in
+which the smaller root wins, closed by a join that unions the images of each
+merged pair under both arguments at every position.  It offers the same methods, so it can stand in for the
+label-array class wherever that one is used.
 
 Compatibility is closed by full passes over all pairs, repeated until a pass
 changes nothing, alternating with a sweep that unions the two sides of every
@@ -9,10 +15,72 @@ n-quandle sweep iterates translations |power| times, so keep powers small.
 
 from itertools import product
 
-from quandleworks import Congruence, FiniteQuandle
+from quandleworks import FiniteQuandle
+from quandleworks.quandle import gather
 
 
-def _close_compatibility(cong: Congruence, q: FiniteQuandle, inv) -> bool:
+class UnionFindCongruence:
+    """Union-find partition of a quandle's elements with path halving.  A
+    union links the larger root under the smaller, so each class's root is
+    its least member; path halving alone keeps finds logarithmic amortized
+    (Tarjan and van Leeuwen, J. ACM 31, 1984)."""
+
+    def __init__(self, quandle: FiniteQuandle) -> None:
+        self.quandle = quandle
+        self._parent = list(range(quandle.n))
+
+    def find(self, a: int) -> int:
+        parent = self._parent
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]  # path halving
+            a = parent[a]
+        return a
+
+    def union(self, a: int, b: int) -> bool:
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        self._parent[max(ra, rb)] = min(ra, rb)
+        return True
+
+    def blocks(self) -> tuple[tuple[int, ...], ...]:
+        groups: dict[int, list[int]] = {}
+        for x in range(self.quandle.n):
+            groups.setdefault(self.find(x), []).append(x)
+        return tuple(map(tuple, groups.values()))
+
+    def projection(self) -> list[int]:
+        index: dict[int, int] = {}
+        return [index.setdefault(self.find(x), len(index)) for x in range(self.quandle.n)]
+
+    def join(self, a: int, b: int) -> None:
+        """Merge the classes of a and b, then union the images of each pair
+        that merged under both arguments, at every position."""
+        t = self.quandle.table
+        elems = range(self.quandle.n)
+        pending = [(a, b)] if self.union(a, b) else []
+        while pending:
+            a, b = pending.pop()
+            ta, tb = t[a], t[b]
+            for c in elems:
+                tc = t[c]
+                for u, v in ((ta[c], tb[c]), (tc[a], tc[b])):
+                    if self.union(u, v):
+                        pending.append((u, v))
+
+    def is_compatible(self) -> bool:
+        q = self.quandle
+        root = [self.find(x) for x in range(q.n)]
+        pairs = [(a, r) for a, r in enumerate(root) if a != r]
+        if not pairs:
+            return True
+        for lines in (q.table, q.columns(), q.inverse_translations()):
+            if any(gather(lines[a])(root) != gather(lines[r])(root) for a, r in pairs):
+                return False
+        return True
+
+
+def _close_compatibility(cong, q: FiniteQuandle, inv) -> bool:
     t = q.table
     n = q.n
     changed_any = False
@@ -33,7 +101,7 @@ def _close_compatibility(cong: Congruence, q: FiniteQuandle, inv) -> bool:
     return changed_any
 
 
-def _merge_identity_violations(cong: Congruence, q: FiniteQuandle, inv,
+def _merge_identity_violations(cong, q: FiniteQuandle, inv,
                                spec) -> bool:
     t = q.table
     reps = [block[0] for block in cong.blocks()]
@@ -60,7 +128,7 @@ def _merge_identity_violations(cong: Congruence, q: FiniteQuandle, inv,
 def seed_projection(q: FiniteQuandle, spec) -> list[int]:
     """Projection (element -> class, numbered by smallest member) of the
     least congruence whose quotient satisfies `spec`."""
-    cong = Congruence(q)
+    cong = UnionFindCongruence(q)
     inv = q.inverse_translations()
     while True:
         changed = _close_compatibility(cong, q, inv)
