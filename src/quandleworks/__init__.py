@@ -8,14 +8,13 @@ quandle over it, and a machine verification that reversing the second orbit
 and forcing the medial law collapses the carrier to exactly two elements.
 """
 
-from .affine import (AffineExpr, Point, SymPoint, check_axioms_symbolic, op,
-                     op_inv, orbit_witness, parse_point, reversed_op,
-                     reversed_op_inv)
+from .affine import (AffineExpr, Point, SymPoint, op, op_inv, orbit_witness,
+                     parse_point, reversed_op)
 from .collapse import (CollapseError, CollapseLattice, CollapseReport,
                        ExpansionMismatch, NonUniformRelation, WitnessFailure,
                        combine_shifts, derive_relation, expand_lhs, expand_rhs,
                        hnf_close, orbit2_collapse, relation_assignments,
-                       shift_gap, verify_theorem)
+                       verify_theorem)
 from .quandle import (AxiomError, AxiomReport, FiniteQuandle,
                       InternalAxiomFailure, MalformedTable, affine_quandle,
                       check_axioms, dihedral_quandle, parse_table_text,
@@ -33,12 +32,11 @@ __all__ = [
     "FiniteQuandle", "IdentitySpec", "InternalAxiomFailure", "MEDIAL",
     "MalformedTable", "NonUniformRelation", "ONE", "Point", "RingElem",
     "SymPoint", "T", "T_INV", "T_SQ", "WitnessFailure", "ZERO",
-    "affine_quandle",
-    "check_axioms", "check_axioms_symbolic", "combine_shifts",
-    "derive_relation", "dihedral_quandle", "expand_lhs", "expand_rhs",
-    "hnf_close", "n_quandle", "op", "op_inv", "orbit2_collapse",
-    "orbit_witness", "parse_elem", "parse_point", "parse_table_text",
+    "affine_quandle", "check_axioms", "combine_shifts", "derive_relation",
+    "dihedral_quandle", "expand_lhs", "expand_rhs", "hnf_close",
+    "n_quandle", "op", "op_inv", "orbit2_collapse", "orbit_witness",
+    "parse_elem", "parse_point", "parse_table_text",
     "quotient_by_identity", "reduce", "relabel", "relation_assignments",
     "render_elem", "render_pair", "render_table_text", "reversed_op",
-    "reversed_op_inv", "shift_gap", "trivial_quandle", "verify_theorem",
+    "trivial_quandle", "verify_theorem",
 ]

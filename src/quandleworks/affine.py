@@ -21,20 +21,18 @@ so op and op_inv build one RingElem and one Point there.  Any SymPoint
 argument takes the generic ring-and-AffineExpr path instead.
 
 Both formulas are affine in both arguments, so they close over AffineExpr;
-a symbolic identity check per orbit-tag pattern is exact, because an affine
-map over the ring vanishes everywhere iff all its coefficients vanish.
-Orbit 2 is the reversed orbit throughout this package: reversed_op swaps in
-the undo formula exactly when the acting element carries tag 2.
+collapse.py expands the reversed medial terms that way.  Orbit 2 is the
+reversed orbit throughout this package: reversed_op swaps in the undo
+formula exactly when the acting element carries tag 2.
 
 Point, the concrete element, is a slotted immutable value with the
-semantics of a frozen dataclass, as RingElem is; SymPoint and the reports
-stay frozen dataclasses, unhashable because an AffineExpr is.
+semantics of a frozen dataclass, as RingElem is; SymPoint stays a frozen
+dataclass, unhashable because an AffineExpr is.
 """
 
 from __future__ import annotations
 
 from dataclasses import FrozenInstanceError, dataclass
-from itertools import product
 from typing import Mapping
 
 from .ring import (ONE, T, T_INV, T_SQ, ZERO, RingElem, parse_elem,
@@ -45,9 +43,6 @@ ORBIT_MARK = {1: ZERO, 2: ONE}  # additive marker of each copy
 # m_j - m_i for the tag pair (i, j), the shift in both formulas
 _SHIFT = {(i, j): ORBIT_MARK[j] - ORBIT_MARK[i]
           for i in ORBIT_TAGS for j in ORBIT_TAGS}
-
-PLAIN = "plain"
-REVERSED = "reversed"
 
 
 class AffineExpr:
@@ -99,12 +94,6 @@ class AffineExpr:
         if other is None:
             return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other) -> "AffineExpr":
-        other = self._promote(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
 
     def __mul__(self, scalar) -> "AffineExpr":
         if not isinstance(scalar, (int, RingElem)):
@@ -206,19 +195,18 @@ class SymPoint:
 
 
 def parse_point(text: str) -> Point:
-    """Parse '(n1,n2)@orbit' (the value part accepts any ring-element form)."""
+    """Parse '(n1,n2)@orbit' (the value part accepts any ring-element form;
+    the orbit is the ASCII text 1 or 2)."""
     s = text.strip()
     if "@" not in s:
         raise ValueError(f"expected '<value>@<orbit>', got {text!r}")
     value_part, _, tag_part = s.rpartition("@")
     value = parse_elem(value_part)
-    try:
-        tag = int(tag_part)
-    except ValueError:
-        raise ValueError(f"bad orbit tag {tag_part!r}") from None
-    if tag not in ORBIT_TAGS:
-        raise ValueError(f"orbit tag must be 1 or 2, got {tag}")
-    return Point(tag, value)
+    if tag_part not in ("1", "2"):
+        if tag_part.isascii() and tag_part.isdigit():
+            raise ValueError(f"orbit tag must be 1 or 2, got {tag_part}")
+        raise ValueError(f"bad orbit tag {tag_part!r}")
+    return Point(int(tag_part), value)
 
 
 def _payload(p):
@@ -252,17 +240,14 @@ def op_inv(a, b):
         u1 = shift.n1 + x.n1 - y.n1 + y.n2
         u2 = shift.n2 + x.n2 - 2 * y.n2 + y.n1
         return Point(a.orbit, RingElem(u1 + u2, u1))
-    return SymPoint(a.orbit, T_INV * (shift + _payload(a) - T_SQ * _payload(b)))
+    # -b is added, not b subtracted: when a is a Point the sum so far is a
+    # RingElem, and a RingElem minus an AffineExpr has no operator
+    return SymPoint(a.orbit, T_INV * (shift + _payload(a) + T_SQ * -_payload(b)))
 
 
 def reversed_op(a, b):
     """The operation after inverting every translation by an orbit-2 element."""
     return op_inv(a, b) if b.orbit == 2 else op(a, b)
-
-
-def reversed_op_inv(a, b):
-    """Inverse translations of the reversed structure."""
-    return op(a, b) if b.orbit == 2 else op_inv(a, b)
 
 
 def orbit_witness(value: RingElem, orbit: int) -> Point:
@@ -273,125 +258,3 @@ def orbit_witness(value: RingElem, orbit: int) -> Point:
     if orbit == 2:
         return Point(1, (value + ONE).scale_t(-2))
     raise ValueError(f"orbit tag must be 1 or 2, got {orbit}")
-
-
-# --- symbolic axiom suite -------------------------------------------------
-
-def _sides_idempotence(pts, f, g):
-    a, = pts
-    return f(a, a), a
-
-
-def _sides_op_after_undo(pts, f, g):
-    a, b = pts
-    return f(g(a, b), b), a
-
-
-def _sides_undo_after_op(pts, f, g):
-    a, b = pts
-    return g(f(a, b), b), a
-
-
-def _sides_distributivity(pts, f, g):
-    a, b, c = pts
-    return f(f(a, b), c), f(f(a, c), f(b, c))
-
-
-def _sides_mediality(pts, f, g):
-    w, x, y, z = pts
-    return f(f(w, x), f(y, z)), f(f(w, y), f(x, z))
-
-
-_AXIOMS = (
-    ("idempotence", ("x",), _sides_idempotence),
-    ("op_after_undo", ("x", "y"), _sides_op_after_undo),
-    ("undo_after_op", ("x", "y"), _sides_undo_after_op),
-    ("distributivity", ("x", "y", "z"), _sides_distributivity),
-    ("mediality", ("w", "x", "y", "z"), _sides_mediality),
-)
-
-
-@dataclass(frozen=True)
-class SymbolicCase:
-    axiom: str
-    orbits: tuple[int, ...]
-    passed: bool
-    lhs: SymPoint
-    rhs: SymPoint
-    counterexample: dict[str, RingElem] | None  # present iff not passed
-
-    __hash__ = None  # it holds SymPoints
-
-
-@dataclass(frozen=True)
-class SymbolicAxiomReport:
-    mode: str
-    cases: tuple[SymbolicCase, ...]
-
-    __hash__ = None  # it holds SymPoints
-
-    def select(self, axiom: str) -> tuple[SymbolicCase, ...]:
-        return tuple(c for c in self.cases if c.axiom == axiom)
-
-    def failures(self) -> tuple[SymbolicCase, ...]:
-        return tuple(c for c in self.cases if not c.passed)
-
-    @property
-    def quandle_axioms_ok(self) -> bool:
-        return all(c.passed for c in self.cases if c.axiom != "mediality")
-
-    def render(self) -> str:
-        lines = [f"symbolic axiom check, mode={self.mode}"]
-        for c in self.cases:
-            status = "pass" if c.passed else "FAIL"
-            line = f"  {c.axiom} orbits={c.orbits}: {status}"
-            if c.counterexample is not None:
-                subst = " ".join(f"{v}={c.counterexample[v]}" for v in sorted(c.counterexample))
-                line += f"  counterexample {subst}"
-            lines.append(line)
-        return "\n".join(lines) + "\n"
-
-
-def _counterexample(names, tags, lhs: SymPoint, rhs: SymPoint, sides, f, g):
-    """A substitution separating two unequal affine sides, confirmed by
-    rebuilding both sides concretely."""
-    diff = lhs.expr - rhs.expr
-    values = {name: ZERO for name in names}
-    if diff.constant.is_zero():
-        # the difference is homogeneous: any variable with a surviving
-        # coefficient separated at 1 does the job
-        pivot = next(name for name in names if name in diff.coeffs)
-        values[pivot] = ONE
-    conc = tuple(Point(tag, values[name]) for name, tag in zip(names, tags))
-    c_lhs, c_rhs = sides(conc, f, g)
-    if c_lhs == c_rhs:
-        raise AssertionError("symbolic inequality not confirmed concretely")
-    return values
-
-
-def check_axioms_symbolic(mode: str) -> SymbolicAxiomReport:
-    """Verify each axiom as an affine identity, one case per orbit-tag pattern.
-
-    mode 'plain' uses the quandle operation, mode 'reversed' the structure
-    with orbit 2's translations inverted.  Mediality cases are included in
-    both modes; failing cases carry a concrete counterexample substitution.
-    """
-    if mode == PLAIN:
-        f, g = op, op_inv
-    elif mode == REVERSED:
-        f, g = reversed_op, reversed_op_inv
-    else:
-        raise ValueError(f"mode must be {PLAIN!r} or {REVERSED!r}")
-
-    cases = []
-    for axiom, names, sides in _AXIOMS:
-        for tags in product(ORBIT_TAGS, repeat=len(names)):
-            pts = tuple(SymPoint(tag, AffineExpr.var(name))
-                        for name, tag in zip(names, tags))
-            lhs, rhs = sides(pts, f, g)
-            passed = lhs == rhs
-            cex = None
-            if not passed:
-                cex = _counterexample(names, tags, lhs, rhs, sides, f, g)
-            cases.append(SymbolicCase(axiom, tags, passed, lhs, rhs, cex))
-    return SymbolicAxiomReport(mode, tuple(cases))

@@ -13,8 +13,10 @@ instance therefore forces an identification of the form  v ~ v + s  on orbit
 subgroup of the ring's additive group (= Z^2 in the canonical pair basis)
 generated by the shifts realised by concrete substitutions.  Two of them
 generate all of Z^2: their 2x2 determinant is 1, and its adjugate writes each
-basis vector as an explicit integer combination of the two, a certificate
-that is checked by recomputing the sums.  Orbit 1 thus collapses to one class.
+unit vector as an explicit integer combination of the two, a certificate
+that is checked by recomputing the sums.  It holds just the two generators
+and those combinations: any other determinant than +-1 is rejected, so the
+lattice it certifies is always Z^2.  Orbit 1 thus collapses to one class.
 Orbit 2 follows by transport: every orbit-2 value is the image of the
 orbit-2 zero under a translation by an orbit-1 element, and translations by
 orbit-1 elements are untouched by the reversal.  No operation crosses orbit
@@ -110,11 +112,6 @@ def expand_rhs() -> SymPoint:
     return out
 
 
-def shift_gap() -> AffineExpr:
-    """lhs - rhs as an affine expression; equals (t^3 - t)*(x - y)."""
-    return expand_lhs().expr - expand_rhs().expr
-
-
 def derive_relation(assignment: Mapping[str, AffineExpr | RingElem]) -> RingElem:
     """Shift s forced by equating the two medial sides under a substitution.
 
@@ -177,24 +174,19 @@ def combine_shifts(s1: RingElem, s2: RingElem) -> list[RingElem]:
 
 @dataclass(frozen=True)
 class CollapseLattice:
-    """Subgroup of Z^2 spanned by two shift vectors, certified to be all of Z^2.
+    """Two shift vectors, certified to generate all of Z^2.
 
-    hnf is ((a, b), (0, c)) in column Hermite form: basis columns (a, 0) and
-    (b, c).  The determinant certificate only accepts unimodular generators,
-    so hnf is the identity, rank 2 and index 1.  basis_combinations expresses
-    each basis column as an integer combination of the generators: the
-    checkable certificate that the generators fill Z^2.
+    basis_combinations expresses each unit column (1, 0) and (0, 1) as an
+    integer combination of the generators: the checkable certificate that
+    they fill Z^2.  hnf_close builds one only for unimodular generators, so
+    the lattice is always Z^2, with the identity as its Hermite form.
     """
 
     generators: tuple[RingElem, ...]
-    hnf: tuple[tuple[int, int], tuple[int, int]]
-    rank: int
-    index: int | None
     basis_combinations: tuple[tuple[int, ...], tuple[int, ...]]
 
     def basis_columns(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        (a, b), (_, c) = self.hnf
-        return (a, 0), (b, c)
+        return (1, 0), (0, 1)
 
 
 def _verify_lattice(lattice: CollapseLattice) -> None:
@@ -212,9 +204,10 @@ def hnf_close(shifts: Sequence[RingElem]) -> CollapseLattice:
 
     For generators (p1, q1) and (p2, q2) the index of their span is |d| with
     d = p1*q2 - p2*q1 (infinite when d = 0).  Unless d = +-1, CollapseError
-    is raised: orbit 1 does not collapse.  Otherwise the Hermite form is the
-    identity, and the unique combinations giving its columns are the columns
-    of adj/d; 1/d = d.
+    is raised: orbit 1 does not collapse.  Otherwise the unique combinations
+    giving the unit columns are the columns of adj/d, with 1/d = d; the
+    general Hermite form of any set of shifts is the test oracle
+    tests/seed_hnf.py.
     """
     s1, s2 = shifts
     d = s1.n1 * s2.n2 - s2.n1 * s1.n2
@@ -222,7 +215,7 @@ def hnf_close(shifts: Sequence[RingElem]) -> CollapseLattice:
         raise CollapseError(
             "lattice",
             f"shift lattice has index {abs(d) or None}, orbit 1 does not collapse")
-    lattice = CollapseLattice((s1, s2), ((1, 0), (0, 1)), 2, 1,
+    lattice = CollapseLattice((s1, s2),
                               ((s2.n2 * d, -s1.n2 * d), (-s2.n1 * d, s1.n1 * d)))
     _verify_lattice(lattice)
     return lattice
@@ -273,16 +266,10 @@ class CollapseReport:
     __hash__ = None  # it holds a SymPoint
 
     @property
-    def lattice_index(self) -> int | None:
-        return self.lattice.index
-
-    @property
     def total(self) -> int:
         return self.orbit1_classes + self.orbit2_classes
 
     def render(self) -> str:
-        (a, b), (_, c) = self.lattice.hnf
-        index = "infinite" if self.lattice.index is None else str(self.lattice.index)
         lines = [
             "two-element collapse verification",
             f"samples={self.samples} seed={self.seed}",
@@ -295,7 +282,7 @@ class CollapseReport:
             lines.append(f"  shift {render_pair(s)}")
         lines.append(f"  chain {' '.join(render_pair(s) for s in self.shift_chain)}")
         lines.append("[lattice] subgroup of Z^2 generated by the shifts")
-        lines.append("  hnf ((%d, %d), (0, %d)) index=%s" % (a, b, c, index))
+        lines.append("  hnf ((1, 0), (0, 1)) index=1")
         lines.append(f"[orbit 1] classes: {self.orbit1_classes}")
         lines.append(f"[orbit 2] transported through orbit-1 witnesses; classes: "
                      f"{self.orbit2_classes}")

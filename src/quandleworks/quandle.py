@@ -455,14 +455,15 @@ def relabel(q: FiniteQuandle, perm) -> FiniteQuandle:
     return FiniteQuandle(induced_rows(q.table, old, perm))
 
 
-_ORDER_RE = re.compile(r"^n=(\d+)$")
+_ORDER_RE = re.compile(r"^n=([0-9]+)$")
 
 
 def parse_table_text(text: str) -> list[list[int]]:
     """Parse the 1-indexed 'quandle v1' format into a 0-indexed row list.
 
-    Blank lines and lines starting with '#' are skipped.  The result is a
-    raw table: shape and entry ranges are enforced here, the axioms are not.
+    Blank lines and lines starting with '#' are skipped.  The order and the
+    entries are runs of ASCII digits 0-9.  The result is a raw table: shape
+    and entry ranges are enforced here, the axioms are not.
     """
     content = ((lineno, s) for lineno, s in
                enumerate(map(str.strip, text.splitlines()), start=1)
@@ -493,6 +494,13 @@ def parse_table_text(text: str) -> list[list[int]]:
         if len(parts) != n:
             raise MalformedTable(f"row {len(rows) + 1} has {len(parts)} entries,"
                                  f" expected {n}", line=lineno)
+        # an entry is a run of ASCII digits, but int() also reads a sign,
+        # '_' separators and the digits of other scripts; on ASCII text it
+        # reads nothing else, so only such lines are checked entry by entry
+        if not s.isascii() or "+" in s or "-" in s or "_" in s:
+            for part in parts:
+                if not (part.isascii() and part.isdigit()):
+                    raise MalformedTable(f"bad entry {part!r}", line=lineno)
         row = []
         for part in parts:
             try:

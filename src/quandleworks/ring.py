@@ -171,9 +171,11 @@ T = RingElem(1, 0)
 T_SQ = RingElem(0, 1)
 T_INV = RingElem(2, 1)
 
-_PAIR_RE = re.compile(r"^\(\s*([+-]?\d+)\s*,\s*([+-]?\d+)\s*\)$")
-_POLY_RE = re.compile(r"^([+-]?\d+)\*t([+-]\d+)\*t\^2$")
-_INT_RE = re.compile(r"^[+-]?\d+$")
+# re.ASCII makes \d the digits 0-9 only; otherwise it also matches the
+# digits of other scripts, which int() reads too
+_PAIR_RE = re.compile(r"^\(\s*([+-]?\d+)\s*,\s*([+-]?\d+)\s*\)$", re.ASCII)
+_POLY_RE = re.compile(r"^([+-]?\d+)\*t([+-]\d+)\*t\^2$", re.ASCII)
+_INT_RE = re.compile(r"^[+-]?\d+$", re.ASCII)
 
 
 def render_elem(elem: RingElem) -> str:

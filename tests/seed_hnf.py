@@ -6,10 +6,30 @@ hnf is ((a, b), (0, c)): basis columns (a, 0) and (b, c) with a, c >= 0 and
 0 <= b < a when both are positive.  index is a*c for rank 2 and None
 (infinite) otherwise.  basis_combinations expresses each basis column as an
 integer combination of the generators, one inclusion; contains() decides the
-other, and hnf_close checks both before returning.
+other, and hnf_close checks both before returning.  The library's
+CollapseLattice keeps only the generators and the combinations: it accepts
+unimodular pairs alone, whose Hermite form is the identity.
 """
 
-from quandleworks import CollapseError, CollapseLattice, RingElem
+from dataclasses import dataclass
+
+from quandleworks import CollapseError, RingElem
+
+
+@dataclass(frozen=True)
+class HermiteLattice:
+    """The general result: generators, column Hermite form, rank, index
+    (None when infinite) and the combinations giving each basis column."""
+
+    generators: tuple[RingElem, ...]
+    hnf: tuple[tuple[int, int], tuple[int, int]]
+    rank: int
+    index: int | None
+    basis_combinations: tuple[tuple[int, ...], tuple[int, ...]]
+
+    def basis_columns(self) -> tuple[tuple[int, int], tuple[int, int]]:
+        (a, b), (_, c) = self.hnf
+        return (a, 0), (b, c)
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -27,7 +47,7 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def contains(lattice: CollapseLattice, value) -> bool:
+def contains(lattice: HermiteLattice, value) -> bool:
     """Whether a RingElem or an integer pair lies in the lattice."""
     if isinstance(value, RingElem):
         p, q = value.n1, value.n2
@@ -45,21 +65,27 @@ def contains(lattice: CollapseLattice, value) -> bool:
     return p == 0
 
 
-def _verify_lattice(lattice: CollapseLattice) -> None:
+def combination_sums(lattice) -> tuple[tuple[int, int], ...]:
+    """The integer pairs that the basis combinations of a HermiteLattice or
+    a library CollapseLattice sum to over its generators."""
+    return tuple((sum(k * g.n1 for k, g in zip(comb, lattice.generators)),
+                  sum(k * g.n2 for k, g in zip(comb, lattice.generators)))
+                 for comb in lattice.basis_combinations)
+
+
+def _verify_lattice(lattice: HermiteLattice) -> None:
     # mutual membership: generators inside the basis span, and each basis
     # column an explicit integer combination of the generators
     for g in lattice.generators:
         if not contains(lattice, g):
             raise CollapseError("lattice", f"generator {g} escapes its own lattice")
-    for col, comb in zip(lattice.basis_columns(), lattice.basis_combinations):
-        sx = sum(k * g.n1 for k, g in zip(comb, lattice.generators))
-        sy = sum(k * g.n2 for k, g in zip(comb, lattice.generators))
-        if (sx, sy) != col:
+    for col, sums in zip(lattice.basis_columns(), combination_sums(lattice)):
+        if sums != col:
             raise CollapseError("lattice",
                                 f"combination certificate broken for column {col}")
 
 
-def hnf_close(shifts) -> CollapseLattice:
+def hnf_close(shifts) -> HermiteLattice:
     """Column Hermite form of the subgroup of Z^2 generated by the shifts."""
     gens = tuple(shifts)
     m = len(gens)
@@ -107,7 +133,7 @@ def hnf_close(shifts) -> CollapseLattice:
 
     rank = (1 if a_val else 0) + (1 if c_val else 0)
     index = a_val * c_val if rank == 2 else None
-    lattice = CollapseLattice(gens, ((a_val, b_val), (0, c_val)), rank, index,
-                              (tuple(a_comb), tuple(b_comb)))
+    lattice = HermiteLattice(gens, ((a_val, b_val), (0, c_val)), rank, index,
+                             (tuple(a_comb), tuple(b_comb)))
     _verify_lattice(lattice)
     return lattice

@@ -6,15 +6,16 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the verdict lines.
 import random
 
 from quandleworks import (MEDIAL, ONE, T, T_SQ, ZERO, Point, RingElem,
-                          check_axioms_symbolic, derive_relation, expand_lhs,
-                          expand_rhs, n_quandle, op, orbit_witness,
-                          quotient_by_identity, relation_assignments, reduce,
-                          verify_theorem)
+                          derive_relation, expand_lhs, expand_rhs, n_quandle,
+                          op, orbit_witness, quotient_by_identity,
+                          relation_assignments, reduce, verify_theorem)
 from quandleworks.ring import random_elem
 
 from conftest import partition_from_projection, random_poly
+from seed_hnf import combination_sums
 from seed_partitions import brute_force_smallest_congruence
 from seed_ring import lift
+from seed_symbolic import check_axioms_symbolic
 
 SEED = 20260815
 
@@ -32,8 +33,10 @@ def test_criterion_1_two_element_collapse():
         failures.append(f"total {report.total}")
     if report.orbit1_classes != 1 or report.orbit2_classes != 1:
         failures.append(f"classes {report.orbit1_classes}/{report.orbit2_classes}")
-    if report.lattice_index != 1:
-        failures.append(f"lattice index {report.lattice_index}")
+    # the certificate: the basis combinations sum to the unit columns
+    sums = combination_sums(report.lattice)
+    if sums != ((1, 0), (0, 1)):
+        failures.append(f"lattice combinations give {sums}")
     _report(1, "two-element collapse", failures)
 
 

@@ -9,12 +9,13 @@ import pytest
 from conftest import assert_frozen_dataclass_semantics
 
 from quandleworks import (ONE, T, T_INV, T_SQ, ZERO, AffineExpr, Point,
-                          RingElem, SymPoint, check_axioms_symbolic, op,
-                          op_inv, orbit_witness, parse_point, reversed_op,
-                          reversed_op_inv, verify_theorem)
+                          RingElem, SymPoint, op, op_inv, orbit_witness,
+                          parse_point, reversed_op, verify_theorem)
 from quandleworks.affine import ORBIT_TAGS
 from quandleworks.ring import random_elem, reduce
 from seed_ring import LaurentPoly, lift
+from seed_symbolic import (SymbolicAxiomReport, SymbolicCase,
+                           check_axioms_symbolic, reversed_op_inv)
 
 ZERO1 = Point(1, ZERO)
 ZERO2 = Point(2, ZERO)
@@ -38,6 +39,7 @@ def test_symbolic_values_say_they_are_unhashable():
     # itself says so, rather than a generated __hash__ failing inside
     axioms = check_axioms_symbolic("plain")
     values = (SymPoint(1, AffineExpr.var("x")), axioms.cases[0], axioms, verify_theorem(0))
+    assert type(values[1]) is SymbolicCase and type(values[2]) is SymbolicAxiomReport
     for value in values:
         cls = type(value)
         with pytest.raises(TypeError, match=f"^unhashable type: '{cls.__name__}'$"):
@@ -196,7 +198,6 @@ def test_affine_expr_algebra():
     assert (expr - expr) == AffineExpr.const(ZERO)
     assert (x - x).coeffs == {}  # zero coefficients are dropped
     assert 2 * x == x + x
-    assert (ONE - x) == -(x - ONE)
     assert expr.substitute({"x": ZERO}).coeffs == {"y": T_SQ}
     assert expr.substitute({"x": y}).coeffs == {"y": T_SQ + T}
     assert expr.evaluate({"x": ONE, "y": ZERO}) == ONE + T
@@ -218,7 +219,10 @@ def test_point_text_round_trip():
     assert parse_point("5@2") == Point(2, RingElem(5, 5))
 
 
-@pytest.mark.parametrize("bad", ["(0,0)", "(0,0)@3", "(0,0)@x", "@1", "x@1"])
+@pytest.mark.parametrize("bad", ["(0,0)", "(0,0)@3", "(0,0)@x", "@1", "x@1",
+                                 # ASCII digits only, and the tag is 1 or 2
+                                 "(\uff13,1)@1", "(0,0)@\u0661", "(0,0)@+1",
+                                 "(0,0)@01", "(0,0)@ 1", "(0,0)@1_0"])
 def test_point_text_rejects_garbage(bad):
     with pytest.raises(ValueError):
         parse_point(bad)
@@ -234,7 +238,6 @@ def test_symbolic_axiom_suite_plain():
     assert len(report.select("undo_after_op")) == 4
     assert len(report.select("distributivity")) == 8
     assert len(report.select("mediality")) == 16
-    assert "pass" in report.render()
 
 
 def test_symbolic_axiom_suite_reversed():

@@ -116,6 +116,14 @@ def test_parse_errors_exit_two(capsys, tmp_path):
     code, _, err = run(capsys, "check", str(path))
     assert code == 2
     assert "line 3" in err
+    # int() reads each of these numerals; the format takes runs of ASCII
+    # digits only: a fullwidth order, a signed entry, a separated entry
+    for text, where in (("quandle v1\nn=２\n1 1\n2 2\n", "line 2"),
+                        ("quandle v1\nn=2\n+1 1\n2 2\n", "line 3"),
+                        ("quandle v1\nn=2\n1 1\n0_2 2\n", "line 4")):
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "check", str(path))
+        assert (code, out) == (2, "") and where in err
 
 
 def test_missing_file_exits_two(capsys, tmp_path):
@@ -317,6 +325,11 @@ def test_demo_affine_witness(capsys):
 def test_demo_affine_rejects_bad_input(capsys):
     code, _, err = run(capsys, "demo-affine", "--op", "(0,0)@1", "oops")
     assert code == 2 and "error:" in err
+    # digits of other scripts are not numerals of the point format
+    code, out, err = run(capsys, "demo-affine", "--op", "(３,1)@1", "(0,0)@1")
+    assert (code, out) == (2, "") and "cannot parse ring element" in err
+    code, out, err = run(capsys, "demo-affine", "--op", "(3,1)@1", "(0,0)@١")
+    assert (code, out) == (2, "") and "bad orbit tag" in err
     code, _, err = run(capsys, "demo-affine", "--witness", "(0,0)", "3")
     assert code == 2
     code, _, _ = run(capsys, "demo-affine")

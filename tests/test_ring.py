@@ -152,7 +152,10 @@ def test_parse_accepts_bare_integers():
 
 
 @pytest.mark.parametrize("bad", ["", "t", "(1)", "(1,2,3)", "1*t", "1*t+2*t^3",
-                                 "one", "(a,b)"])
+                                 "one", "(a,b)",
+                                 # ASCII digits only, with no '_' separators
+                                 "(\uff13,1)", "(1,\u0662)", "\u0661",
+                                 "+1*t-\uff12*t^2", "1_0", "(1_0,2)"])
 def test_parse_rejects_garbage(bad):
     with pytest.raises(ValueError):
         parse_elem(bad)

@@ -2,9 +2,11 @@
 
 import ast
 import contextlib
+import dataclasses
 import importlib
 import io
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -12,10 +14,9 @@ import pytest
 import quandleworks
 from conftest import build_corpus, two_orbit_quandle_mod
 from quandleworks import (MEDIAL, FiniteQuandle, MalformedTable,
-                          affine_quandle, check_axioms, check_axioms_symbolic,
-                          dihedral_quandle, n_quandle, quandle,
-                          quotient_by_identity, relabel, render_table_text,
-                          trivial_quandle, verify_theorem)
+                          affine_quandle, check_axioms, dihedral_quandle,
+                          n_quandle, quandle, quotient_by_identity, relabel,
+                          render_table_text, trivial_quandle, verify_theorem)
 from quandleworks.cli import main
 from quandleworks.ring import reduce
 
@@ -53,6 +54,43 @@ def test_the_library_imports_only_the_standard_library_and_itself():
     assert found == []
 
 
+# the symbolic axiom suite, which checks premises of fixed code and is the
+# test oracle tests/seed_symbolic.py, and shift_gap, which only tests called
+TEST_ONLY_NAMES = (
+    "check_axioms_symbolic", "SymbolicCase", "SymbolicAxiomReport", "_AXIOMS",
+    "_sides_idempotence", "_sides_op_after_undo", "_sides_undo_after_op",
+    "_sides_distributivity", "_sides_mediality", "_counterexample", "PLAIN",
+    "REVERSED", "reversed_op_inv", "shift_gap",
+)
+
+
+def _library_modules():
+    return [quandleworks] + [importlib.import_module(f"quandleworks.{path.stem}")
+                             for path in sorted(PACKAGE_DIR.glob("*.py"))
+                             if path.stem not in ("__init__", "__main__")]
+
+
+def test_the_library_binds_no_test_only_name():
+    modules = _library_modules()
+    assert {m.__name__ for m in modules} >= {
+        "quandleworks", "quandleworks.affine", "quandleworks.collapse"}
+    assert [f"{m.__name__}.{name}" for m in modules for name in TEST_ONLY_NAMES
+            if hasattr(m, name)] == []
+    collapse = importlib.import_module("quandleworks.collapse")
+    assert not hasattr(collapse.CollapseReport, "lattice_index")
+    assert not hasattr(quandleworks.AffineExpr, "__rsub__")
+    # the certificate holds what it certifies, and nothing constant
+    assert [f.name for f in dataclasses.fields(collapse.CollapseLattice)] == [
+        "generators", "basis_combinations"]
+
+
+def test_all_lists_every_public_binding_of_the_package():
+    public = {name for name, value in vars(quandleworks).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert len(set(quandleworks.__all__)) == len(quandleworks.__all__)
+    assert set(quandleworks.__all__) == public
+
+
 def cli(*argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -63,8 +101,6 @@ def cli(*argv):
 def _production_runs():
     return [
         verify_theorem(20).render(),
-        repr(check_axioms_symbolic("plain")),
-        repr(check_axioms_symbolic("reversed")),
         cli("verify-paper", "--samples", "5"),
         cli("demo-affine", "--witness", "(3,-4)", "1"),
         cli("demo-affine", "--witness", "(3,-4)", "2"),
