@@ -17,8 +17,13 @@ t*(n1, n2) = (n2, n1 - n2) and t^2*(n1, n2) = (n1 - n2, 2*n2 - n1):
     op_inv  (u1 + u2, u1)  for  u = -s + x - t^2*y
             = (-s1 + x1 - y1 + y2,  -s2 + x2 - 2*y2 + y1)
 
-so op and op_inv build one RingElem and one Point there.  Any SymPoint
-argument takes the generic ring-and-AffineExpr path instead.
+Each closed form is one integer kernel on canonical pairs: op_kernel and
+op_inv_kernel take the shift pair and the two value pairs, witness_kernel
+computes orbit_witness, and reversed_kernel runs reversed_op on tagged
+pairs (orbit, n1, n2).  op, op_inv and orbit_witness on Points wrap these
+kernels and box the result; code that chains many operations, such as the
+sampled checks of collapse.py, calls the kernels and boxes nothing.  Any
+SymPoint argument takes the generic ring-and-AffineExpr path instead.
 
 Both formulas are affine in both arguments, so they close over AffineExpr;
 collapse.py expands the reversed medial terms that way.  Orbit 2 is the
@@ -40,9 +45,11 @@ from .ring import (ONE, T, T_INV, T_SQ, ZERO, RingElem, parse_elem,
 
 ORBIT_TAGS = (1, 2)
 ORBIT_MARK = {1: ZERO, 2: ONE}  # additive marker of each copy
-# m_j - m_i for the tag pair (i, j), the shift in both formulas
-_SHIFT = {(i, j): ORBIT_MARK[j] - ORBIT_MARK[i]
-          for i in ORBIT_TAGS for j in ORBIT_TAGS}
+# m_j - m_i for the tag pair (i, j) as a canonical pair, the shift in both
+# formulas
+SHIFT = {(i, j): (ORBIT_MARK[j].n1 - ORBIT_MARK[i].n1,
+                  ORBIT_MARK[j].n2 - ORBIT_MARK[i].n2)
+         for i in ORBIT_TAGS for j in ORBIT_TAGS}
 
 
 class AffineExpr:
@@ -112,15 +119,21 @@ class AffineExpr:
                 out = out + AffineExpr(ZERO, {v: c})
         return out
 
-    def evaluate(self, values: Mapping[str, RingElem]) -> RingElem:
-        """The value at a RingElem for each variable, summed as integer
-        pairs through product_pair and built as one RingElem."""
+    def evaluate_pair(self, values: Mapping[str, tuple[int, int]]) -> tuple[int, int]:
+        """The value, as a canonical pair, at a canonical pair for each
+        variable: the constant plus one product_pair term per variable."""
         n1, n2 = self.constant.n1, self.constant.n2
         for v, c in self.coeffs.items():
-            x = values[v]
-            p1, p2 = product_pair(c.n1, c.n2, x.n1, x.n2)
+            x1, x2 = values[v]
+            p1, p2 = product_pair(c.n1, c.n2, x1, x2)
             n1 += p1
             n2 += p2
+        return n1, n2
+
+    def evaluate(self, values: Mapping[str, RingElem]) -> RingElem:
+        """The value at a RingElem for each variable (evaluate_pair, boxed)."""
+        n1, n2 = self.evaluate_pair({v: (values[v].n1, values[v].n2)
+                                     for v in self.coeffs})
         return RingElem(n1, n2)
 
     def __eq__(self, other: object) -> bool:
@@ -213,36 +226,80 @@ def _payload(p):
     return p.value if isinstance(p, Point) else p.expr
 
 
+def op_kernel(shift: tuple[int, int], x1: int, x2: int,
+              y1: int, y2: int) -> tuple[int, int]:
+    """Canonical pair of shift + t*x + t^2*y, for the shift pair of the tags
+    and the value pairs x of the acted-on and y of the acting element."""
+    s1, s2 = shift
+    return s1 + x2 + y1 - y2, s2 + x1 - x2 + 2 * y2 - y1
+
+
+def op_inv_kernel(shift: tuple[int, int], x1: int, x2: int,
+                  y1: int, y2: int) -> tuple[int, int]:
+    """Canonical pair of t^(-1) * (shift + x - t^2*y), the undo formula."""
+    s1, s2 = shift
+    u1 = s1 + x1 - y1 + y2
+    u2 = s2 + x2 - 2 * y2 + y1
+    return u1 + u2, u1
+
+
+def reversed_kernel(a: tuple[int, int, int],
+                    b: tuple[int, int, int]) -> tuple[int, int, int]:
+    """reversed_op on tagged pairs (orbit, n1, n2): a acted on by b, undone
+    when b carries tag 2; the result keeps a's tag."""
+    i, x1, x2 = a
+    j, y1, y2 = b
+    if j == 2:
+        n1, n2 = op_inv_kernel(SHIFT[j, i], x1, x2, y1, y2)
+    else:
+        n1, n2 = op_kernel(SHIFT[i, j], x1, x2, y1, y2)
+    return i, n1, n2
+
+
+def witness_kernel(orbit: int, v1: int, v2: int) -> tuple[int, int, int]:
+    """Tagged pair (tag, n1, n2) of orbit_witness for the value pair (v1, v2).
+
+    op(zero-of-i, w in j) = SHIFT[i, j] + t^2*w, so w = t^(-2) * (v - SHIFT[i, j])
+    in the other orbit j, and t^(-2) * (a, b) = (2*a + b, a + b).
+    """
+    if orbit != 1 and orbit != 2:
+        raise ValueError(f"orbit tag must be 1 or 2, got {orbit}")
+    other = 3 - orbit
+    s1, s2 = SHIFT[orbit, other]
+    a, b = v1 - s1, v2 - s2
+    return other, 2 * a + b, a + b
+
+
 def op(a, b):
     """a acted on by b; the result keeps a's orbit tag.
 
     Accepts Point or SymPoint in either slot (mixed calls yield a SymPoint).
-    Two Points take the closed form of the module docstring; anything else
-    computes shift + t*a + t^2*b with ring and AffineExpr arithmetic.
+    Two Points take op_kernel; anything else computes shift + t*a + t^2*b
+    with ring and AffineExpr arithmetic.
     """
-    shift = _SHIFT[a.orbit, b.orbit]
+    shift = SHIFT[a.orbit, b.orbit]
     if a.__class__ is Point and b.__class__ is Point:
         x, y = a.value, b.value
-        return Point(a.orbit, RingElem(shift.n1 + x.n2 + y.n1 - y.n2,
-                                       shift.n2 + x.n1 - x.n2 + 2 * y.n2 - y.n1))
-    return SymPoint(a.orbit, shift + T * _payload(a) + T_SQ * _payload(b))
+        n1, n2 = op_kernel(shift, x.n1, x.n2, y.n1, y.n2)
+        return Point(a.orbit, RingElem(n1, n2))
+    return SymPoint(a.orbit, RingElem(*shift) + T * _payload(a) + T_SQ * _payload(b))
 
 
 def op_inv(a, b):
     """The unique c with op(c, b) = a; inverts the translation by b.
 
-    Two Points take the closed form of the module docstring; anything else
-    computes t^(-1) * (shift + a - t^2*b) with ring and AffineExpr arithmetic.
+    Two Points take op_inv_kernel; anything else computes
+    t^(-1) * (shift + a - t^2*b) with ring and AffineExpr arithmetic.
     """
-    shift = _SHIFT[b.orbit, a.orbit]
+    shift = SHIFT[b.orbit, a.orbit]
     if a.__class__ is Point and b.__class__ is Point:
         x, y = a.value, b.value
-        u1 = shift.n1 + x.n1 - y.n1 + y.n2
-        u2 = shift.n2 + x.n2 - 2 * y.n2 + y.n1
-        return Point(a.orbit, RingElem(u1 + u2, u1))
+        n1, n2 = op_inv_kernel(shift, x.n1, x.n2, y.n1, y.n2)
+        return Point(a.orbit, RingElem(n1, n2))
     # -b is added, not b subtracted: when a is a Point the sum so far is a
     # RingElem, and a RingElem minus an AffineExpr has no operator
-    return SymPoint(a.orbit, T_INV * (shift + _payload(a) + T_SQ * -_payload(b)))
+    return SymPoint(a.orbit,
+                    T_INV * (RingElem(*shift) + _payload(a) + T_SQ * -_payload(b)))
 
 
 def reversed_op(a, b):
@@ -253,8 +310,5 @@ def reversed_op(a, b):
 def orbit_witness(value: RingElem, orbit: int) -> Point:
     """A point in the opposite orbit whose action sends the zero of `orbit`
     to `value` in that orbit: op(zero-of-orbit, witness) = value-of-orbit."""
-    if orbit == 1:
-        return Point(2, (value - ONE).scale_t(-2))
-    if orbit == 2:
-        return Point(1, (value + ONE).scale_t(-2))
-    raise ValueError(f"orbit tag must be 1 or 2, got {orbit}")
+    tag, n1, n2 = witness_kernel(orbit, value.n1, value.n2)
+    return Point(tag, RingElem(n1, n2))

@@ -26,6 +26,16 @@ class UsageError(Exception):
     """Bad arguments or bad input discovered after argument parsing."""
 
 
+def integer(text: str) -> int:
+    """An optional '-' and a run of ASCII digits, as an int: the type of
+    every integer argument.  int() alone also reads a '+', surrounding
+    whitespace, '_' separators and the digits of other scripts."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"expected an integer in ASCII digits, got {text!r}")
+    return int(text)
+
+
 def _load_rows(path: str) -> list[list[int]]:
     try:
         return parse_table_text(Path(path).read_text(encoding="utf-8"))
@@ -126,7 +136,7 @@ def cmd_demo_affine(args) -> int:
         else:
             value_text, orbit_text = args.witness
             value = parse_elem(value_text)
-            orbit = int(orbit_text)
+            orbit = integer(orbit_text)
             print(orbit_witness(value, orbit))
     except ValueError as exc:
         raise UsageError(str(exc)) from None
@@ -188,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--medial", action="store_true",
                    help="also test the medial law")
-    p.add_argument("--nquandle", type=int, metavar="N",
+    p.add_argument("--nquandle", type=integer, metavar="N",
                    help="also test that every translation has order dividing N")
     p.set_defaults(func=cmd_check)
 
@@ -199,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reverse", help="invert all translations by the orbit"
                                        " of one element")
     p.add_argument("file")
-    p.add_argument("--element", type=int, required=True, metavar="X",
+    p.add_argument("--element", type=integer, required=True, metavar="X",
                    help="1-indexed element whose orbit is reversed")
     p.set_defaults(func=cmd_reverse)
 
@@ -207,16 +217,16 @@ def build_parser() -> argparse.ArgumentParser:
                                         " forcing an identity")
     p.add_argument("file")
     p.add_argument("--variety", choices=("medial", "nquandle"), required=True)
-    p.add_argument("--n", type=int, metavar="K",
+    p.add_argument("--n", type=integer, metavar="K",
                    help="translation order bound for --variety nquandle")
     p.set_defaults(func=cmd_quotient)
 
     p = sub.add_parser("verify-paper",
                        help="verify the two-element collapse of the reversed"
                             " two-orbit quandle end to end")
-    p.add_argument("--samples", type=int, default=200,
+    p.add_argument("--samples", type=integer, default=200,
                    help="randomized coherence sample count (default 200)")
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--seed", type=integer, default=0,
                    help="seed for the randomized checks (default 0)")
     p.add_argument("--show-expansion", action="store_true",
                    help="print the five expansion coefficients first")

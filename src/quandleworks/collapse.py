@@ -30,9 +30,9 @@ import random
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .affine import AffineExpr, Point, SymPoint, op, reversed_op
-from .affine import orbit_witness as _orbit_witness
-from .ring import ONE, T, ZERO, RingElem, random_elem, render_pair
+from .affine import (SHIFT, AffineExpr, Point, SymPoint, op, op_kernel,
+                     reversed_kernel, reversed_op, witness_kernel)
+from .ring import ONE, T, ZERO, RingElem, product_pair, random_pair, render_pair
 
 PARAM = "a"
 VARS = ("w", "x", "y", "z")
@@ -227,7 +227,9 @@ def orbit2_collapse(sample_count: int, rng: random.Random) -> int:
     The witness identity op(zero-of-2, t^(-2)*(x+1) in orbit 1) = x-of-2 is
     checked symbolically, then on `sample_count` random values, confirming
     each time that the acting element lies in orbit 1 and that the reversed
-    structure applies the very same translation.
+    structure applies the very same translation.  The samples run on the
+    integer kernels of affine.py; a RingElem or Point is built only for a
+    failure message.
     """
     if sample_count < 0:
         raise ValueError(f"sample_count must be at least 0, got {sample_count}")
@@ -237,18 +239,19 @@ def orbit2_collapse(sample_count: int, rng: random.Random) -> int:
     if op(base, witness) != SymPoint(2, x):
         raise WitnessFailure("symbolic witness identity failed")
 
-    zero2 = Point(2, ZERO)
+    zero2 = (2, 0, 0)
     for _ in range(sample_count):
-        value = random_elem(rng)
-        wit = _orbit_witness(value, 2)
-        if wit.orbit != 1:
-            raise WitnessFailure(f"witness for {value} left orbit 1")
-        plain = op(zero2, wit)
-        if plain != Point(2, value):
-            raise WitnessFailure(f"witness for {value} does not reach it")
-        if reversed_op(zero2, wit) != plain:
-            raise WitnessFailure(
-                f"translation by {wit} differs between the two structures")
+        v1, v2 = random_pair(rng)
+        wit = witness_kernel(2, v1, v2)
+        tag, w1, w2 = wit
+        if tag != 1:
+            raise WitnessFailure(f"witness for {RingElem(v1, v2)} left orbit 1")
+        plain = op_kernel(SHIFT[2, tag], 0, 0, w1, w2)
+        if plain != (v1, v2):
+            raise WitnessFailure(f"witness for {RingElem(v1, v2)} does not reach it")
+        if reversed_kernel(zero2, wit) != (2, *plain):
+            raise WitnessFailure(f"translation by {Point(tag, RingElem(w1, w2))}"
+                                 " differs between the two structures")
     return 1
 
 
@@ -291,6 +294,10 @@ class CollapseReport:
         return "\n".join(lines) + "\n"
 
 
+def _ring_values(values: Mapping[str, tuple[int, int]]) -> dict[str, RingElem]:
+    return {v: RingElem(n1, n2) for v, (n1, n2) in values.items()}
+
+
 def verify_theorem(samples: int = 200, seed: int = 0) -> CollapseReport:
     """Run the whole pipeline and return the report (total is 2 on success).
 
@@ -301,34 +308,37 @@ def verify_theorem(samples: int = 200, seed: int = 0) -> CollapseReport:
     The expansion check compares two independent derivations of the same
     term: the symbolic one builds it with ring and AffineExpr arithmetic,
     checked against the frozen coefficients, while the concrete one runs
-    the closed-form pair kernels that op and op_inv take on Points.  A
-    wrong coefficient in either is caught at stage 'expansion'.
+    the integer kernels of affine.py, which op and op_inv on Points wrap,
+    on tagged pairs.  Each sample evaluates the expansion's own
+    coefficients with AffineExpr.evaluate_pair and checks the gap law with
+    product_pair, so no RingElem or Point is built unless a check fails.
+    A wrong coefficient in either derivation is caught at stage
+    'expansion'.
     """
     if samples < 0:
         raise ValueError(f"samples must be at least 0, got {samples}")
     rng = random.Random(seed)
     lhs = expand_lhs()
     rhs = expand_rhs()
-    gap_coeff = T.scale_t(2) - T  # t^3 - t
+    gap = T.scale_t(2) - T  # t^3 - t
 
     for _ in range(samples):
-        values = {v: random_elem(rng) for v in VARS}
-        pts = {v: Point(1 if v != "z" else 2, values[v]) for v in VARS}
-        conc_l = reversed_op(reversed_op(pts["w"], pts["x"]),
-                             reversed_op(pts["y"], pts["z"]))
-        conc_r = reversed_op(reversed_op(pts["w"], pts["y"]),
-                             reversed_op(pts["x"], pts["z"]))
-        if conc_l.orbit != 1 or conc_r.orbit != 1:
+        values = {v: random_pair(rng) for v in VARS}
+        (w1, w2), (x1, x2), (y1, y2), (z1, z2) = values.values()
+        w, x, y, z = (1, w1, w2), (1, x1, x2), (1, y1, y2), (2, z1, z2)
+        lt, l1, l2 = reversed_kernel(reversed_kernel(w, x), reversed_kernel(y, z))
+        rt, r1, r2 = reversed_kernel(reversed_kernel(w, y), reversed_kernel(x, z))
+        if lt != 1 or rt != 1:
             raise CollapseError("expansion", "orbit tag leaked across copies")
-        if conc_l.value != lhs.expr.evaluate(values):
-            raise CollapseError("expansion",
-                                f"concrete lhs disagrees with the expansion at {values}")
-        if conc_r.value != rhs.expr.evaluate(values):
-            raise CollapseError("expansion",
-                                f"concrete rhs disagrees with the expansion at {values}")
-        if conc_l.value - conc_r.value != gap_coeff * (values["x"] - values["y"]):
-            raise CollapseError("expansion",
-                                f"gap law (t^3-t)(x-y) violated at {values}")
+        if (l1, l2) != lhs.expr.evaluate_pair(values):
+            raise CollapseError("expansion", "concrete lhs disagrees with the"
+                                f" expansion at {_ring_values(values)}")
+        if (r1, r2) != rhs.expr.evaluate_pair(values):
+            raise CollapseError("expansion", "concrete rhs disagrees with the"
+                                f" expansion at {_ring_values(values)}")
+        if (l1 - r1, l2 - r2) != product_pair(gap.n1, gap.n2, x1 - y1, x2 - y2):
+            raise CollapseError("expansion", "gap law (t^3-t)(x-y) violated at"
+                                f" {_ring_values(values)}")
 
     shifts = tuple(derive_relation(asg) for asg in relation_assignments())
     chain = tuple(combine_shifts(shifts[0], shifts[1]))

@@ -462,8 +462,9 @@ def parse_table_text(text: str) -> list[list[int]]:
     """Parse the 1-indexed 'quandle v1' format into a 0-indexed row list.
 
     Blank lines and lines starting with '#' are skipped.  The order and the
-    entries are runs of ASCII digits 0-9.  The result is a raw table: shape
-    and entry ranges are enforced here, the axioms are not.
+    entries are runs of ASCII digits 0-9, separated by ASCII whitespace.
+    The result is a raw table: shape and entry ranges are enforced here,
+    the axioms are not.
     """
     content = ((lineno, s) for lineno, s in
                enumerate(map(str.strip, text.splitlines()), start=1)
@@ -496,11 +497,17 @@ def parse_table_text(text: str) -> list[list[int]]:
                                  f" expected {n}", line=lineno)
         # an entry is a run of ASCII digits, but int() also reads a sign,
         # '_' separators and the digits of other scripts; on ASCII text it
-        # reads nothing else, so only such lines are checked entry by entry
+        # reads nothing else, so only such lines are checked entry by entry.
+        # str.split() also splits at Unicode whitespace, which a line of
+        # ASCII entries holds only if it is not ASCII itself
         if not s.isascii() or "+" in s or "-" in s or "_" in s:
             for part in parts:
                 if not (part.isascii() and part.isdigit()):
                     raise MalformedTable(f"bad entry {part!r}", line=lineno)
+            if not s.isascii():
+                separator = next(c for c in s if not c.isascii())
+                raise MalformedTable(f"entries separated by {separator!r},"
+                                     " not ASCII whitespace", line=lineno)
         row = []
         for part in parts:
             try:

@@ -11,8 +11,8 @@ multiplying by a power of t is a linear map of the pair:
     t^2  * (n1, n2) = (n1 - n2, 2*n2 - n1)
     t^-1 * (n1, n2) = (n1 + n2, n1)
 
-scale_t iterates the first and the last; the concrete kernels of
-affine.op and affine.op_inv apply them inline.  The specification is
+scale_t iterates the first and the last; the integer kernels of
+affine.py apply them inline.  The specification is
 Laurent-polynomial arithmetic followed by reduce: reduce rewrites
 t^2 -> 1 - t and t^(-1) -> 1 + t until only the exponents 0 and 1 remain,
 then converts a + b*t into the canonical pair (a + b, a) using
@@ -24,8 +24,10 @@ of t, so nothing here may round.
 
 RingElem is a slotted immutable value with the semantics of a frozen
 dataclass (equality within the class, hash of the pair, keyword repr,
-FrozenInstanceError on assignment), built without dataclass machinery
-because the paper's verification creates thousands of them per run.
+FrozenInstanceError on assignment), built without dataclass machinery.
+Code that computes many values in a row, such as the sampled checks of
+collapse.verify_theorem, works on the pairs themselves (product_pair,
+random_pair) and builds a RingElem only for a result it hands out.
 """
 
 from __future__ import annotations
@@ -121,8 +123,8 @@ def product_pair(a: int, b: int, c: int, d: int) -> tuple[int, int]:
 
     The product is ac*t^2 + (ad + bc)*t^3 + bd*t^4, and t^3 = t - t^2,
     t^4 = -t + 2*t^2 give (ad + bc - bd, ac - (ad + bc) + 2*bd).  Callers
-    that sum products, such as AffineExpr.evaluate, accumulate the pairs
-    and build one RingElem at the end.
+    that sum products, such as AffineExpr.evaluate_pair, accumulate the
+    pairs and build no RingElem on the way.
     """
     ad_bc = a * d + b * c
     bd = b * d
@@ -201,11 +203,15 @@ def parse_elem(text: str) -> RingElem:
     raise ValueError(f"cannot parse ring element {text!r}")
 
 
-def random_elem(rng: random.Random, bound: int = 50) -> RingElem:
-    # randint(-bound, bound) is randrange(span) - bound, and randrange(span)
-    # draws getrandbits(span.bit_length()) until the value is below span;
-    # calling getrandbits directly gives the same values and leaves the
-    # generator in the same state, without the layers of calls
+def random_pair(rng: random.Random, bound: int = 50) -> tuple[int, int]:
+    """Two independent uniform integers in [-bound, bound], drawn as
+    rng.randint(-bound, bound) draws them.
+
+    randint(-bound, bound) is randrange(span) - bound, and randrange(span)
+    draws getrandbits(span.bit_length()) until the value is below span;
+    calling getrandbits directly gives the same values and leaves the
+    generator in the same state, without the layers of calls.
+    """
     span = 2 * bound + 1
     bits = span.bit_length()
     draw = rng.getrandbits
@@ -215,5 +221,10 @@ def random_elem(rng: random.Random, bound: int = 50) -> RingElem:
     n2 = draw(bits)
     while n2 >= span:
         n2 = draw(bits)
-    return RingElem(n1 - bound, n2 - bound)
+    return n1 - bound, n2 - bound
 
+
+def random_elem(rng: random.Random, bound: int = 50) -> RingElem:
+    """The ring element of random_pair(rng, bound)."""
+    n1, n2 = random_pair(rng, bound)
+    return RingElem(n1, n2)

@@ -11,8 +11,8 @@ from conftest import assert_frozen_dataclass_semantics
 from quandleworks import (ONE, T, T_INV, T_SQ, ZERO, AffineExpr, Point,
                           RingElem, SymPoint, op, op_inv, orbit_witness,
                           parse_point, reversed_op, verify_theorem)
-from quandleworks.affine import ORBIT_TAGS
-from quandleworks.ring import random_elem, reduce
+from quandleworks.affine import ORBIT_TAGS, reversed_kernel, witness_kernel
+from quandleworks.ring import random_elem, random_pair, reduce
 from seed_ring import LaurentPoly, lift
 from seed_symbolic import (SymbolicAxiomReport, SymbolicCase,
                            check_axioms_symbolic, reversed_op_inv)
@@ -325,6 +325,49 @@ def test_point_kernels_match_the_generic_expression_and_the_oracle(tags):
             out = kernel(a, b)
             assert out.__class__ is Point and out.value.__class__ is RingElem
             assert out == generic(a, b) == oracle(a, b)
+
+
+def box(tagged) -> Point:
+    tag, n1, n2 = tagged
+    assert type(tag) is int and type(n1) is int and type(n2) is int
+    return Point(tag, RingElem(n1, n2))
+
+
+def constant_sym_point(p: Point) -> SymPoint:
+    return SymPoint(p.orbit, AffineExpr.const(p.value))
+
+
+@pytest.mark.parametrize("bound", [50, 10**30])
+@pytest.mark.parametrize("tags", list(product(ORBIT_TAGS, repeat=2)),
+                         ids=lambda tags: f"{tags[0]}-{tags[1]}")
+def test_reversed_kernel_matches_reversed_op_on_points_and_symbols(tags, bound):
+    i, j = tags
+    rng = random.Random(f"reversed {i} {j} {bound}")
+    for _ in range(100):
+        (x1, x2), (y1, y2) = random_pair(rng, bound), random_pair(rng, bound)
+        a, b = Point(i, RingElem(x1, x2)), Point(j, RingElem(y1, y2))
+        generic = reversed_op(constant_sym_point(a), constant_sym_point(b))
+        assert box(reversed_kernel((i, x1, x2), (j, y1, y2))) == reversed_op(a, b) \
+            == generic.evaluate({})
+
+
+@pytest.mark.parametrize("bound", [50, 10**30])
+def test_witness_kernel_matches_orbit_witness_and_the_generic_path(bound):
+    rng = random.Random(f"witness {bound}")
+    for _ in range(100):
+        v1, v2 = random_pair(rng, bound)
+        value = RingElem(v1, v2)
+        for orbit in ORBIT_TAGS:
+            wit = orbit_witness(value, orbit)
+            assert box(witness_kernel(orbit, v1, v2)) == wit
+            # t^(-2) * (value - shift) in ring arithmetic, and the symbolic
+            # operation sending the orbit's zero to the value
+            shift = RingElem.from_int(MARK[3 - orbit] - MARK[orbit])
+            assert wit == Point(3 - orbit, (value - shift).scale_t(-2))
+            zero = SymPoint(orbit, AffineExpr.const(ZERO))
+            assert op(zero, constant_sym_point(wit)).evaluate({}) == Point(orbit, value)
+    with pytest.raises(ValueError, match="orbit tag must be 1 or 2, got 3"):
+        witness_kernel(3, 0, 0)
 
 
 def generic_evaluate(expr, values):

@@ -117,10 +117,14 @@ def test_parse_errors_exit_two(capsys, tmp_path):
     assert code == 2
     assert "line 3" in err
     # int() reads each of these numerals; the format takes runs of ASCII
-    # digits only: a fullwidth order, a signed entry, a separated entry
+    # digits only: a fullwidth order, a signed entry, a separated entry.
+    # str.split() splits at any Unicode whitespace; the format separates
+    # entries by ASCII whitespace only: an ideographic and a no-break space
     for text, where in (("quandle v1\nn=２\n1 1\n2 2\n", "line 2"),
                         ("quandle v1\nn=2\n+1 1\n2 2\n", "line 3"),
-                        ("quandle v1\nn=2\n1 1\n0_2 2\n", "line 4")):
+                        ("quandle v1\nn=2\n1 1\n0_2 2\n", "line 4"),
+                        ("quandle v1\nn=2\n1\u30001\n2 2\n", "line 3"),
+                        ("quandle v1\nn=2\n1 1\n2\u00a02\n", "line 4")):
         path.write_text(text, encoding="utf-8")
         code, out, err = run(capsys, "check", str(path))
         assert (code, out) == (2, "") and where in err
@@ -254,6 +258,33 @@ def test_verify_paper_succeeds(capsys):
     assert code == 0
     assert "total classes: 2" in out
     assert "index=1" in out
+
+
+# int() reads each of these; an integer argument is an optional '-' and a
+# run of ASCII digits
+NON_ASCII_INTEGERS = ["５", "١", "1_0", "+1", " 1", "1\n"]
+
+
+@pytest.mark.parametrize("text", NON_ASCII_INTEGERS)
+def test_integer_arguments_take_ascii_digits_only(capsys, d3_file, text):
+    assert int(text) in (1, 5, 10)
+    for argv in (["verify-paper", "--samples", text],
+                 ["verify-paper", "--seed", text],
+                 ["check", d3_file, "--nquandle", text],
+                 ["reverse", d3_file, "--element", text],
+                 ["quotient", d3_file, "--variety", "nquandle", "--n", text],
+                 ["demo-affine", "--witness", "(3,-4)", text]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert "error: " in err, argv
+
+
+def test_integer_arguments_take_a_minus_sign(capsys, d3_file):
+    code, out, _ = run(capsys, "verify-paper", "--samples", "1", "--seed", "-3")
+    assert code == 0 and "samples=1 seed=-3\n" in out
+    # the translations of the dihedral quandle are involutions
+    code, out, err = run(capsys, "check", d3_file, "--nquandle", "-2")
+    assert (code, err) == (0, "") and out.endswith("\n-2-quandle: True\n")
 
 
 def test_verify_paper_rejects_negative_samples(capsys):

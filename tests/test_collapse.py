@@ -9,10 +9,10 @@ import pytest
 
 from quandleworks import (ONE, T, T_SQ, ZERO, AffineExpr, CollapseError,
                           NonUniformRelation, Point, RingElem, WitnessFailure,
-                          affine, combine_shifts, derive_relation, expand_lhs,
-                          expand_rhs, hnf_close, op, orbit2_collapse,
-                          orbit_witness, relation_assignments, reversed_op,
-                          verify_theorem)
+                          affine, collapse, combine_shifts, derive_relation,
+                          expand_lhs, expand_rhs, hnf_close, op,
+                          orbit2_collapse, orbit_witness, relation_assignments,
+                          reversed_op, verify_theorem)
 from quandleworks.ring import random_elem
 import seed_hnf
 
@@ -233,30 +233,73 @@ def test_failure_types_carry_stages():
     assert err.stage == "lattice" and "boom" in str(err)
 
 
-# one wrong coefficient in the closed form of op or op_inv on two Points
+# one wrong coefficient in the integer kernel of op or op_inv
 KERNEL_MUTANTS = [
-    ("op", "y.n1 - y.n2,", "y.n1 + y.n2,"),
-    ("op", "x.n1 - x.n2 +", "x.n1 + x.n2 +"),
-    ("op", "2 * y.n2 - y.n1", "3 * y.n2 - y.n1"),
-    ("op_inv", "- y.n1 + y.n2", "- y.n1 - y.n2"),
-    ("op_inv", "- 2 * y.n2", "- 3 * y.n2"),
-    ("op_inv", "RingElem(u1 + u2, u1)", "RingElem(u1 + 2 * u2, u1)"),
+    ("op_kernel", "y1 - y2,", "y1 + y2,"),
+    ("op_kernel", "x1 - x2 +", "x1 + x2 +"),
+    ("op_kernel", "2 * y2 - y1", "3 * y2 - y1"),
+    ("op_inv_kernel", "- y1 + y2", "- y1 - y2"),
+    ("op_inv_kernel", "- 2 * y2", "- 3 * y2"),
+    ("op_inv_kernel", "u1 + u2, u1", "u1 + 2 * u2, u1"),
+]
+
+# a wrong coefficient of the witness kernel, and a witness left in the
+# orbit it should leave, with the transport check each one trips
+WITNESS_MUTANTS = [
+    ("witness_kernel", "2 * a + b", "2 * a - b", "does not reach it"),
+    ("witness_kernel", "other = 3 - orbit", "other = orbit", "left orbit 1"),
 ]
 
 
-@pytest.mark.parametrize("name, old, new", KERNEL_MUTANTS)
+def install_mutant(monkeypatch, name, old, new):
+    """Replace affine.<name> by its source with `old` made `new`, in every
+    module of the package that binds it."""
+    original = getattr(affine, name)
+    source = textwrap.dedent(inspect.getsource(original))
+    assert source.count(old) == 1
+    namespace = dict(vars(affine))
+    exec(compile(source.replace(old, new), affine.__file__, "exec"), namespace)
+    for module in (affine, collapse):
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, namespace[name])
+
+
+def mutant_ids(mutants):
+    return [f"{old} -> {new} in {name}" for name, old, new, *_ in mutants]
+
+
+@pytest.mark.parametrize("name, old, new", KERNEL_MUTANTS,
+                         ids=mutant_ids(KERNEL_MUTANTS))
 def test_a_wrong_kernel_coefficient_fails_verification_at_the_expansion(
         monkeypatch, name, old, new):
     # the sampled check compares the closed form against the symbolic
     # expansion, which the mutant leaves alone: the frozen coefficients still
     # match, and the concrete samples disagree with them
-    source = textwrap.dedent(inspect.getsource(getattr(affine, name)))
-    assert source.count(old) == 1
-    namespace = dict(vars(affine))
-    exec(compile(source.replace(old, new), affine.__file__, "exec"), namespace)
-    monkeypatch.setattr(affine, name, namespace[name])
+    install_mutant(monkeypatch, name, old, new)
     expand_lhs()
     expand_rhs()
     with pytest.raises(CollapseError, match="disagrees with the expansion") as info:
         verify_theorem(200)
     assert info.value.stage == "expansion"
+
+
+@pytest.mark.parametrize("name, old, new, failure", WITNESS_MUTANTS,
+                         ids=mutant_ids(WITNESS_MUTANTS))
+def test_a_wrong_witness_kernel_fails_verification_at_the_transport(
+        monkeypatch, name, old, new, failure):
+    install_mutant(monkeypatch, name, old, new)
+    with pytest.raises(WitnessFailure, match=failure) as info:
+        verify_theorem(200)
+    assert info.value.stage == "orbit-2 transport"
+
+
+def test_a_kernel_mutant_fails_with_the_first_sample_of_seed_0(monkeypatch):
+    # the sampled values in the message pin the order of the draws: w, x,
+    # y, z, each n1 before n2, as random_elem draws them
+    install_mutant(monkeypatch, *KERNEL_MUTANTS[0])
+    with pytest.raises(CollapseError) as info:
+        verify_theorem(200, seed=0)
+    assert str(info.value) == (
+        "concrete lhs disagrees with the expansion at {"
+        "'w': RingElem(n1=-1, n2=47), 'x': RingElem(n1=3, n2=-45), "
+        "'y': RingElem(n1=-17, n2=15), 'z': RingElem(n1=12, n2=1)}")

@@ -8,8 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from quandleworks.ring import (ONE, T, T_INV, T_SQ, ZERO, RingElem,
-                               parse_elem, product_pair, random_elem, reduce,
-                               render_elem, render_pair)
+                               parse_elem, product_pair, random_elem,
+                               random_pair, reduce, render_elem, render_pair)
 from seed_ring import LaurentPoly, lift
 
 elems = st.builds(RingElem,
@@ -177,6 +177,7 @@ def test_random_elem_makes_the_draws_of_randint():
         r, s = random.Random(seed), random.Random(seed)
         for _ in range(50):
             assert random_elem(r) == RingElem(s.randint(-50, 50), s.randint(-50, 50))
+            assert random_pair(r) == (s.randint(-50, 50), s.randint(-50, 50))
         for bound in (0, 1, 7, 10**20):
             assert random_elem(r, bound) == RingElem(s.randint(-bound, bound),
                                                      s.randint(-bound, bound))
