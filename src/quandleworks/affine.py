@@ -8,10 +8,10 @@ With m_1 = 0 and m_2 = 1 marking the copies:
     x in copy i acted on by y in copy j  ->  (m_j - m_i + t*x + t^2*y) in copy i
     undone by                                t^(-1) * (m_i - m_j + x - t^2*y)
 
-(1 - t reduces to t^2, hence the t^2 in the first formula).  On two
-concrete points both formulas are closed forms in the canonical pairs
-x = (x1, x2), y = (y1, y2) and shift s = m_j - m_i = (s1, s2), using
-t*(n1, n2) = (n2, n1 - n2) and t^2*(n1, n2) = (n1 - n2, 2*n2 - n1):
+(1 - t reduces to t^2, hence the t^2 in the first formula).  Both have
+closed forms in the canonical pairs x = (x1, x2), y = (y1, y2) and shift
+s = m_j - m_i = (s1, s2), using t*(n1, n2) = (n2, n1 - n2) and
+t^2*(n1, n2) = (n1 - n2, 2*n2 - n1):
 
     op      (s1 + x2 + y1 - y2,  s2 + x1 - x2 + 2*y2 - y1)
     op_inv  (u1 + u2, u1)  for  u = -s + x - t^2*y
@@ -20,28 +20,28 @@ t*(n1, n2) = (n2, n1 - n2) and t^2*(n1, n2) = (n1 - n2, 2*n2 - n1):
 Each closed form is one integer kernel on canonical pairs: op_kernel and
 op_inv_kernel take the shift pair and the two value pairs, witness_kernel
 computes orbit_witness, and reversed_kernel runs reversed_op on tagged
-pairs (orbit, n1, n2).  op, op_inv and orbit_witness on Points wrap these
-kernels and box the result; code that chains many operations, such as the
-sampled checks of collapse.py, calls the kernels and boxes nothing.  Any
-SymPoint argument takes the generic ring-and-AffineExpr path instead.
+pairs (orbit, n1, n2).  The sampled checks of collapse.py chain the kernels
+and box nothing.  op and op_inv never call them: they compute the formulas
+with ring and AffineExpr arithmetic, for Points as for SymPoints, so those
+checks compare two derivations that share no code.
 
 Both formulas are affine in both arguments, so they close over AffineExpr;
 collapse.py expands the reversed medial terms that way.  Orbit 2 is the
 reversed orbit throughout this package: reversed_op swaps in the undo
 formula exactly when the acting element carries tag 2.
 
-Point, the concrete element, is a slotted immutable value with the
-semantics of a frozen dataclass, as RingElem is; SymPoint stays a frozen
-dataclass, unhashable because an AffineExpr is.
+Point, the concrete element, derives from ring.FrozenValue, as RingElem
+does; SymPoint stays a frozen dataclass, unhashable because an AffineExpr
+is.
 """
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from typing import Mapping
 
-from .ring import (ONE, T, T_INV, T_SQ, ZERO, RingElem, parse_elem,
-                   product_pair, render_elem, render_pair)
+from .ring import (ONE, T, T_INV, T_SQ, ZERO, FrozenValue, RingElem,
+                   parse_elem, product_pair, render_elem, render_pair)
 
 ORBIT_TAGS = (1, 2)
 ORBIT_MARK = {1: ZERO, 2: ONE}  # additive marker of each copy
@@ -153,7 +153,7 @@ class AffineExpr:
         return f"AffineExpr[{self.render()}]"
 
 
-class Point:
+class Point(FrozenValue):
     """Concrete element: an orbit tag and a ring value."""
 
     __slots__ = ("orbit", "value")
@@ -161,27 +161,6 @@ class Point:
     def __init__(self, orbit: int, value: RingElem) -> None:
         _set_orbit(self, orbit)
         _set_value(self, value)
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.orbit == other.orbit and self.value == other.value
-
-    def __hash__(self) -> int:
-        return hash((self.orbit, self.value))
-
-    def __repr__(self) -> str:
-        return (f"{self.__class__.__qualname__}"
-                f"(orbit={self.orbit!r}, value={self.value!r})")
-
-    def __reduce__(self):
-        return self.__class__, (self.orbit, self.value)
 
     def __str__(self) -> str:
         return f"{render_pair(self.value)}@{self.orbit}"
@@ -224,6 +203,10 @@ def parse_point(text: str) -> Point:
 
 def _payload(p):
     return p.value if isinstance(p, Point) else p.expr
+
+
+def _element(orbit: int, payload):
+    return (Point if payload.__class__ is RingElem else SymPoint)(orbit, payload)
 
 
 def op_kernel(shift: tuple[int, int], x1: int, x2: int,
@@ -271,35 +254,21 @@ def witness_kernel(orbit: int, v1: int, v2: int) -> tuple[int, int, int]:
 
 
 def op(a, b):
-    """a acted on by b; the result keeps a's orbit tag.
-
-    Accepts Point or SymPoint in either slot (mixed calls yield a SymPoint).
-    Two Points take op_kernel; anything else computes shift + t*a + t^2*b
-    with ring and AffineExpr arithmetic.
-    """
-    shift = SHIFT[a.orbit, b.orbit]
-    if a.__class__ is Point and b.__class__ is Point:
-        x, y = a.value, b.value
-        n1, n2 = op_kernel(shift, x.n1, x.n2, y.n1, y.n2)
-        return Point(a.orbit, RingElem(n1, n2))
-    return SymPoint(a.orbit, RingElem(*shift) + T * _payload(a) + T_SQ * _payload(b))
+    """a acted on by b, keeping a's orbit tag: shift + t*a + t^2*b in ring
+    and AffineExpr arithmetic, a Point for two Points and a SymPoint for
+    any SymPoint in either slot."""
+    shift = RingElem(*SHIFT[a.orbit, b.orbit])
+    return _element(a.orbit, shift + T * _payload(a) + T_SQ * _payload(b))
 
 
 def op_inv(a, b):
-    """The unique c with op(c, b) = a; inverts the translation by b.
-
-    Two Points take op_inv_kernel; anything else computes
-    t^(-1) * (shift + a - t^2*b) with ring and AffineExpr arithmetic.
-    """
-    shift = SHIFT[b.orbit, a.orbit]
-    if a.__class__ is Point and b.__class__ is Point:
-        x, y = a.value, b.value
-        n1, n2 = op_inv_kernel(shift, x.n1, x.n2, y.n1, y.n2)
-        return Point(a.orbit, RingElem(n1, n2))
+    """The unique c with op(c, b) = a, inverting the translation by b:
+    t^(-1) * (shift + a - t^2*b), for any mix of Point and SymPoint as in op."""
+    shift = RingElem(*SHIFT[b.orbit, a.orbit])
     # -b is added, not b subtracted: when a is a Point the sum so far is a
     # RingElem, and a RingElem minus an AffineExpr has no operator
-    return SymPoint(a.orbit,
-                    T_INV * (RingElem(*shift) + _payload(a) + T_SQ * -_payload(b)))
+    return _element(a.orbit,
+                    T_INV * (shift + _payload(a) + T_SQ * -_payload(b)))
 
 
 def reversed_op(a, b):

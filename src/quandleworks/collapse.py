@@ -38,30 +38,37 @@ PARAM = "a"
 VARS = ("w", "x", "y", "z")
 
 
-class ExpansionMismatch(RuntimeError):
-    """The symbolic expansion disagrees with its frozen coefficients."""
-
-    stage = "expansion"
-
-
-class NonUniformRelation(ValueError):
-    """A substitution whose forced relation is not a pure shift."""
-
-    stage = "relations"
-
-
-class WitnessFailure(RuntimeError):
-    """The orbit-2 transport argument failed on a witness."""
-
-    stage = "orbit-2 transport"
-
-
 class CollapseError(RuntimeError):
     """A verification stage produced something other than the expected collapse."""
 
     def __init__(self, stage: str, message: str) -> None:
         super().__init__(message)
         self.stage = stage
+
+
+class _StageFailure(CollapseError):
+    """A CollapseError whose stage is fixed by its class."""
+
+    def __init__(self, message: str) -> None:
+        super().__init__(self.stage, message)
+
+
+class ExpansionMismatch(_StageFailure):
+    """The symbolic expansion disagrees with its frozen coefficients."""
+
+    stage = "expansion"
+
+
+class NonUniformRelation(_StageFailure, ValueError):
+    """A substitution whose forced relation is not a pure shift."""
+
+    stage = "relations"
+
+
+class WitnessFailure(_StageFailure):
+    """The orbit-2 transport argument failed on a witness."""
+
+    stage = "orbit-2 transport"
 
 
 # frozen expansion of reversed ((w,x),(y,z)) at tags (1,1,1,2):
@@ -306,14 +313,13 @@ def verify_theorem(samples: int = 200, seed: int = 0) -> CollapseReport:
     driven by a generator seeded with `seed`, so output is reproducible.
 
     The expansion check compares two independent derivations of the same
-    term: the symbolic one builds it with ring and AffineExpr arithmetic,
-    checked against the frozen coefficients, while the concrete one runs
-    the integer kernels of affine.py, which op and op_inv on Points wrap,
-    on tagged pairs.  Each sample evaluates the expansion's own
-    coefficients with AffineExpr.evaluate_pair and checks the gap law with
-    product_pair, so no RingElem or Point is built unless a check fails.
-    A wrong coefficient in either derivation is caught at stage
-    'expansion'.
+    term: the symbolic one builds it with op and op_inv in ring and
+    AffineExpr arithmetic, checked against the frozen coefficients, while
+    the concrete one runs the integer kernels of affine.py on tagged pairs.
+    Each sample evaluates the expansion's own coefficients with
+    AffineExpr.evaluate_pair and checks the gap law with product_pair, so
+    no RingElem or Point is built unless a check fails.  A wrong
+    coefficient in either derivation is caught at stage 'expansion'.
     """
     if samples < 0:
         raise ValueError(f"samples must be at least 0, got {samples}")

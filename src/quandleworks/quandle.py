@@ -456,18 +456,25 @@ def relabel(q: FiniteQuandle, perm) -> FiniteQuandle:
 
 
 _ORDER_RE = re.compile(r"^n=([0-9]+)$")
+# the ASCII line breaks of str.splitlines and whitespace of str.strip; a
+# non-ASCII one stays in its line, where the checks below reject it
+_LINE_BREAK_RE = re.compile(r"\r\n|[\n\r\v\f\x1c-\x1e]")
+_ASCII_SPACE = " \t\n\r\v\f\x1c\x1d\x1e\x1f"
 
 
 def parse_table_text(text: str) -> list[list[int]]:
     """Parse the 1-indexed 'quandle v1' format into a 0-indexed row list.
 
-    Blank lines and lines starting with '#' are skipped.  The order and the
+    Lines end at ASCII line breaks and shed ASCII whitespace only.  Blank
+    lines and lines starting with '#' are skipped.  The order and the
     entries are runs of ASCII digits 0-9, separated by ASCII whitespace.
     The result is a raw table: shape and entry ranges are enforced here,
     the axioms are not.
     """
-    content = ((lineno, s) for lineno, s in
-               enumerate(map(str.strip, text.splitlines()), start=1)
+    # on ASCII text, str.splitlines splits at exactly these breaks, faster
+    lines = text.splitlines() if text.isascii() else _LINE_BREAK_RE.split(text)
+    lines = (line.strip(_ASCII_SPACE) for line in lines)
+    content = ((lineno, s) for lineno, s in enumerate(lines, start=1)
                if s and not s.startswith("#"))
     lineno, s = next(content, (None, None))
     if s is None:

@@ -22,12 +22,13 @@ the library never calls reduce.  All arithmetic is over
 arbitrary-precision integers; coefficients grow Fibonacci-fast under powers
 of t, so nothing here may round.
 
-RingElem is a slotted immutable value with the semantics of a frozen
-dataclass (equality within the class, hash of the pair, keyword repr,
-FrozenInstanceError on assignment), built without dataclass machinery.
-Code that computes many values in a row, such as the sampled checks of
-collapse.verify_theorem, works on the pairs themselves (product_pair,
-random_pair) and builds a RingElem only for a result it hands out.
+RingElem and affine.Point derive from FrozenValue, which gives them the
+semantics of a frozen dataclass (equality within the class, hash of the
+fields, keyword repr, FrozenInstanceError on assignment) without dataclass
+machinery.  Code that computes many values in a row, such as the sampled
+checks of collapse.verify_theorem, works on the pairs themselves
+(product_pair, random_pair) and builds a RingElem only for a result it
+hands out.
 """
 
 from __future__ import annotations
@@ -35,17 +36,19 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import FrozenInstanceError
+from operator import attrgetter
 from typing import Mapping
 
 
-class RingElem:
-    """Canonical pair (n1, n2) for n1*t + n2*t^2 in the quotient ring."""
+class FrozenValue:
+    """Base of the slotted immutable values: the subclass's __slots__ (two
+    or more) are its fields, which its __init__ sets through the slot
+    descriptors, and the instances behave as those of a frozen dataclass."""
 
-    __slots__ = ("n1", "n2")
+    __slots__ = ()
 
-    def __init__(self, n1: int, n2: int) -> None:
-        _set_n1(self, n1)
-        _set_n2(self, n2)
+    def __init_subclass__(cls):
+        cls._values = attrgetter(*cls.__slots__)  # the field values, a tuple
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -56,16 +59,28 @@ class RingElem:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self.n1 == other.n1 and self.n2 == other.n2
+        return self._values(self) == self._values(other)
 
     def __hash__(self) -> int:
-        return hash((self.n1, self.n2))
+        return hash(self._values(self))
 
     def __repr__(self) -> str:
-        return f"{self.__class__.__qualname__}(n1={self.n1!r}, n2={self.n2!r})"
+        fields = ", ".join(f"{name}={value!r}" for name, value
+                           in zip(self.__slots__, self._values(self)))
+        return f"{self.__class__.__qualname__}({fields})"
 
     def __reduce__(self):
-        return self.__class__, (self.n1, self.n2)
+        return self.__class__, self._values(self)
+
+
+class RingElem(FrozenValue):
+    """Canonical pair (n1, n2) for n1*t + n2*t^2 in the quotient ring."""
+
+    __slots__ = ("n1", "n2")
+
+    def __init__(self, n1: int, n2: int) -> None:
+        _set_n1(self, n1)
+        _set_n2(self, n2)
 
     @classmethod
     def from_int(cls, value: int) -> "RingElem":

@@ -11,7 +11,8 @@ from conftest import assert_frozen_dataclass_semantics
 from quandleworks import (ONE, T, T_INV, T_SQ, ZERO, AffineExpr, Point,
                           RingElem, SymPoint, op, op_inv, orbit_witness,
                           parse_point, reversed_op, verify_theorem)
-from quandleworks.affine import ORBIT_TAGS, reversed_kernel, witness_kernel
+from quandleworks.affine import (ORBIT_TAGS, SHIFT, op_inv_kernel, op_kernel,
+                                 reversed_kernel, witness_kernel)
 from quandleworks.ring import random_elem, random_pair, reduce
 from seed_ring import LaurentPoly, lift
 from seed_symbolic import (SymbolicAxiomReport, SymbolicCase,
@@ -172,8 +173,9 @@ def test_symbolic_concrete_coherence():
         values = {name: random_elem(rng) for name in names}
         conc_a, conc_b = a.evaluate(values), b.evaluate(values)
         for f in (op, op_inv, reversed_op, reversed_op_inv):
-            # any SymPoint argument takes the generic path, two Points the
-            # closed form
+            # Points and SymPoints take the same ring formula, so this
+            # checks AffineExpr arithmetic and evaluation against RingElem
+            # arithmetic
             expected = f(conc_a, conc_b)
             assert f(a, b).evaluate(values) == expected
             assert f(a, conc_b).evaluate(values) == expected
@@ -296,7 +298,34 @@ def reversal_of(f, g):
     return lambda a, b: g(a, b) if b.orbit == 2 else f(a, b)
 
 
+def box(tagged) -> Point:
+    tag, n1, n2 = tagged
+    assert type(tag) is int and type(n1) is int and type(n2) is int
+    return Point(tag, RingElem(n1, n2))
+
+
+def boxed_op_kernel(a, b):
+    x, y = a.value, b.value
+    return box((a.orbit, *op_kernel(SHIFT[a.orbit, b.orbit], x.n1, x.n2, y.n1, y.n2)))
+
+
+def boxed_op_inv_kernel(a, b):
+    x, y = a.value, b.value
+    return box((a.orbit, *op_inv_kernel(SHIFT[b.orbit, a.orbit], x.n1, x.n2, y.n1, y.n2)))
+
+
+def boxed_reversed_kernel(a, b):
+    return box(reversed_kernel((a.orbit, a.value.n1, a.value.n2),
+                               (b.orbit, b.value.n1, b.value.n2)))
+
+
+# each integer kernel, and each operation on Points, against the ring
+# formula and the Laurent-polynomial oracle
 KERNELS = (
+    (boxed_op_kernel, generic_op, oracle_op),
+    (boxed_op_inv_kernel, generic_op_inv, oracle_op_inv),
+    (boxed_reversed_kernel, reversal_of(generic_op, generic_op_inv),
+     reversal_of(oracle_op, oracle_op_inv)),
     (op, generic_op, oracle_op),
     (op_inv, generic_op_inv, oracle_op_inv),
     (reversed_op, reversal_of(generic_op, generic_op_inv),
@@ -325,12 +354,6 @@ def test_point_kernels_match_the_generic_expression_and_the_oracle(tags):
             out = kernel(a, b)
             assert out.__class__ is Point and out.value.__class__ is RingElem
             assert out == generic(a, b) == oracle(a, b)
-
-
-def box(tagged) -> Point:
-    tag, n1, n2 = tagged
-    assert type(tag) is int and type(n1) is int and type(n2) is int
-    return Point(tag, RingElem(n1, n2))
 
 
 def constant_sym_point(p: Point) -> SymPoint:

@@ -17,6 +17,7 @@ from conftest import (conjugation_quandle_s3, enumerate_small_quandles,
 import quandleworks
 from quandleworks import (collapse, dihedral_quandle, parse_table_text,
                           relabel, render_table_text, trivial_quandle)
+from quandleworks import cli as cli_module
 from quandleworks.cli import main
 
 # verify-paper and demo-affine runs, frozen before the closed-form point
@@ -124,7 +125,9 @@ def test_parse_errors_exit_two(capsys, tmp_path):
                         ("quandle v1\nn=2\n+1 1\n2 2\n", "line 3"),
                         ("quandle v1\nn=2\n1 1\n0_2 2\n", "line 4"),
                         ("quandle v1\nn=2\n1\u30001\n2 2\n", "line 3"),
-                        ("quandle v1\nn=2\n1 1\n2\u00a02\n", "line 4")):
+                        ("quandle v1\nn=2\n1 1\n2\u00a02\n", "line 4"),
+                        # nor is it stripped from the ends of a line
+                        ("quandle v1\nn=2\n1 1\u3000\n2 2\n", "line 3")):
         path.write_text(text, encoding="utf-8")
         code, out, err = run(capsys, "check", str(path))
         assert (code, out) == (2, "") and where in err
@@ -301,6 +304,20 @@ def test_verify_paper_reports_a_broken_lattice_certificate(capsys, monkeypatch):
     assert code == 1 and out == ""
     assert err.startswith("verification failed at stage lattice: ")
     assert "combination certificate broken" in err
+
+
+@pytest.mark.parametrize("error", [
+    collapse.CollapseError("lattice", "boom"), collapse.ExpansionMismatch("boom"),
+    collapse.NonUniformRelation("boom"), collapse.WitnessFailure("boom"),
+], ids=lambda error: type(error).__name__)
+def test_verify_paper_reports_every_collapse_failure(capsys, monkeypatch, error):
+    # one failure family: each type is a CollapseError naming its stage
+    def failing(samples, seed):
+        raise error
+
+    monkeypatch.setattr(cli_module, "verify_theorem", failing)
+    assert run(capsys, "verify-paper", "--samples", "0") == (
+        1, "", f"verification failed at stage {error.stage}: boom\n")
 
 
 @pytest.mark.parametrize("shifts, index", [

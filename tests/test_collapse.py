@@ -8,7 +8,8 @@ from itertools import product
 import pytest
 
 from quandleworks import (ONE, T, T_SQ, ZERO, AffineExpr, CollapseError,
-                          NonUniformRelation, Point, RingElem, WitnessFailure,
+                          ExpansionMismatch, NonUniformRelation, Point,
+                          RingElem, WitnessFailure,
                           affine, collapse, combine_shifts, derive_relation,
                           expand_lhs, expand_rhs, hnf_close, op,
                           orbit2_collapse, orbit_witness, relation_assignments,
@@ -231,9 +232,15 @@ def test_failure_types_carry_stages():
     assert WitnessFailure.stage == "orbit-2 transport"
     err = CollapseError("lattice", "boom")
     assert err.stage == "lattice" and "boom" in str(err)
+    # one failure family, which verify-paper catches as CollapseError
+    for cls in (ExpansionMismatch, NonUniformRelation, WitnessFailure):
+        assert issubclass(cls, CollapseError) and str(cls("boom")) == "boom"
+        assert cls("boom").stage == cls.stage
+    assert issubclass(NonUniformRelation, ValueError)
 
 
-# one wrong coefficient in the integer kernel of op or op_inv
+# one wrong coefficient in op_kernel or op_inv_kernel, the closed forms of op
+# and op_inv
 KERNEL_MUTANTS = [
     ("op_kernel", "y1 - y2,", "y1 + y2,"),
     ("op_kernel", "x1 - x2 +", "x1 + x2 +"),

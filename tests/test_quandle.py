@@ -477,6 +477,19 @@ n=2
     assert parse_table_text(text + "\n# trailing comment\n  \n#\n") == [[0, 0], [1, 1]]
 
 
+def test_parse_reads_every_ascii_line_break_and_non_ascii_comments():
+    # the ASCII line breaks of str.splitlines end a line, CRLF as one, and
+    # the ASCII whitespace of str.strip leaves its ends; a comment may hold
+    # any text, a non-ASCII line break included
+    for text in ("quandle v1\r\nn=2\r\n1 1\r\n2 2\r\n",
+                 "quandle v1\rn=2\r1 1\r2 2",
+                 "quandle v1\vn=2\f1 1\x1c2 2\x1d\x1e",
+                 "\x1f\tquandle v1 \x1f\n n=2\t\n\v1\t1\x1f\n2 \x1f 2\n",
+                 "# caf\u00e9 \u3000\u2028\u00a0\nquandle v1\nn=2\n# \u2028 \x85\n1 1\n2 2\n",
+                 "# \u00e9\r\nquandle v1\rn=2\v1 1\f\x1f2 2\x1c\x1d\x1e# \u2029\r\n"):
+        assert parse_table_text(text) == [[0, 0], [1, 1]], repr(text)
+
+
 @pytest.mark.parametrize("text,fragment", [
     ("", "empty file"),
     ("not a header\n", "line 1"),
@@ -511,6 +524,12 @@ n=2
     ("quandle v1\nn=2\n1 1\n0_2 2\n", "line 4: bad entry '0_2'"),
     ("quandle v1\nn=2\n1 \uff11\n2 2\n", "line 3: bad entry '\uff11'"),
     ("quandle v1\nn=2\n1 1\n2 \u0662\n", "line 4: bad entry '\u0662'"),
+    # lines end at ASCII line breaks and shed ASCII whitespace only, so a
+    # non-ASCII space or line break stays in its row
+    ("quandle v1\nn=2\n1 1\u3000\n2 2\n",
+     "line 3: entries separated by '\\u3000', not ASCII whitespace"),
+    ("quandle v1\nn=2\n1 1\u20282 2\n", "line 3: row 1 has 4 entries, expected 2"),
+    ("quandle v1\nn=2\n1 1\x852 2\n", "line 3: row 1 has 4 entries, expected 2"),
 ])
 def test_parse_diagnostics(text, fragment):
     with pytest.raises(MalformedTable) as excinfo:

@@ -143,6 +143,31 @@ def test_production_never_runs_the_ring_specification(monkeypatch):
     assert _production_runs() == expected
 
 
+def _operation_demos():
+    return [cli("demo-affine", "--op", f"(3,-4)@{i}", f"(-7,2)@{j}")
+            for i in (1, 2) for j in (1, 2)]
+
+
+def test_operations_on_points_never_run_the_integer_kernels(monkeypatch):
+    # op and op_inv compute the ring formula for Points as for SymPoints;
+    # the integer kernels serve only the sampled checks, which compare them
+    # with the symbolic expansion that op and op_inv build
+    expected = _operation_demos()
+    assert [code for code, _, _ in expected] == [0, 0, 0, 0]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an integer kernel ran")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("quandleworks"):
+            for kernel in ("op_kernel", "op_inv_kernel"):
+                if hasattr(module, kernel):
+                    monkeypatch.setattr(module, kernel, forbidden)
+    assert _operation_demos() == expected
+    with pytest.raises(AssertionError, match="an integer kernel ran"):
+        verify_theorem(1)
+
+
 def _medial_confirmations(tables, directory):
     files = {}
     for name, q in (("dihedral33", dihedral_quandle(33)), ("dihedral15", dihedral_quandle(15)),
