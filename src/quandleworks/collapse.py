@@ -54,7 +54,7 @@ class _StageFailure(CollapseError):
 
 
 class ExpansionMismatch(_StageFailure):
-    """The symbolic expansion disagrees with its frozen coefficients."""
+    """The expansion disagrees with its frozen coefficients or a sample."""
 
     stage = "expansion"
 
@@ -335,16 +335,16 @@ def verify_theorem(samples: int = 200, seed: int = 0) -> CollapseReport:
         lt, l1, l2 = reversed_kernel(reversed_kernel(w, x), reversed_kernel(y, z))
         rt, r1, r2 = reversed_kernel(reversed_kernel(w, y), reversed_kernel(x, z))
         if lt != 1 or rt != 1:
-            raise CollapseError("expansion", "orbit tag leaked across copies")
+            raise ExpansionMismatch("orbit tag leaked across copies")
         if (l1, l2) != lhs.expr.evaluate_pair(values):
-            raise CollapseError("expansion", "concrete lhs disagrees with the"
-                                f" expansion at {_ring_values(values)}")
+            raise ExpansionMismatch("concrete lhs disagrees with the"
+                                    f" expansion at {_ring_values(values)}")
         if (r1, r2) != rhs.expr.evaluate_pair(values):
-            raise CollapseError("expansion", "concrete rhs disagrees with the"
-                                f" expansion at {_ring_values(values)}")
+            raise ExpansionMismatch("concrete rhs disagrees with the"
+                                    f" expansion at {_ring_values(values)}")
         if (l1 - r1, l2 - r2) != product_pair(gap.n1, gap.n2, x1 - y1, x2 - y2):
-            raise CollapseError("expansion", "gap law (t^3-t)(x-y) violated at"
-                                f" {_ring_values(values)}")
+            raise ExpansionMismatch("gap law (t^3-t)(x-y) violated at"
+                                    f" {_ring_values(values)}")
 
     shifts = tuple(derive_relation(asg) for asg in relation_assignments())
     chain = tuple(combine_shifts(shifts[0], shifts[1]))

@@ -471,9 +471,7 @@ def parse_table_text(text: str) -> list[list[int]]:
     The result is a raw table: shape and entry ranges are enforced here,
     the axioms are not.
     """
-    # on ASCII text, str.splitlines splits at exactly these breaks, faster
-    lines = text.splitlines() if text.isascii() else _LINE_BREAK_RE.split(text)
-    lines = (line.strip(_ASCII_SPACE) for line in lines)
+    lines = (line.strip(_ASCII_SPACE) for line in _LINE_BREAK_RE.split(text))
     content = ((lineno, s) for lineno, s in enumerate(lines, start=1)
                if s and not s.startswith("#"))
     lineno, s = next(content, (None, None))
@@ -512,9 +510,10 @@ def parse_table_text(text: str) -> list[list[int]]:
                 if not (part.isascii() and part.isdigit()):
                     raise MalformedTable(f"bad entry {part!r}", line=lineno)
             if not s.isascii():
-                separator = next(c for c in s if not c.isascii())
-                raise MalformedTable(f"entries separated by {separator!r},"
-                                     " not ASCII whitespace", line=lineno)
+                char = next(c for c in s if not c.isascii())
+                raise MalformedTable(f"non-ASCII character {char!r} in row; only"
+                                     " ASCII whitespace may separate or"
+                                     " surround entries", line=lineno)
         row = []
         for part in parts:
             try:

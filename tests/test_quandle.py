@@ -527,7 +527,8 @@ def test_parse_reads_every_ascii_line_break_and_non_ascii_comments():
     # lines end at ASCII line breaks and shed ASCII whitespace only, so a
     # non-ASCII space or line break stays in its row
     ("quandle v1\nn=2\n1 1\u3000\n2 2\n",
-     "line 3: entries separated by '\\u3000', not ASCII whitespace"),
+     "line 3: non-ASCII character '\\u3000' in row; only ASCII whitespace"
+     " may separate or surround entries"),
     ("quandle v1\nn=2\n1 1\u20282 2\n", "line 3: row 1 has 4 entries, expected 2"),
     ("quandle v1\nn=2\n1 1\x852 2\n", "line 3: row 1 has 4 entries, expected 2"),
 ])
