@@ -30,14 +30,13 @@ collapse.py expands the reversed medial terms that way.  Orbit 2 is the
 reversed orbit throughout this package: reversed_op swaps in the undo
 formula exactly when the acting element carries tag 2.
 
-Point, the concrete element, derives from ring.FrozenValue, as RingElem
-does; SymPoint stays a frozen dataclass, unhashable because an AffineExpr
-is.
+Point, the concrete element, and SymPoint, the symbolic one, derive from
+ring.FrozenValue, as RingElem does; SymPoint is unhashable because an
+AffineExpr is.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
 from .ring import (ONE, T, T_INV, T_SQ, ZERO, FrozenValue, RingElem,
@@ -170,20 +169,25 @@ _set_orbit = Point.orbit.__set__
 _set_value = Point.value.__set__
 
 
-@dataclass(frozen=True)
-class SymPoint:
+class SymPoint(FrozenValue):
     """Symbolic element: an orbit tag and an affine expression over the ring."""
 
-    orbit: int
-    expr: AffineExpr
-
+    __slots__ = ("orbit", "expr")
     __hash__ = None  # an AffineExpr is unhashable
+
+    def __init__(self, orbit: int, expr: AffineExpr) -> None:
+        _set_sym_orbit(self, orbit)
+        _set_expr(self, expr)
 
     def evaluate(self, values: Mapping[str, RingElem]) -> Point:
         return Point(self.orbit, self.expr.evaluate(values))
 
     def __str__(self) -> str:
         return f"orbit {self.orbit}: {self.expr.render()}"
+
+
+_set_sym_orbit = SymPoint.orbit.__set__
+_set_expr = SymPoint.expr.__set__
 
 
 def parse_point(text: str) -> Point:

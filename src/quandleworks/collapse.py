@@ -27,12 +27,12 @@ the total is exactly two.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .affine import (SHIFT, AffineExpr, Point, SymPoint, op, op_kernel,
                      reversed_kernel, reversed_op, witness_kernel)
-from .ring import ONE, T, ZERO, RingElem, product_pair, random_pair, render_pair
+from .ring import (ONE, T, ZERO, FrozenValue, RingElem, product_pair,
+                   random_pair, render_pair)
 
 PARAM = "a"
 VARS = ("w", "x", "y", "z")
@@ -179,8 +179,7 @@ def combine_shifts(s1: RingElem, s2: RingElem) -> list[RingElem]:
     return [s1, s2, total, -total]
 
 
-@dataclass(frozen=True)
-class CollapseLattice:
+class CollapseLattice(FrozenValue):
     """Two shift vectors, certified to generate all of Z^2.
 
     basis_combinations expresses each unit column (1, 0) and (0, 1) as an
@@ -189,11 +188,19 @@ class CollapseLattice:
     the lattice is always Z^2, with the identity as its Hermite form.
     """
 
-    generators: tuple[RingElem, ...]
-    basis_combinations: tuple[tuple[int, ...], tuple[int, ...]]
+    __slots__ = ("generators", "basis_combinations")
+
+    def __init__(self, generators: tuple[RingElem, ...],
+                 basis_combinations: tuple[tuple[int, ...], tuple[int, ...]]) -> None:
+        _set_generators(self, generators)
+        _set_basis_combinations(self, basis_combinations)
 
     def basis_columns(self) -> tuple[tuple[int, int], tuple[int, int]]:
         return (1, 0), (0, 1)
+
+
+_set_generators = CollapseLattice.generators.__set__
+_set_basis_combinations = CollapseLattice.basis_combinations.__set__
 
 
 def _verify_lattice(lattice: CollapseLattice) -> None:
@@ -262,18 +269,27 @@ def orbit2_collapse(sample_count: int, rng: random.Random) -> int:
     return 1
 
 
-@dataclass(frozen=True)
-class CollapseReport:
-    lhs_expansion: SymPoint
-    relation_shifts: tuple[RingElem, ...]
-    shift_chain: tuple[RingElem, ...]
-    lattice: CollapseLattice
-    orbit1_classes: int
-    orbit2_classes: int
-    samples: int
-    seed: int
+class CollapseReport(FrozenValue):
+    """What each stage of verify_theorem found; render gives the report
+    that verify-paper prints."""
 
+    __slots__ = ("lhs_expansion", "relation_shifts", "shift_chain", "lattice",
+                 "orbit1_classes", "orbit2_classes", "samples", "seed")
     __hash__ = None  # it holds a SymPoint
+
+    def __init__(self, lhs_expansion: SymPoint,
+                 relation_shifts: tuple[RingElem, ...],
+                 shift_chain: tuple[RingElem, ...], lattice: CollapseLattice,
+                 orbit1_classes: int, orbit2_classes: int, samples: int,
+                 seed: int) -> None:
+        _set_lhs_expansion(self, lhs_expansion)
+        _set_relation_shifts(self, relation_shifts)
+        _set_shift_chain(self, shift_chain)
+        _set_lattice(self, lattice)
+        _set_orbit1_classes(self, orbit1_classes)
+        _set_orbit2_classes(self, orbit2_classes)
+        _set_samples(self, samples)
+        _set_seed(self, seed)
 
     @property
     def total(self) -> int:
@@ -299,6 +315,16 @@ class CollapseReport:
         lines.append("no operation crosses orbit tags, so the two classes stay distinct")
         lines.append(f"total classes: {self.total}")
         return "\n".join(lines) + "\n"
+
+
+_set_lhs_expansion = CollapseReport.lhs_expansion.__set__
+_set_relation_shifts = CollapseReport.relation_shifts.__set__
+_set_shift_chain = CollapseReport.shift_chain.__set__
+_set_lattice = CollapseReport.lattice.__set__
+_set_orbit1_classes = CollapseReport.orbit1_classes.__set__
+_set_orbit2_classes = CollapseReport.orbit2_classes.__set__
+_set_samples = CollapseReport.samples.__set__
+_set_seed = CollapseReport.seed.__set__
 
 
 def _ring_values(values: Mapping[str, tuple[int, int]]) -> dict[str, RingElem]:

@@ -25,9 +25,10 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
+
+from .ring import FrozenValue
 
 FORMAT_HEADER = "quandle v1"
 
@@ -54,12 +55,19 @@ class InternalAxiomFailure(RuntimeError):
     """A derived table failed validation that should hold by construction."""
 
 
-@dataclass(frozen=True)
-class AxiomReport:
-    idempotent: bool
-    bijective_columns: bool
-    distributive: bool
-    first_witness: tuple | None  # indices of the first failing instance
+class AxiomReport(FrozenValue):
+    """The verdict of each quandle axiom on a table, and first_witness, the
+    indices of the first failing instance (None when every axiom holds)."""
+
+    __slots__ = ("idempotent", "bijective_columns", "distributive",
+                 "first_witness")
+
+    def __init__(self, idempotent: bool, bijective_columns: bool,
+                 distributive: bool, first_witness: tuple | None) -> None:
+        _set_idempotent(self, idempotent)
+        _set_bijective_columns(self, bijective_columns)
+        _set_distributive(self, distributive)
+        _set_first_witness(self, first_witness)
 
     @property
     def ok(self) -> bool:
@@ -72,6 +80,12 @@ class AxiomReport:
         if self.first_witness is not None:
             text += f" witness={self.first_witness}"
         return text
+
+
+_set_idempotent = AxiomReport.idempotent.__set__
+_set_bijective_columns = AxiomReport.bijective_columns.__set__
+_set_distributive = AxiomReport.distributive.__set__
+_set_first_witness = AxiomReport.first_witness.__set__
 
 
 def gather(indices):

@@ -22,11 +22,14 @@ the library never calls reduce.  All arithmetic is over
 arbitrary-precision integers; coefficients grow Fibonacci-fast under powers
 of t, so nothing here may round.
 
-RingElem and affine.Point derive from FrozenValue, which gives them the
-semantics of a frozen dataclass (equality within the class, hash of the
-fields, keyword repr, FrozenInstanceError on assignment) without dataclass
-machinery.  Code that computes many values in a row, such as the sampled
-checks of collapse.verify_theorem, works on the pairs themselves
+FrozenValue gives its subclasses the semantics of a frozen dataclass
+(equality within the class, hash of the fields, keyword repr, copying and
+pickling, FrozenInstanceError on assignment) without dataclass machinery,
+so importing the package loads neither dataclasses nor inspect.  Its
+subclasses are RingElem, affine.Point, affine.SymPoint,
+collapse.CollapseLattice, collapse.CollapseReport, quandle.AxiomReport and
+variety.IdentitySpec.  Code that computes many values in a row, such as
+the sampled checks of collapse.verify_theorem, works on the pairs themselves
 (product_pair, random_pair) and builds a RingElem only for a result it
 hands out.
 """
@@ -35,15 +38,22 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import FrozenInstanceError
 from operator import attrgetter
 from typing import Mapping
 
 
 class FrozenValue:
     """Base of the slotted immutable values: the subclass's __slots__ (two
-    or more) are its fields, which its __init__ sets through the slot
-    descriptors, and the instances behave as those of a frozen dataclass."""
+    or more) are its fields, which its __init__ takes in that order and sets
+    through the slot descriptors, and the instances behave as those of a
+    frozen dataclass.  The subclasses are RingElem, affine.Point,
+    affine.SymPoint, collapse.CollapseLattice, collapse.CollapseReport,
+    quandle.AxiomReport and variety.IdentitySpec; a subclass that holds an
+    unhashable field sets __hash__ = None.
+
+    The exception raised on assignment is dataclasses.FrozenInstanceError,
+    imported only to raise it, so that the dataclasses module stays off the
+    import path of the package."""
 
     __slots__ = ()
 
@@ -51,9 +61,11 @@ class FrozenValue:
         cls._values = attrgetter(*cls.__slots__)  # the field values, a tuple
 
     def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __eq__(self, other):

@@ -24,19 +24,18 @@ made 2n per merge (881 at n = 22).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
 from operator import ne
 
 from .quandle import (FiniteQuandle, InternalAxiomFailure, gather,
                       induced_rows, medial_violation, n_quandle_violation)
+from .ring import FrozenValue
 
 MEDIAL_TAG = "medial"
 N_QUANDLE_TAG = "n_quandle"
 
 
-@dataclass(frozen=True)
-class IdentitySpec:
+class IdentitySpec(FrozenValue):
     """Identity to force on the quotient.
 
     tag 'medial' forces (w*x)*(y*z) = (w*y)*(x*z); tag 'n_quandle' forces
@@ -44,18 +43,19 @@ class IdentitySpec:
     parameter may be negative, iterating inverse translations).
     """
 
-    tag: str
-    parameter: int = 0
+    __slots__ = ("tag", "parameter")
 
-    def __post_init__(self) -> None:
-        if self.tag not in (MEDIAL_TAG, N_QUANDLE_TAG):
-            raise ValueError(f"unknown identity tag {self.tag!r}")
-        if type(self.parameter) is not int:
+    def __init__(self, tag: str, parameter: int = 0) -> None:
+        if tag not in (MEDIAL_TAG, N_QUANDLE_TAG):
+            raise ValueError(f"unknown identity tag {tag!r}")
+        if type(parameter) is not int:
             raise TypeError(f"the identity's parameter must be an int,"
-                            f" got {self.parameter!r}")
-        if self.tag == MEDIAL_TAG and self.parameter:
+                            f" got {parameter!r}")
+        if tag == MEDIAL_TAG and parameter:
             raise ValueError(f"the medial law takes no parameter,"
-                             f" got {self.parameter}")
+                             f" got {parameter}")
+        _set_tag(self, tag)
+        _set_parameter(self, parameter)
 
     def violation(self, rows):
         """The first violated instance in the quandle table `rows`, starting
@@ -64,6 +64,9 @@ class IdentitySpec:
             return medial_violation(rows)
         return n_quandle_violation(rows, self.parameter)
 
+
+_set_tag = IdentitySpec.tag.__set__
+_set_parameter = IdentitySpec.parameter.__set__
 
 MEDIAL = IdentitySpec(MEDIAL_TAG)
 

@@ -63,7 +63,7 @@ _AXIOMS = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SymbolicCase:
     axiom: str
     orbits: tuple[int, ...]
@@ -75,7 +75,7 @@ class SymbolicCase:
     __hash__ = None  # it holds SymPoints
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SymbolicAxiomReport:
     mode: str
     cases: tuple[SymbolicCase, ...]

@@ -1,7 +1,9 @@
 """The two-orbit quandle over the ring: concrete, symbolic, and reversed."""
 
 import collections.abc
+import copy
 import dataclasses
+import pickle
 import random
 from itertools import product
 
@@ -46,10 +48,22 @@ def test_symbolic_values_say_they_are_unhashable():
         with pytest.raises(TypeError, match=f"^unhashable type: '{cls.__name__}'$"):
             hash(value)
         assert not isinstance(value, collections.abc.Hashable)
-        fields = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
+        fields = {name: getattr(value, name) for name in cls.__slots__}
         assert cls(**fields) == value
         assert repr(value) == f"{cls.__qualname__}(" + ", ".join(
             f"{name}={field!r}" for name, field in fields.items()) + ")"
+    # the library's own: copied and pickled equal, and frozen in every field
+    for value in (values[0], values[3]):
+        assert copy.copy(value) == value
+        assert copy.deepcopy([value]) == [value]
+        # an AffineExpr, slotted without __getstate__, pickles from protocol 2
+        for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(value, protocol)) == value
+        for name in (*type(value).__slots__, "unknown"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, name, 0)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(value, name)
     assert values[0] != SymPoint(2, AffineExpr.var("x"))
     assert values[2] != check_axioms_symbolic("reversed")
     assert values[3] != verify_theorem(1)

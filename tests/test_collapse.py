@@ -7,9 +7,10 @@ from itertools import product
 
 import pytest
 
+from conftest import assert_frozen_dataclass_semantics
 from quandleworks import (ONE, T, T_SQ, ZERO, AffineExpr, CollapseError,
-                          ExpansionMismatch, NonUniformRelation, Point,
-                          RingElem, WitnessFailure,
+                          CollapseLattice, ExpansionMismatch,
+                          NonUniformRelation, Point, RingElem, WitnessFailure,
                           affine, collapse, combine_shifts, derive_relation,
                           expand_lhs, expand_rhs, hnf_close, op,
                           orbit2_collapse, orbit_witness, relation_assignments,
@@ -106,6 +107,13 @@ def test_hnf_of_the_canonical_shifts_is_unimodular():
     assert lattice.basis_columns() == oracle.basis_columns() == ((1, 0), (0, 1))
     assert seed_hnf.combination_sums(lattice) == ((1, 0), (0, 1))
     assert seed_hnf.contains(oracle, RingElem(17, -23))
+
+
+def test_collapse_lattices_are_frozen_dataclass_values():
+    lattices = [hnf_close(pair) for pair in ((T_SQ, MINUS_ONE), (T_SQ, ONE), (T, T_SQ))]
+    assert_frozen_dataclass_semantics(
+        CollapseLattice, ("generators", "basis_combinations"),
+        [(lattice.generators, lattice.basis_combinations) for lattice in lattices])
 
 
 def test_hnf_worked_examples():

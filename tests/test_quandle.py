@@ -8,12 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (build_corpus, conjugation_quandle_s3,
-                      enumerate_small_quandles, two_orbit_quandle_mod)
-from quandleworks import (AxiomError, FiniteQuandle, MalformedTable,
-                          affine_quandle, check_axioms, dihedral_quandle,
-                          parse_table_text, relabel, render_table_text,
-                          trivial_quandle)
+from conftest import (assert_frozen_dataclass_semantics, build_corpus,
+                      conjugation_quandle_s3, enumerate_small_quandles,
+                      two_orbit_quandle_mod)
+from quandleworks import (AxiomError, AxiomReport, FiniteQuandle,
+                          MalformedTable, affine_quandle, check_axioms,
+                          dihedral_quandle, parse_table_text, relabel,
+                          render_table_text, trivial_quandle)
 from quandleworks.quandle import (displacements_commute, generators,
                                  n_quandle_violation, scan_medial)
 from seed_axioms import seed_check_axioms, seed_displacements_commute
@@ -42,6 +43,17 @@ def test_axiom_reports_name_the_first_failure():
     t = BROKEN_DISTRIBUTIVITY
     assert t[t[i][j]][k] != t[t[i][k]][t[j][k]]
     assert "witness" in report.summary()
+
+
+def test_axiom_reports_are_frozen_dataclass_values():
+    args = [(*verdicts, witness) for verdicts in product((True, False), repeat=3)
+            for witness in (None, (0, 1, 0), (0, 0, None))]
+    assert_frozen_dataclass_semantics(
+        AxiomReport, ("idempotent", "bijective_columns", "distributive", "first_witness"),
+        args)
+    assert check_axioms(BROKEN_BIJECTIVITY) == AxiomReport(
+        idempotent=True, bijective_columns=False, distributive=True,
+        first_witness=(0, 1, 0))
 
 
 def test_constructor_rejects_non_quandles():

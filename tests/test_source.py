@@ -2,9 +2,10 @@
 
 import ast
 import contextlib
-import dataclasses
 import importlib
 import io
+import os
+import subprocess
 import sys
 import types
 from pathlib import Path
@@ -60,7 +61,9 @@ def test_the_library_imports_only_the_standard_library_and_itself():
 
 # every command pays for these modules when it imports quandleworks.cli,
 # and the benchmark times that import (setup_s): a module joins the list on
-# purpose, not as a side effect
+# purpose, not as a side effect.  dataclasses is the exception: ring.py
+# imports it only inside FrozenValue, on a failed assignment, to raise its
+# FrozenInstanceError
 STANDARD_MODULES = frozenset({
     "argparse", "dataclasses", "functools", "itertools", "math", "operator",
     "pathlib", "random", "re", "sys", "typing"})
@@ -70,6 +73,27 @@ def test_the_library_imports_only_the_listed_standard_modules():
     found = {name for _, name in _absolute_imports()}
     # __future__ imports are compiler directives
     assert found - {"__future__", "quandleworks"} == STANDARD_MODULES
+
+
+def test_importing_the_cli_loads_no_dataclass_machinery():
+    # setup_s times this import in a fresh interpreter; the frozen values
+    # derive from ring.FrozenValue, which loads dataclasses only to raise
+    # FrozenInstanceError
+    probe = "\n".join([
+        "import sys",
+        "import quandleworks.cli",
+        "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))",
+        "from quandleworks.variety import MEDIAL",
+        "try:",
+        "    MEDIAL.tag = 'n_quandle'",
+        "except Exception as error:",
+        "    import dataclasses",
+        "    print(type(error) is dataclasses.FrozenInstanceError, error)",
+    ])
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)}
+    run = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.splitlines() == ["[]", "True cannot assign to field 'tag'"]
 
 
 # the symbolic axiom suite, which checks premises of fixed code and is the
@@ -98,8 +122,7 @@ def test_the_library_binds_no_test_only_name():
     assert not hasattr(collapse.CollapseReport, "lattice_index")
     assert not hasattr(quandleworks.AffineExpr, "__rsub__")
     # the certificate holds what it certifies, and nothing constant
-    assert [f.name for f in dataclasses.fields(collapse.CollapseLattice)] == [
-        "generators", "basis_combinations"]
+    assert collapse.CollapseLattice.__slots__ == ("generators", "basis_combinations")
 
 
 def test_all_lists_every_public_binding_of_the_package():

@@ -5,7 +5,8 @@ import random
 import pytest
 
 import seed_partitions
-from conftest import (enumerate_small_quandles, partition_from_projection,
+from conftest import (assert_frozen_dataclass_semantics,
+                      enumerate_small_quandles, partition_from_projection,
                       two_orbit_quandle_mod)
 from quandleworks import (MEDIAL, Congruence, FiniteQuandle, IdentitySpec,
                           InternalAxiomFailure, affine_quandle, dihedral_quandle,
@@ -37,6 +38,16 @@ def test_identity_spec_validation():
             IdentitySpec("medial", bad)
     assert n_quandle(2).parameter == 2
     assert MEDIAL.tag == "medial"
+
+
+def test_identity_specs_are_frozen_dataclass_values():
+    args = [("medial", 0), ("n_quandle", 0), ("n_quandle", 2), ("n_quandle", -3),
+            ("n_quandle", 10**30 + 1)]
+    assert_frozen_dataclass_semantics(IdentitySpec, ("tag", "parameter"), args)
+    # the parameter defaults to 0, for either tag
+    assert IdentitySpec("medial") == IdentitySpec("medial", 0) == MEDIAL
+    assert IdentitySpec("n_quandle") == IdentitySpec(tag="n_quandle", parameter=0)
+    assert repr(MEDIAL) == "IdentitySpec(tag='medial', parameter=0)"
 
 
 def test_already_satisfied_identities_give_identity_projection():
