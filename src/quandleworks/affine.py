@@ -26,9 +26,13 @@ with ring and AffineExpr arithmetic, for Points as for SymPoints, so those
 checks compare two derivations that share no code.
 
 Both formulas are affine in both arguments, so they close over AffineExpr;
-collapse.py expands the reversed medial terms that way.  Orbit 2 is the
-reversed orbit throughout this package: reversed_op swaps in the undo
-formula exactly when the acting element carries tag 2.
+collapse.py expands the reversed medial terms that way.  linear_form turns
+an AffineExpr into integer coefficient rows, and evaluate_form evaluates
+such rows at canonical pairs: AffineExpr.evaluate and the sampled checks of
+collapse.py share that one evaluation, the checks building the rows once
+per run.  Orbit 2 is the reversed orbit throughout this package:
+reversed_op swaps in the undo formula exactly when the acting element
+carries tag 2.
 
 Point, the concrete element, and SymPoint, the symbolic one, derive from
 ring.FrozenValue, as RingElem does; SymPoint is unhashable because an
@@ -37,7 +41,7 @@ AffineExpr is.
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .ring import (ONE, T, T_INV, T_SQ, ZERO, FrozenValue, RingElem,
                    parse_elem, product_pair, render_elem, render_pair)
@@ -110,30 +114,47 @@ class AffineExpr:
     __rmul__ = __mul__
 
     def substitute(self, assignment: Mapping[str, "AffineExpr | RingElem"]) -> "AffineExpr":
-        out = AffineExpr(self.constant)
+        """The expression with each variable of `assignment` replaced by its
+        value, summed term by term into one new expression."""
+        constant = self.constant
+        coeffs: dict[str, RingElem] = {}
         for v, c in self.coeffs.items():
-            if v in assignment:
-                out = out + c * self._promote(assignment[v])
-            else:
-                out = out + AffineExpr(ZERO, {v: c})
-        return out
+            if v not in assignment:
+                coeffs[v] = coeffs.get(v, ZERO) + c
+                continue
+            value = self._promote(assignment[v])
+            if value is None:
+                raise TypeError(f"cannot substitute {assignment[v]!r} for {v!r}")
+            constant = constant + c * value.constant
+            for u, d in value.coeffs.items():
+                coeffs[u] = coeffs.get(u, ZERO) + c * d
+        return AffineExpr(constant, coeffs)
 
-    def evaluate_pair(self, values: Mapping[str, tuple[int, int]]) -> tuple[int, int]:
-        """The value, as a canonical pair, at a canonical pair for each
-        variable: the constant plus one product_pair term per variable."""
-        n1, n2 = self.constant.n1, self.constant.n2
-        for v, c in self.coeffs.items():
-            x1, x2 = values[v]
-            p1, p2 = product_pair(c.n1, c.n2, x1, x2)
-            n1 += p1
-            n2 += p2
-        return n1, n2
+    def linear_form(self, names: Sequence[str]) -> tuple[
+            tuple[int, int], tuple[tuple[int, int, int, int], ...]]:
+        """The expression as integers over the variables `names`, for
+        evaluate_form: the constant pair, and for each name the images
+        (a, b) and (p, q) of (1, 0) and (0, 1) under multiplication by its
+        coefficient, as product_pair gives them."""
+        unknown = set(self.coeffs).difference(names)
+        if unknown:
+            raise ValueError(f"no place for the variables {sorted(unknown)}")
+        rows = []
+        for v in names:
+            c = self.coeffs.get(v, ZERO)
+            rows.append(product_pair(c.n1, c.n2, 1, 0) + product_pair(c.n1, c.n2, 0, 1))
+        return (self.constant.n1, self.constant.n2), tuple(rows)
 
     def evaluate(self, values: Mapping[str, RingElem]) -> RingElem:
-        """The value at a RingElem for each variable (evaluate_pair, boxed)."""
-        n1, n2 = self.evaluate_pair({v: (values[v].n1, values[v].n2)
-                                     for v in self.coeffs})
+        """The value at a RingElem for each variable (evaluate_form, boxed)."""
+        names = tuple(self.coeffs)
+        n1, n2 = evaluate_form(self.linear_form(names),
+                               [(values[v].n1, values[v].n2) for v in names])
         return RingElem(n1, n2)
+
+    def __reduce__(self):
+        # slotted without __getstate__, so pickle protocols 0 and 1 need it
+        return AffineExpr, (self.constant, self.coeffs)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AffineExpr):
@@ -211,6 +232,17 @@ def _payload(p):
 
 def _element(orbit: int, payload):
     return (Point if payload.__class__ is RingElem else SymPoint)(orbit, payload)
+
+
+def evaluate_form(form, pairs: Sequence[tuple[int, int]]) -> tuple[int, int]:
+    """The value of an AffineExpr.linear_form at one canonical pair per
+    name, in the form's order: the constant plus x1*(a, b) + x2*(p, q),
+    which is c*x, for each coefficient row and value pair x."""
+    (n1, n2), rows = form
+    for (a, b, p, q), (x1, x2) in zip(rows, pairs):
+        n1 += a * x1 + p * x2
+        n2 += b * x1 + q * x2
+    return n1, n2
 
 
 def op_kernel(shift: tuple[int, int], x1: int, x2: int,

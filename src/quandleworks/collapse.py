@@ -9,7 +9,10 @@ mediality gap of the reversed operation,
 
 equals (t^3 - t)*(x - y) -- independent of w and z.  Every violated medial
 instance therefore forces an identification of the form  v ~ v + s  on orbit
-1, a pure shift.  Shifts compose, so the full set of forced shifts is the
+1, a pure shift.  derive_relation realises one by a substitution in a
+parameter a: a cancels from the gap, and its coefficient in the lhs is a
+unit, so the lhs runs through all of orbit 1 and the shift holds at every
+v.  Shifts compose, so the full set of forced shifts is the
 subgroup of the ring's additive group (= Z^2 in the canonical pair basis)
 generated by the shifts realised by concrete substitutions.  Two of them
 generate all of Z^2: their 2x2 determinant is 1, and its adjugate writes each
@@ -29,10 +32,10 @@ from __future__ import annotations
 import random
 from typing import Mapping, Sequence
 
-from .affine import (SHIFT, AffineExpr, Point, SymPoint, op, op_kernel,
-                     reversed_kernel, reversed_op, witness_kernel)
+from .affine import (SHIFT, AffineExpr, Point, SymPoint, evaluate_form, op,
+                     op_kernel, reversed_kernel, reversed_op, witness_kernel)
 from .ring import (ONE, T, ZERO, FrozenValue, RingElem, product_pair,
-                   random_pair, render_pair)
+                   random_pairs, render_pair)
 
 PARAM = "a"
 VARS = ("w", "x", "y", "z")
@@ -119,14 +122,20 @@ def expand_rhs() -> SymPoint:
     return out
 
 
-def derive_relation(assignment: Mapping[str, AffineExpr | RingElem]) -> RingElem:
+def derive_relation(assignment: Mapping[str, AffineExpr | RingElem],
+                    sides: tuple[SymPoint, SymPoint] | None = None) -> RingElem:
     """Shift s forced by equating the two medial sides under a substitution.
 
     The assignment must cover w, x, y, z with expressions affine in the
     single parameter 'a'.  The parameter has to cancel between the two
-    sides -- otherwise the forced relation is not a uniform shift and
-    NonUniformRelation is raised.  Returns s with  v ~ v + s  forced on
-    orbit 1.
+    sides, and its coefficient c in the substituted lhs has to be a unit:
+    multiplication by c, the 2x2 integer matrix with columns c*(1, 0) and
+    c*(0, 1), has determinant +-1, so the lhs takes every value of orbit 1
+    as 'a' varies.  Otherwise NonUniformRelation is raised, since the
+    relation is not one uniform shift of all of orbit 1.  Returns s with
+    v ~ v + s  forced on orbit 1.  `sides` is (expand_lhs(), expand_rhs()),
+    which verify_theorem expands once per run; by default both are
+    expanded here.
     """
     extra_keys = set(assignment) - set(VARS)
     if extra_keys:
@@ -143,12 +152,19 @@ def derive_relation(assignment: Mapping[str, AffineExpr | RingElem]) -> RingElem
             raise ValueError(
                 f"assignment for {name!r} uses {sorted(stray)}; only {PARAM!r} is allowed")
         normalized[name] = expr
-    gap = (expand_rhs().expr.substitute(normalized)
-           - expand_lhs().expr.substitute(normalized))
+    lhs, rhs = (expand_lhs(), expand_rhs()) if sides is None else sides
+    swept = lhs.expr.substitute(normalized)
+    gap = rhs.expr.substitute(normalized) - swept
     residual = gap.coeffs.get(PARAM)
     if residual is not None:
         raise NonUniformRelation(
             f"parameter does not cancel; residual coefficient {residual}")
+    _, ((a, b, p, q),) = swept.linear_form((PARAM,))
+    det = a * q - p * b
+    if det not in (1, -1):
+        raise NonUniformRelation(
+            f"lhs coefficient {swept.coeffs.get(PARAM, ZERO)} of {PARAM!r} is not"
+            f" a unit (determinant {det}); the shift is forced on part of orbit 1")
     return gap.constant
 
 
@@ -254,8 +270,7 @@ def orbit2_collapse(sample_count: int, rng: random.Random) -> int:
         raise WitnessFailure("symbolic witness identity failed")
 
     zero2 = (2, 0, 0)
-    for _ in range(sample_count):
-        v1, v2 = random_pair(rng)
+    for v1, v2 in random_pairs(rng, sample_count):
         wit = witness_kernel(2, v1, v2)
         tag, w1, w2 = wit
         if tag != 1:
@@ -327,8 +342,8 @@ _set_samples = CollapseReport.samples.__set__
 _set_seed = CollapseReport.seed.__set__
 
 
-def _ring_values(values: Mapping[str, tuple[int, int]]) -> dict[str, RingElem]:
-    return {v: RingElem(n1, n2) for v, (n1, n2) in values.items()}
+def _ring_values(sample: Sequence[tuple[int, int]]) -> dict[str, RingElem]:
+    return {v: RingElem(n1, n2) for v, (n1, n2) in zip(VARS, sample)}
 
 
 def verify_theorem(samples: int = 200, seed: int = 0) -> CollapseReport:
@@ -342,37 +357,43 @@ def verify_theorem(samples: int = 200, seed: int = 0) -> CollapseReport:
     term: the symbolic one builds it with op and op_inv in ring and
     AffineExpr arithmetic, checked against the frozen coefficients, while
     the concrete one runs the integer kernels of affine.py on tagged pairs.
-    Each sample evaluates the expansion's own coefficients with
-    AffineExpr.evaluate_pair and checks the gap law with product_pair, so
-    no RingElem or Point is built unless a check fails.  A wrong
-    coefficient in either derivation is caught at stage 'expansion'.
+    Each side is expanded once per run, and its AffineExpr.linear_form,
+    integer rows built from the expansion's own coefficients, is what each
+    sample evaluates with evaluate_form; the gap law is checked with
+    product_pair.  The samples' values come from one random_pairs call, and
+    the orbit-2 samples' from the next, so no RingElem or Point is built
+    unless a check fails.  A wrong coefficient in either derivation is
+    caught at stage 'expansion'.
     """
     if samples < 0:
         raise ValueError(f"samples must be at least 0, got {samples}")
     rng = random.Random(seed)
     lhs = expand_lhs()
     rhs = expand_rhs()
+    lhs_form = lhs.expr.linear_form(VARS)
+    rhs_form = rhs.expr.linear_form(VARS)
     gap = T.scale_t(2) - T  # t^3 - t
 
-    for _ in range(samples):
-        values = {v: random_pair(rng) for v in VARS}
-        (w1, w2), (x1, x2), (y1, y2), (z1, z2) = values.values()
+    values = random_pairs(rng, 4 * samples)  # w, x, y, z per sample
+    for sample in zip(values, values, values, values):
+        (w1, w2), (x1, x2), (y1, y2), (z1, z2) = sample
         w, x, y, z = (1, w1, w2), (1, x1, x2), (1, y1, y2), (2, z1, z2)
         lt, l1, l2 = reversed_kernel(reversed_kernel(w, x), reversed_kernel(y, z))
         rt, r1, r2 = reversed_kernel(reversed_kernel(w, y), reversed_kernel(x, z))
         if lt != 1 or rt != 1:
             raise ExpansionMismatch("orbit tag leaked across copies")
-        if (l1, l2) != lhs.expr.evaluate_pair(values):
+        if (l1, l2) != evaluate_form(lhs_form, sample):
             raise ExpansionMismatch("concrete lhs disagrees with the"
-                                    f" expansion at {_ring_values(values)}")
-        if (r1, r2) != rhs.expr.evaluate_pair(values):
+                                    f" expansion at {_ring_values(sample)}")
+        if (r1, r2) != evaluate_form(rhs_form, sample):
             raise ExpansionMismatch("concrete rhs disagrees with the"
-                                    f" expansion at {_ring_values(values)}")
+                                    f" expansion at {_ring_values(sample)}")
         if (l1 - r1, l2 - r2) != product_pair(gap.n1, gap.n2, x1 - y1, x2 - y2):
             raise ExpansionMismatch("gap law (t^3-t)(x-y) violated at"
-                                    f" {_ring_values(values)}")
+                                    f" {_ring_values(sample)}")
 
-    shifts = tuple(derive_relation(asg) for asg in relation_assignments())
+    sides = (lhs, rhs)
+    shifts = tuple(derive_relation(asg, sides) for asg in relation_assignments())
     chain = tuple(combine_shifts(shifts[0], shifts[1]))
     lattice = hnf_close(shifts)
     orbit2 = orbit2_collapse(samples, rng)

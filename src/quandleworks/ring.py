@@ -30,8 +30,9 @@ subclasses are RingElem, affine.Point, affine.SymPoint,
 collapse.CollapseLattice, collapse.CollapseReport, quandle.AxiomReport and
 variety.IdentitySpec.  Code that computes many values in a row, such as
 the sampled checks of collapse.verify_theorem, works on the pairs themselves
-(product_pair, random_pair) and builds a RingElem only for a result it
-hands out.
+and builds a RingElem only for a result it hands out.  random_pairs yields
+all the pairs a sampled check needs from one loop, with the draws of
+successive randint calls; random_pair and random_elem take one pair of it.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from __future__ import annotations
 import random
 import re
 from operator import attrgetter
-from typing import Mapping
+from typing import Iterator, Mapping
 
 
 class FrozenValue:
@@ -149,9 +150,10 @@ def product_pair(a: int, b: int, c: int, d: int) -> tuple[int, int]:
     """Canonical pair of (a*t + b*t^2)(c*t + d*t^2).
 
     The product is ac*t^2 + (ad + bc)*t^3 + bd*t^4, and t^3 = t - t^2,
-    t^4 = -t + 2*t^2 give (ad + bc - bd, ac - (ad + bc) + 2*bd).  Callers
-    that sum products, such as AffineExpr.evaluate_pair, accumulate the
-    pairs and build no RingElem on the way.
+    t^4 = -t + 2*t^2 give (ad + bc - bd, ac - (ad + bc) + 2*bd).  Code that
+    evaluates many products by one fixed element, such as
+    AffineExpr.linear_form, takes its images of (1, 0) and (0, 1) from here
+    once and builds no RingElem on the way.
     """
     ad_bc = a * d + b * c
     bd = b * d
@@ -230,25 +232,37 @@ def parse_elem(text: str) -> RingElem:
     raise ValueError(f"cannot parse ring element {text!r}")
 
 
-def random_pair(rng: random.Random, bound: int = 50) -> tuple[int, int]:
-    """Two independent uniform integers in [-bound, bound], drawn as
-    rng.randint(-bound, bound) draws them.
+def random_pairs(rng: random.Random, count: int,
+                 bound: int = 50) -> Iterator[tuple[int, int]]:
+    """Yield `count` pairs of independent uniform integers in
+    [-bound, bound], each drawn as rng.randint(-bound, bound) draws it, n1
+    before n2.
 
     randint(-bound, bound) is randrange(span) - bound, and randrange(span)
     draws getrandbits(span.bit_length()) until the value is below span;
     calling getrandbits directly gives the same values and leaves the
-    generator in the same state, without the layers of calls.
+    generator in the same state, without the layers of calls.  The pairs
+    are those of `count` successive random_pair calls: random_pair and
+    random_elem take their pair from here, so this is the one draw loop.
+    Each pair is drawn when it is asked for, so a sampled check holds one
+    sample's values at a time.
     """
     span = 2 * bound + 1
     bits = span.bit_length()
     draw = rng.getrandbits
-    n1 = draw(bits)
-    while n1 >= span:
+    for _ in range(count):
         n1 = draw(bits)
-    n2 = draw(bits)
-    while n2 >= span:
+        while n1 >= span:
+            n1 = draw(bits)
         n2 = draw(bits)
-    return n1 - bound, n2 - bound
+        while n2 >= span:
+            n2 = draw(bits)
+        yield n1 - bound, n2 - bound
+
+
+def random_pair(rng: random.Random, bound: int = 50) -> tuple[int, int]:
+    """The one pair of random_pairs(rng, 1, bound)."""
+    return next(random_pairs(rng, 1, bound))
 
 
 def random_elem(rng: random.Random, bound: int = 50) -> RingElem:

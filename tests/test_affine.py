@@ -13,9 +13,10 @@ from conftest import assert_frozen_dataclass_semantics
 from quandleworks import (ONE, T, T_INV, T_SQ, ZERO, AffineExpr, Point,
                           RingElem, SymPoint, op, op_inv, orbit_witness,
                           parse_point, reversed_op, verify_theorem)
-from quandleworks.affine import (ORBIT_TAGS, SHIFT, op_inv_kernel, op_kernel,
-                                 reversed_kernel, witness_kernel)
-from quandleworks.ring import random_elem, random_pair, reduce
+from quandleworks.affine import (ORBIT_TAGS, SHIFT, evaluate_form,
+                                 op_inv_kernel, op_kernel, reversed_kernel,
+                                 witness_kernel)
+from quandleworks.ring import product_pair, random_elem, random_pair, reduce
 from seed_ring import LaurentPoly, lift
 from seed_symbolic import (SymbolicAxiomReport, SymbolicCase,
                            check_axioms_symbolic, reversed_op_inv)
@@ -56,8 +57,7 @@ def test_symbolic_values_say_they_are_unhashable():
     for value in (values[0], values[3]):
         assert copy.copy(value) == value
         assert copy.deepcopy([value]) == [value]
-        # an AffineExpr, slotted without __getstate__, pickles from protocol 2
-        for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
             assert pickle.loads(pickle.dumps(value, protocol)) == value
         for name in (*type(value).__slots__, "unknown"):
             with pytest.raises(dataclasses.FrozenInstanceError):
@@ -436,3 +436,62 @@ def test_evaluate_matches_the_generic_sum_and_the_oracle():
             out = expr.evaluate(values)
             assert out.__class__ is RingElem
             assert out == generic_evaluate(expr, values) == oracle_evaluate(expr, values)
+
+
+def test_evaluate_form_of_the_linear_form_is_evaluate():
+    # the sampled checks of verify-paper evaluate a linear form built once
+    # per run; AffineExpr.evaluate goes the same way, so both are checked
+    # against the generic sum here
+    rng = random.Random(16)
+    names = ("w", "x", "y", "z")
+    exprs = [random_sym_expr(rng, names) for _ in range(40)]
+    exprs += [AffineExpr(FIB_VALUES[0], {"w": FIB_VALUES[1], "z": FIB_VALUES[2]}),
+              AffineExpr(), verify_theorem(0).lhs_expansion.expr]
+    for expr in exprs:
+        (k1, k2), rows = expr.linear_form(names)
+        assert (k1, k2) == (expr.constant.n1, expr.constant.n2)
+        for v, row in zip(names, rows):
+            c = expr.coeffs.get(v, ZERO)
+            # the images of (1, 0) and (0, 1) under multiplication by c
+            assert row[:2] == product_pair(c.n1, c.n2, 1, 0) == ((c * T).n1, (c * T).n2)
+            assert row[2:] == product_pair(c.n1, c.n2, 0, 1) == (
+                (c * T_SQ).n1, (c * T_SQ).n2)
+        for _ in range(5):
+            values = {v: random_elem(rng, bound=10**12) for v in names}
+            pairs = [(values[v].n1, values[v].n2) for v in names]
+            expected = generic_evaluate(expr, values)
+            assert evaluate_form(expr.linear_form(names), pairs) == (expected.n1, expected.n2)
+            assert expr.evaluate(values) == expected
+    # a name without a coefficient gets a zero row, and the row of t holds
+    # t*t = t^2 and t*t^2 = t^3; a variable without a name has no place in
+    # the form
+    assert AffineExpr.var("x", T).linear_form(("w", "x")) == (
+        (0, 0), ((0, 0, 0, 0), (0, 1, 1, -1)))
+    with pytest.raises(ValueError, match=r"no place for the variables \['y'\]"):
+        AffineExpr.var("y").linear_form(("w", "x"))
+
+
+def generic_substitute(expr, assignment):
+    out = AffineExpr(expr.constant)
+    for v, c in expr.coeffs.items():
+        value = assignment.get(v, AffineExpr.var(v))
+        out = out + c * (value if isinstance(value, AffineExpr) else AffineExpr(value))
+    return out
+
+
+def test_substitute_matches_the_term_by_term_sum():
+    rng = random.Random(17)
+    names = ("a", "w", "x", "y")
+    for _ in range(200):
+        expr = random_sym_expr(rng, names)
+        assignment = {}
+        for v in rng.sample(names, rng.randint(0, 4)):
+            # a constant, or an expression that may use any name, itself too
+            assignment[v] = (random_elem(rng, bound=5) if rng.random() < 0.3
+                             else random_sym_expr(rng, names))
+        out = expr.substitute(assignment)
+        assert out == generic_substitute(expr, assignment)
+        assert all(not c.is_zero() for c in out.coeffs.values())
+    # only expressions and ring elements are values; a bare int is neither
+    with pytest.raises(TypeError, match="cannot substitute 3 for 'x'"):
+        AffineExpr.var("x").substitute({"x": 3})

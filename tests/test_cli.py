@@ -327,7 +327,9 @@ def test_verify_paper_reports_every_collapse_failure(capsys, monkeypatch, error)
 def test_verify_paper_reports_a_shift_lattice_that_is_not_all_of_z2(
         capsys, monkeypatch, shifts, index):
     forced = iter(quandleworks.RingElem(*s) for s in shifts)
-    monkeypatch.setattr(collapse, "derive_relation", lambda assignment: next(forced))
+    # verify_theorem passes the two sides it expanded once per run
+    monkeypatch.setattr(collapse, "derive_relation",
+                        lambda assignment, sides: next(forced))
     code, out, err = run(capsys, "verify-paper", "--samples", "0")
     assert code == 1 and out == ""
     assert err == (f"verification failed at stage lattice: shift lattice has"

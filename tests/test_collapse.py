@@ -15,6 +15,7 @@ from quandleworks import (ONE, T, T_SQ, ZERO, AffineExpr, CollapseError,
                           expand_lhs, expand_rhs, hnf_close, op,
                           orbit2_collapse, orbit_witness, relation_assignments,
                           reversed_op, verify_theorem)
+from quandleworks.collapse import PARAM
 from quandleworks.ring import random_elem
 import seed_hnf
 
@@ -84,6 +85,52 @@ def test_relation_requires_parameter_cancellation():
     with pytest.raises(NonUniformRelation):
         derive_relation({"w": ZERO, "x": AffineExpr.var("a"),
                          "y": ZERO, "z": ZERO})
+
+
+def doubled_parameter_assignments():
+    """relation_assignments with the a-term of z doubled: the parameter
+    still cancels, but its lhs coefficient becomes 2, not a unit."""
+    out = []
+    for assignment in relation_assignments():
+        z = assignment["z"]
+        out.append(dict(assignment, z=AffineExpr(z.constant, {
+            name: 2 * c for name, c in z.coeffs.items()})))
+    return out
+
+
+def test_a_parameter_coefficient_that_is_no_unit_is_not_a_uniform_shift():
+    # with 2*a the lhs takes only the values of one coset of an index-4
+    # sublattice of orbit 1, so the shifts (0,1) and (-1,-1) would be forced
+    # there only, and the lattice certificate would prove less than it says
+    for assignment in doubled_parameter_assignments():
+        lhs = expand_lhs().expr.substitute(assignment)
+        gap = expand_rhs().expr.substitute(assignment) - lhs
+        assert PARAM not in gap.coeffs and lhs.coeffs[PARAM] == RingElem(2, 2)
+        with pytest.raises(NonUniformRelation) as info:
+            derive_relation(assignment)
+        assert str(info.value) == ("lhs coefficient (2,2) of 'a' is not a unit"
+                                   " (determinant 4); the shift is forced on"
+                                   " part of orbit 1")
+        assert info.value.stage == "relations"
+    # a zero coefficient sweeps nothing
+    with pytest.raises(NonUniformRelation, match=r"coefficient \(0,0\) .*\(determinant 0\)"):
+        derive_relation({"w": ZERO, "x": ZERO, "y": ZERO, "z": ZERO})
+
+
+def test_the_doubled_parameter_mutant_fails_verification_at_the_relations(
+        monkeypatch):
+    monkeypatch.setattr(collapse, "relation_assignments", doubled_parameter_assignments)
+    with pytest.raises(NonUniformRelation, match="determinant 4") as info:
+        verify_theorem(200)
+    assert info.value.stage == "relations"
+
+
+def test_a_unit_parameter_coefficient_of_either_sign_is_accepted():
+    # -a sweeps orbit 1 as a does; the canonical assignments have +1
+    first = relation_assignments()[0]
+    negated = dict(first, z=-first["z"])
+    assert expand_lhs().expr.substitute(negated).coeffs[PARAM] == -ONE
+    assert derive_relation(negated) == derive_relation(first) == T_SQ
 
 
 def test_relation_assignment_validation():
@@ -318,3 +365,16 @@ def test_a_kernel_mutant_fails_with_the_first_sample_of_seed_0(monkeypatch):
         "concrete lhs disagrees with the expansion at {"
         "'w': RingElem(n1=-1, n2=47), 'x': RingElem(n1=3, n2=-45), "
         "'y': RingElem(n1=-17, n2=15), 'z': RingElem(n1=12, n2=1)}")
+
+
+@pytest.mark.parametrize("name, old, new, failure", WITNESS_MUTANTS,
+                         ids=mutant_ids(WITNESS_MUTANTS))
+def test_a_witness_mutant_fails_with_the_first_orbit2_sample_of_seed_0(
+        monkeypatch, name, old, new, failure):
+    # the orbit-2 samples are drawn after the 200 expansion samples, so the
+    # value in the message pins the draws of both loops: 1,600 integers,
+    # then the first orbit-2 pair
+    install_mutant(monkeypatch, name, old, new)
+    with pytest.raises(WitnessFailure) as info:
+        verify_theorem(200, seed=0)
+    assert str(info.value) == f"witness for (24,-36) {failure}"

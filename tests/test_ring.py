@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from quandleworks.ring import (ONE, T, T_INV, T_SQ, ZERO, RingElem,
                                parse_elem, product_pair, random_elem,
-                               random_pair, reduce, render_elem, render_pair)
+                               random_pair, random_pairs, reduce, render_elem,
+                               render_pair)
 from seed_ring import LaurentPoly, lift
 
 elems = st.builds(RingElem,
@@ -182,3 +183,20 @@ def test_random_elem_makes_the_draws_of_randint():
             assert random_elem(r, bound) == RingElem(s.randint(-bound, bound),
                                                      s.randint(-bound, bound))
         assert r.getstate() == s.getstate()
+
+
+@pytest.mark.parametrize("bound", [0, 1, 50, 1000])
+def test_random_pairs_makes_the_draws_of_successive_random_pair_calls(bound):
+    # the sampled checks of verify-paper draw each stage's values in one
+    # random_pairs call; the values and the generator state afterwards must
+    # be those of one random_pair call per pair, that is, of randint
+    for count in range(10):
+        for seed in range(20):
+            r, s, u = (random.Random(seed) for _ in range(3))
+            pairs = list(random_pairs(r, count, bound))
+            assert pairs == [random_pair(s, bound) for _ in range(count)]
+            assert pairs == [(u.randint(-bound, bound), u.randint(-bound, bound))
+                             for _ in range(count)]
+            assert r.getstate() == s.getstate() == u.getstate()
+            # and the next draw carries on the same stream
+            assert list(random_pairs(r, 1, bound)) == [random_pair(s, bound)]
