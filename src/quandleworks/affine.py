@@ -34,9 +34,10 @@ per run.  Orbit 2 is the reversed orbit throughout this package:
 reversed_op swaps in the undo formula exactly when the acting element
 carries tag 2.
 
-Point, the concrete element, and SymPoint, the symbolic one, derive from
-ring.FrozenValue, as RingElem does; SymPoint is unhashable because an
-AffineExpr is.
+AffineExpr, Point, the concrete element, and SymPoint, the symbolic one,
+derive from ring.FrozenValue, as RingElem does, so all three are immutable;
+AffineExpr is unhashable because it holds a dict of coefficients, and
+SymPoint because it holds an AffineExpr.
 """
 
 from __future__ import annotations
@@ -55,16 +56,18 @@ SHIFT = {(i, j): (ORBIT_MARK[j].n1 - ORBIT_MARK[i].n1,
          for i in ORBIT_TAGS for j in ORBIT_TAGS}
 
 
-class AffineExpr:
+class AffineExpr(FrozenValue):
     """constant + sum(coeff[v] * v) with ring coefficients; zero coefficients
     are never stored, so structural equality is semantic equality."""
 
     __slots__ = ("constant", "coeffs")
+    __hash__ = None  # coeffs is a dict
 
     def __init__(self, constant: RingElem = ZERO,
                  coeffs: Mapping[str, RingElem] | None = None) -> None:
-        self.constant = constant
-        self.coeffs = {v: c for v, c in (coeffs or {}).items() if not c.is_zero()}
+        coeffs = {v: c for v, c in (coeffs or {}).items() if not c.is_zero()}
+        object.__setattr__(self, "constant", constant)
+        object.__setattr__(self, "coeffs", coeffs)
 
     @classmethod
     def var(cls, name: str, coeff: RingElem = ONE) -> "AffineExpr":
@@ -152,17 +155,6 @@ class AffineExpr:
                                [(values[v].n1, values[v].n2) for v in names])
         return RingElem(n1, n2)
 
-    def __reduce__(self):
-        # slotted without __getstate__, so pickle protocols 0 and 1 need it
-        return AffineExpr, (self.constant, self.coeffs)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, AffineExpr):
-            return NotImplemented
-        return self.constant == other.constant and self.coeffs == other.coeffs
-
-    __hash__ = None
-
     def render(self) -> str:
         parts = [render_elem(self.constant)]
         for v in sorted(self.coeffs):
@@ -179,15 +171,11 @@ class Point(FrozenValue):
     __slots__ = ("orbit", "value")
 
     def __init__(self, orbit: int, value: RingElem) -> None:
-        _set_orbit(self, orbit)
-        _set_value(self, value)
+        object.__setattr__(self, "orbit", orbit)
+        object.__setattr__(self, "value", value)
 
     def __str__(self) -> str:
         return f"{render_pair(self.value)}@{self.orbit}"
-
-
-_set_orbit = Point.orbit.__set__
-_set_value = Point.value.__set__
 
 
 class SymPoint(FrozenValue):
@@ -197,18 +185,11 @@ class SymPoint(FrozenValue):
     __hash__ = None  # an AffineExpr is unhashable
 
     def __init__(self, orbit: int, expr: AffineExpr) -> None:
-        _set_sym_orbit(self, orbit)
-        _set_expr(self, expr)
-
-    def evaluate(self, values: Mapping[str, RingElem]) -> Point:
-        return Point(self.orbit, self.expr.evaluate(values))
+        object.__setattr__(self, "orbit", orbit)
+        object.__setattr__(self, "expr", expr)
 
     def __str__(self) -> str:
         return f"orbit {self.orbit}: {self.expr.render()}"
-
-
-_set_sym_orbit = SymPoint.orbit.__set__
-_set_expr = SymPoint.expr.__set__
 
 
 def parse_point(text: str) -> Point:

@@ -123,7 +123,7 @@ def expand_rhs() -> SymPoint:
 
 
 def derive_relation(assignment: Mapping[str, AffineExpr | RingElem],
-                    sides: tuple[SymPoint, SymPoint] | None = None) -> RingElem:
+                    sides: tuple[SymPoint, SymPoint]) -> RingElem:
     """Shift s forced by equating the two medial sides under a substitution.
 
     The assignment must cover w, x, y, z with expressions affine in the
@@ -134,8 +134,7 @@ def derive_relation(assignment: Mapping[str, AffineExpr | RingElem],
     as 'a' varies.  Otherwise NonUniformRelation is raised, since the
     relation is not one uniform shift of all of orbit 1.  Returns s with
     v ~ v + s  forced on orbit 1.  `sides` is (expand_lhs(), expand_rhs()),
-    which verify_theorem expands once per run; by default both are
-    expanded here.
+    which verify_theorem expands once per run.
     """
     extra_keys = set(assignment) - set(VARS)
     if extra_keys:
@@ -147,12 +146,15 @@ def derive_relation(assignment: Mapping[str, AffineExpr | RingElem],
         expr = assignment[name]
         if isinstance(expr, RingElem):
             expr = AffineExpr.const(expr)
+        elif not isinstance(expr, AffineExpr):
+            raise ValueError(f"assignment for {name!r} is {expr!r}, not an"
+                             " AffineExpr or RingElem")
         stray = set(expr.variables()) - {PARAM}
         if stray:
             raise ValueError(
                 f"assignment for {name!r} uses {sorted(stray)}; only {PARAM!r} is allowed")
         normalized[name] = expr
-    lhs, rhs = (expand_lhs(), expand_rhs()) if sides is None else sides
+    lhs, rhs = sides
     swept = lhs.expr.substitute(normalized)
     gap = rhs.expr.substitute(normalized) - swept
     residual = gap.coeffs.get(PARAM)
@@ -208,15 +210,11 @@ class CollapseLattice(FrozenValue):
 
     def __init__(self, generators: tuple[RingElem, ...],
                  basis_combinations: tuple[tuple[int, ...], tuple[int, ...]]) -> None:
-        _set_generators(self, generators)
-        _set_basis_combinations(self, basis_combinations)
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "basis_combinations", basis_combinations)
 
     def basis_columns(self) -> tuple[tuple[int, int], tuple[int, int]]:
         return (1, 0), (0, 1)
-
-
-_set_generators = CollapseLattice.generators.__set__
-_set_basis_combinations = CollapseLattice.basis_combinations.__set__
 
 
 def _verify_lattice(lattice: CollapseLattice) -> None:
@@ -297,14 +295,14 @@ class CollapseReport(FrozenValue):
                  shift_chain: tuple[RingElem, ...], lattice: CollapseLattice,
                  orbit1_classes: int, orbit2_classes: int, samples: int,
                  seed: int) -> None:
-        _set_lhs_expansion(self, lhs_expansion)
-        _set_relation_shifts(self, relation_shifts)
-        _set_shift_chain(self, shift_chain)
-        _set_lattice(self, lattice)
-        _set_orbit1_classes(self, orbit1_classes)
-        _set_orbit2_classes(self, orbit2_classes)
-        _set_samples(self, samples)
-        _set_seed(self, seed)
+        object.__setattr__(self, "lhs_expansion", lhs_expansion)
+        object.__setattr__(self, "relation_shifts", relation_shifts)
+        object.__setattr__(self, "shift_chain", shift_chain)
+        object.__setattr__(self, "lattice", lattice)
+        object.__setattr__(self, "orbit1_classes", orbit1_classes)
+        object.__setattr__(self, "orbit2_classes", orbit2_classes)
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "seed", seed)
 
     @property
     def total(self) -> int:
@@ -330,16 +328,6 @@ class CollapseReport(FrozenValue):
         lines.append("no operation crosses orbit tags, so the two classes stay distinct")
         lines.append(f"total classes: {self.total}")
         return "\n".join(lines) + "\n"
-
-
-_set_lhs_expansion = CollapseReport.lhs_expansion.__set__
-_set_relation_shifts = CollapseReport.relation_shifts.__set__
-_set_shift_chain = CollapseReport.shift_chain.__set__
-_set_lattice = CollapseReport.lattice.__set__
-_set_orbit1_classes = CollapseReport.orbit1_classes.__set__
-_set_orbit2_classes = CollapseReport.orbit2_classes.__set__
-_set_samples = CollapseReport.samples.__set__
-_set_seed = CollapseReport.seed.__set__
 
 
 def _ring_values(sample: Sequence[tuple[int, int]]) -> dict[str, RingElem]:

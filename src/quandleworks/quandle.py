@@ -64,10 +64,10 @@ class AxiomReport(FrozenValue):
 
     def __init__(self, idempotent: bool, bijective_columns: bool,
                  distributive: bool, first_witness: tuple | None) -> None:
-        _set_idempotent(self, idempotent)
-        _set_bijective_columns(self, bijective_columns)
-        _set_distributive(self, distributive)
-        _set_first_witness(self, first_witness)
+        object.__setattr__(self, "idempotent", idempotent)
+        object.__setattr__(self, "bijective_columns", bijective_columns)
+        object.__setattr__(self, "distributive", distributive)
+        object.__setattr__(self, "first_witness", first_witness)
 
     @property
     def ok(self) -> bool:
@@ -80,12 +80,6 @@ class AxiomReport(FrozenValue):
         if self.first_witness is not None:
             text += f" witness={self.first_witness}"
         return text
-
-
-_set_idempotent = AxiomReport.idempotent.__set__
-_set_bijective_columns = AxiomReport.bijective_columns.__set__
-_set_distributive = AxiomReport.distributive.__set__
-_set_first_witness = AxiomReport.first_witness.__set__
 
 
 def gather(indices):

@@ -26,13 +26,14 @@ FrozenValue gives its subclasses the semantics of a frozen dataclass
 (equality within the class, hash of the fields, keyword repr, copying and
 pickling, FrozenInstanceError on assignment) without dataclass machinery,
 so importing the package loads neither dataclasses nor inspect.  Its
-subclasses are RingElem, affine.Point, affine.SymPoint,
+subclasses are RingElem, affine.AffineExpr, affine.Point, affine.SymPoint,
 collapse.CollapseLattice, collapse.CollapseReport, quandle.AxiomReport and
-variety.IdentitySpec.  Code that computes many values in a row, such as
-the sampled checks of collapse.verify_theorem, works on the pairs themselves
-and builds a RingElem only for a result it hands out.  random_pairs yields
-all the pairs a sampled check needs from one loop, with the draws of
-successive randint calls; random_pair and random_elem take one pair of it.
+variety.IdentitySpec, the package's only value classes.  Code that computes
+many values in a row, such as the sampled checks of
+collapse.verify_theorem, works on the pairs themselves and builds a
+RingElem only for a result it hands out.  random_pairs yields all the pairs
+a sampled check needs from one loop, with the draws of successive randint
+calls.
 """
 
 from __future__ import annotations
@@ -46,11 +47,12 @@ from typing import Iterator, Mapping
 class FrozenValue:
     """Base of the slotted immutable values: the subclass's __slots__ (two
     or more) are its fields, which its __init__ takes in that order and sets
-    through the slot descriptors, and the instances behave as those of a
-    frozen dataclass.  The subclasses are RingElem, affine.Point,
-    affine.SymPoint, collapse.CollapseLattice, collapse.CollapseReport,
-    quandle.AxiomReport and variety.IdentitySpec; a subclass that holds an
-    unhashable field sets __hash__ = None.
+    with object.__setattr__(self, name, value), as the __init__ of a frozen
+    dataclass does, and the instances behave as those of a frozen
+    dataclass.  The subclasses are RingElem, affine.AffineExpr,
+    affine.Point, affine.SymPoint, collapse.CollapseLattice,
+    collapse.CollapseReport, quandle.AxiomReport and variety.IdentitySpec; a
+    subclass that holds an unhashable field sets __hash__ = None.
 
     The exception raised on assignment is dataclasses.FrozenInstanceError,
     imported only to raise it, so that the dataclasses module stays off the
@@ -92,8 +94,8 @@ class RingElem(FrozenValue):
     __slots__ = ("n1", "n2")
 
     def __init__(self, n1: int, n2: int) -> None:
-        _set_n1(self, n1)
-        _set_n2(self, n2)
+        object.__setattr__(self, "n1", n1)
+        object.__setattr__(self, "n2", n2)
 
     @classmethod
     def from_int(cls, value: int) -> "RingElem":
@@ -140,10 +142,6 @@ class RingElem(FrozenValue):
 
     def __str__(self) -> str:
         return render_pair(self)
-
-
-_set_n1 = RingElem.n1.__set__
-_set_n2 = RingElem.n2.__set__
 
 
 def product_pair(a: int, b: int, c: int, d: int) -> tuple[int, int]:
@@ -241,11 +239,9 @@ def random_pairs(rng: random.Random, count: int,
     randint(-bound, bound) is randrange(span) - bound, and randrange(span)
     draws getrandbits(span.bit_length()) until the value is below span;
     calling getrandbits directly gives the same values and leaves the
-    generator in the same state, without the layers of calls.  The pairs
-    are those of `count` successive random_pair calls: random_pair and
-    random_elem take their pair from here, so this is the one draw loop.
-    Each pair is drawn when it is asked for, so a sampled check holds one
-    sample's values at a time.
+    generator in the same state, without the layers of calls.  Each pair
+    is drawn when it is asked for, so a sampled check holds one sample's
+    values at a time.
     """
     span = 2 * bound + 1
     bits = span.bit_length()
@@ -258,14 +254,3 @@ def random_pairs(rng: random.Random, count: int,
         while n2 >= span:
             n2 = draw(bits)
         yield n1 - bound, n2 - bound
-
-
-def random_pair(rng: random.Random, bound: int = 50) -> tuple[int, int]:
-    """The one pair of random_pairs(rng, 1, bound)."""
-    return next(random_pairs(rng, 1, bound))
-
-
-def random_elem(rng: random.Random, bound: int = 50) -> RingElem:
-    """The ring element of random_pair(rng, bound)."""
-    n1, n2 = random_pair(rng, bound)
-    return RingElem(n1, n2)

@@ -54,8 +54,8 @@ class IdentitySpec(FrozenValue):
         if tag == MEDIAL_TAG and parameter:
             raise ValueError(f"the medial law takes no parameter,"
                              f" got {parameter}")
-        _set_tag(self, tag)
-        _set_parameter(self, parameter)
+        object.__setattr__(self, "tag", tag)
+        object.__setattr__(self, "parameter", parameter)
 
     def violation(self, rows):
         """The first violated instance in the quandle table `rows`, starting
@@ -64,9 +64,6 @@ class IdentitySpec(FrozenValue):
             return medial_violation(rows)
         return n_quandle_violation(rows, self.parameter)
 
-
-_set_tag = IdentitySpec.tag.__set__
-_set_parameter = IdentitySpec.parameter.__set__
 
 MEDIAL = IdentitySpec(MEDIAL_TAG)
 

@@ -8,7 +8,7 @@ from itertools import permutations, product
 
 import pytest
 
-from quandleworks import (FiniteQuandle, affine_quandle, check_axioms,
+from quandleworks import (FiniteQuandle, Point, affine_quandle, check_axioms,
                           dihedral_quandle, relabel, trivial_quandle)
 from seed_ring import LaurentPoly
 
@@ -116,6 +116,11 @@ def conj_s3() -> FiniteQuandle:
 @pytest.fixture(scope="session")
 def shadow_mod5() -> FiniteQuandle:
     return two_orbit_quandle_mod(5, 2)
+
+
+def evaluate_point(point, values) -> Point:
+    """The Point of a SymPoint at a RingElem for each of its variables."""
+    return Point(point.orbit, point.expr.evaluate(values))
 
 
 def partition_from_projection(proj) -> tuple[tuple[int, ...], ...]:

@@ -3,9 +3,12 @@
 quandleworks.ring.reduce takes a polynomial's exponent -> coefficient
 mapping to its canonical pair; the tests check every RingElem operation
 against LaurentPoly arithmetic followed by reduce, and lift(e) is the
-polynomial n1*t + n2*t^2 of a canonical pair.
+polynomial n1*t + n2*t^2 of a canonical pair.  random_pair and random_elem
+draw the tests' random ring elements with randint, which is also the
+specification of the library's one draw loop, ring.random_pairs.
 """
 
+import random
 from typing import Mapping
 
 from quandleworks import RingElem
@@ -75,3 +78,13 @@ class LaurentPoly:
 def lift(elem: RingElem) -> LaurentPoly:
     """The polynomial n1*t + n2*t^2 of a canonical pair."""
     return LaurentPoly({1: elem.n1, 2: elem.n2})
+
+
+def random_pair(rng: random.Random, bound: int = 50) -> tuple[int, int]:
+    """Two independent uniform integers in [-bound, bound], n1 before n2."""
+    return rng.randint(-bound, bound), rng.randint(-bound, bound)
+
+
+def random_elem(rng: random.Random, bound: int = 50) -> RingElem:
+    """The ring element of random_pair(rng, bound)."""
+    return RingElem(*random_pair(rng, bound))

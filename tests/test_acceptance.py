@@ -9,12 +9,11 @@ from quandleworks import (MEDIAL, ONE, T, T_SQ, ZERO, Point, RingElem,
                           derive_relation, expand_lhs, expand_rhs, n_quandle,
                           op, orbit_witness, quotient_by_identity,
                           relation_assignments, reduce, verify_theorem)
-from quandleworks.ring import random_elem
 
 from conftest import partition_from_projection, random_poly
 from seed_hnf import combination_sums
 from seed_partitions import brute_force_smallest_congruence
-from seed_ring import lift
+from seed_ring import lift, random_elem
 from seed_symbolic import check_axioms_symbolic
 
 SEED = 20260815
@@ -54,7 +53,8 @@ def test_criterion_2_expansion_coefficients():
 
 def test_criterion_3_relation_shifts():
     failures = []
-    shifts = [derive_relation(a) for a in relation_assignments()]
+    shifts = [derive_relation(a, (expand_lhs(), expand_rhs()))
+              for a in relation_assignments()]
     if shifts != [RingElem(0, 1), RingElem(-1, -1)]:
         failures.append(f"shifts {shifts}")
     _report(3, "relation shifts", failures)

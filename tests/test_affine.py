@@ -8,7 +8,7 @@ import random
 from itertools import product
 
 import pytest
-from conftest import assert_frozen_dataclass_semantics
+from conftest import assert_frozen_dataclass_semantics, evaluate_point
 
 from quandleworks import (ONE, T, T_INV, T_SQ, ZERO, AffineExpr, Point,
                           RingElem, SymPoint, op, op_inv, orbit_witness,
@@ -16,8 +16,8 @@ from quandleworks import (ONE, T, T_INV, T_SQ, ZERO, AffineExpr, Point,
 from quandleworks.affine import (ORBIT_TAGS, SHIFT, evaluate_form,
                                  op_inv_kernel, op_kernel, reversed_kernel,
                                  witness_kernel)
-from quandleworks.ring import product_pair, random_elem, random_pair, reduce
-from seed_ring import LaurentPoly, lift
+from quandleworks.ring import product_pair, reduce
+from seed_ring import LaurentPoly, lift, random_elem, random_pair
 from seed_symbolic import (SymbolicAxiomReport, SymbolicCase,
                            check_axioms_symbolic, reversed_op_inv)
 
@@ -53,8 +53,12 @@ def test_symbolic_values_say_they_are_unhashable():
         assert cls(**fields) == value
         assert repr(value) == f"{cls.__qualname__}(" + ", ".join(
             f"{name}={field!r}" for name, field in fields.items()) + ")"
-    # the library's own: copied and pickled equal, and frozen in every field
-    for value in (values[0], values[3]):
+    # the library's own, and the AffineExpr they hold: copied and pickled
+    # equal, and frozen in every field
+    expr = values[3].lhs_expansion.expr
+    with pytest.raises(TypeError, match="^unhashable type: 'AffineExpr'$"):
+        hash(expr)
+    for value in (values[0], values[3], expr):
         assert copy.copy(value) == value
         assert copy.deepcopy([value]) == [value]
         for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
@@ -185,15 +189,15 @@ def test_symbolic_concrete_coherence():
         a = SymPoint(rng.choice((1, 2)), random_sym_expr(rng, names))
         b = SymPoint(rng.choice((1, 2)), random_sym_expr(rng, names))
         values = {name: random_elem(rng) for name in names}
-        conc_a, conc_b = a.evaluate(values), b.evaluate(values)
+        conc_a, conc_b = evaluate_point(a, values), evaluate_point(b, values)
         for f in (op, op_inv, reversed_op, reversed_op_inv):
             # Points and SymPoints take the same ring formula, so this
             # checks AffineExpr arithmetic and evaluation against RingElem
             # arithmetic
             expected = f(conc_a, conc_b)
-            assert f(a, b).evaluate(values) == expected
-            assert f(a, conc_b).evaluate(values) == expected
-            assert f(conc_a, b).evaluate(values) == expected
+            assert evaluate_point(f(a, b), values) == expected
+            assert evaluate_point(f(a, conc_b), values) == expected
+            assert evaluate_point(f(conc_a, b), values) == expected
 
 
 def test_mixed_symbolic_concrete_arguments():
@@ -201,7 +205,7 @@ def test_mixed_symbolic_concrete_arguments():
     b = Point(2, ONE)
     out = op(a, b)
     assert isinstance(out, SymPoint)
-    assert out.evaluate({"a": ZERO}) == op(Point(1, ZERO), b)
+    assert evaluate_point(out, {"a": ZERO}) == op(Point(1, ZERO), b)
 
 
 def test_affine_expr_algebra():
@@ -385,7 +389,7 @@ def test_reversed_kernel_matches_reversed_op_on_points_and_symbols(tags, bound):
         a, b = Point(i, RingElem(x1, x2)), Point(j, RingElem(y1, y2))
         generic = reversed_op(constant_sym_point(a), constant_sym_point(b))
         assert box(reversed_kernel((i, x1, x2), (j, y1, y2))) == reversed_op(a, b) \
-            == generic.evaluate({})
+            == evaluate_point(generic, {})
 
 
 @pytest.mark.parametrize("bound", [50, 10**30])
@@ -402,7 +406,8 @@ def test_witness_kernel_matches_orbit_witness_and_the_generic_path(bound):
             shift = RingElem.from_int(MARK[3 - orbit] - MARK[orbit])
             assert wit == Point(3 - orbit, (value - shift).scale_t(-2))
             zero = SymPoint(orbit, AffineExpr.const(ZERO))
-            assert op(zero, constant_sym_point(wit)).evaluate({}) == Point(orbit, value)
+            assert evaluate_point(op(zero, constant_sym_point(wit)), {}) \
+                == Point(orbit, value)
     with pytest.raises(ValueError, match="orbit tag must be 1 or 2, got 3"):
         witness_kernel(3, 0, 0)
 

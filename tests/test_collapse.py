@@ -7,7 +7,7 @@ from itertools import product
 
 import pytest
 
-from conftest import assert_frozen_dataclass_semantics
+from conftest import assert_frozen_dataclass_semantics, evaluate_point
 from quandleworks import (ONE, T, T_SQ, ZERO, AffineExpr, CollapseError,
                           CollapseLattice, ExpansionMismatch,
                           NonUniformRelation, Point, RingElem, WitnessFailure,
@@ -16,11 +16,13 @@ from quandleworks import (ONE, T, T_SQ, ZERO, AffineExpr, CollapseError,
                           orbit2_collapse, orbit_witness, relation_assignments,
                           reversed_op, verify_theorem)
 from quandleworks.collapse import PARAM
-from quandleworks.ring import random_elem
 import seed_hnf
+from seed_ring import random_elem
 
 MINUS_ONE = RingElem(-1, -1)
 T_CUBED = RingElem(1, -1)
+# the two medial sides, as verify_theorem expands them once per run
+SIDES = (expand_lhs(), expand_rhs())
 
 
 def test_expansion_coefficients_are_frozen():
@@ -64,27 +66,27 @@ def test_concrete_nesting_agrees_with_the_expansion():
                for name in values}
         nested = reversed_op(reversed_op(pts["w"], pts["x"]),
                              reversed_op(pts["y"], pts["z"]))
-        assert nested == lhs.evaluate(values)
+        assert nested == evaluate_point(lhs, values)
 
 
 def test_canonical_relation_shifts():
     first, second = relation_assignments()
-    assert derive_relation(first) == T_SQ
-    assert derive_relation(second) == MINUS_ONE
+    assert derive_relation(first, SIDES) == T_SQ
+    assert derive_relation(second, SIDES) == MINUS_ONE
 
 
 def test_x_equals_y_assignment_forces_nothing():
     shift = derive_relation({
         "w": ZERO, "x": ZERO, "y": ZERO,
         "z": AffineExpr.var("a", -ONE.scale_t(-3)),
-    })
+    }, SIDES)
     assert shift == ZERO
 
 
 def test_relation_requires_parameter_cancellation():
     with pytest.raises(NonUniformRelation):
         derive_relation({"w": ZERO, "x": AffineExpr.var("a"),
-                         "y": ZERO, "z": ZERO})
+                         "y": ZERO, "z": ZERO}, SIDES)
 
 
 def doubled_parameter_assignments():
@@ -107,14 +109,14 @@ def test_a_parameter_coefficient_that_is_no_unit_is_not_a_uniform_shift():
         gap = expand_rhs().expr.substitute(assignment) - lhs
         assert PARAM not in gap.coeffs and lhs.coeffs[PARAM] == RingElem(2, 2)
         with pytest.raises(NonUniformRelation) as info:
-            derive_relation(assignment)
+            derive_relation(assignment, SIDES)
         assert str(info.value) == ("lhs coefficient (2,2) of 'a' is not a unit"
                                    " (determinant 4); the shift is forced on"
                                    " part of orbit 1")
         assert info.value.stage == "relations"
     # a zero coefficient sweeps nothing
     with pytest.raises(NonUniformRelation, match=r"coefficient \(0,0\) .*\(determinant 0\)"):
-        derive_relation({"w": ZERO, "x": ZERO, "y": ZERO, "z": ZERO})
+        derive_relation({"w": ZERO, "x": ZERO, "y": ZERO, "z": ZERO}, SIDES)
 
 
 def test_the_doubled_parameter_mutant_fails_verification_at_the_relations(
@@ -130,17 +132,21 @@ def test_a_unit_parameter_coefficient_of_either_sign_is_accepted():
     first = relation_assignments()[0]
     negated = dict(first, z=-first["z"])
     assert expand_lhs().expr.substitute(negated).coeffs[PARAM] == -ONE
-    assert derive_relation(negated) == derive_relation(first) == T_SQ
+    assert derive_relation(negated, SIDES) == derive_relation(first, SIDES) == T_SQ
 
 
 def test_relation_assignment_validation():
     first = relation_assignments()[0]
     with pytest.raises(ValueError):
-        derive_relation({k: v for k, v in first.items() if k != "z"})
+        derive_relation({k: v for k, v in first.items() if k != "z"}, SIDES)
     with pytest.raises(ValueError):
-        derive_relation(dict(first, extra=ZERO))
+        derive_relation(dict(first, extra=ZERO), SIDES)
     with pytest.raises(ValueError):
-        derive_relation(dict(first, z=AffineExpr.var("b")))
+        derive_relation(dict(first, z=AffineExpr.var("b")), SIDES)
+    # a value that is neither an AffineExpr nor a RingElem is named
+    for value in (0, "a"):
+        with pytest.raises(ValueError, match=f"^assignment for 'w' is {value!r}, not"):
+            derive_relation(dict(first, w=value), SIDES)
 
 
 def test_hnf_of_the_canonical_shifts_is_unimodular():

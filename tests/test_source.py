@@ -97,12 +97,13 @@ def test_importing_the_cli_loads_no_dataclass_machinery():
 
 
 # the symbolic axiom suite, which checks premises of fixed code and is the
-# test oracle tests/seed_symbolic.py, and shift_gap, which only tests called
+# test oracle tests/seed_symbolic.py, shift_gap, which only tests called,
+# and the tests' random ring elements (tests/seed_ring.py)
 TEST_ONLY_NAMES = (
     "check_axioms_symbolic", "SymbolicCase", "SymbolicAxiomReport", "_AXIOMS",
     "_sides_idempotence", "_sides_op_after_undo", "_sides_undo_after_op",
     "_sides_distributivity", "_sides_mediality", "_counterexample", "PLAIN",
-    "REVERSED", "reversed_op_inv", "shift_gap",
+    "REVERSED", "reversed_op_inv", "shift_gap", "random_pair", "random_elem",
 )
 
 
@@ -121,8 +122,33 @@ def test_the_library_binds_no_test_only_name():
     collapse = importlib.import_module("quandleworks.collapse")
     assert not hasattr(collapse.CollapseReport, "lattice_index")
     assert not hasattr(quandleworks.AffineExpr, "__rsub__")
+    # a SymPoint is evaluated at ring values only by the tests (conftest.py)
+    assert not hasattr(quandleworks.SymPoint, "evaluate")
     # the certificate holds what it certifies, and nothing constant
     assert collapse.CollapseLattice.__slots__ == ("generators", "basis_combinations")
+
+
+VALUE_CLASSES = {"RingElem", "AffineExpr", "Point", "SymPoint", "CollapseLattice",
+                 "CollapseReport", "AxiomReport", "IdentitySpec"}
+
+
+def test_every_value_class_is_a_frozen_value_and_no_module_binds_a_slot_setter():
+    # FrozenValue is the one implementation of the value dunders: every class
+    # with fields in __slots__ derives from it, and AffineExpr keeps only
+    # its own repr
+    modules = _library_modules()
+    slotted = {cls for m in modules for cls in vars(m).values()
+               if isinstance(cls, type) and vars(cls).get("__slots__")}
+    assert {cls.__name__ for cls in slotted} == VALUE_CLASSES
+    assert [cls.__name__ for cls in slotted
+            if not issubclass(cls, quandleworks.ring.FrozenValue)] == []
+    assert {"__eq__", "__reduce__"}.isdisjoint(vars(quandleworks.AffineExpr))
+    # each __init__ sets its fields with object.__setattr__, the one way; no
+    # module keeps a slot descriptor's __set__ per field
+    found = [f"{m.__name__}.{name}" for m in modules
+             for name, value in vars(m).items()
+             if isinstance(getattr(value, "__self__", None), types.MemberDescriptorType)]
+    assert found == []
 
 
 def test_all_lists_every_public_binding_of_the_package():
