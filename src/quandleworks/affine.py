@@ -21,18 +21,22 @@ Each closed form is one integer kernel on canonical pairs: op_kernel and
 op_inv_kernel take the shift pair and the two value pairs, witness_kernel
 computes orbit_witness, and reversed_kernel runs reversed_op on tagged
 pairs (orbit, n1, n2).  The sampled checks of collapse.py chain the kernels
-and box nothing.  op and op_inv never call them: they compute the formulas
-with ring and AffineExpr arithmetic, for Points as for SymPoints, so those
-checks compare two derivations that share no code.
+and box nothing.  They call each kernel once per chunk of samples, on
+lane-packed integers: the kernels only add values and multiply them by
+fixed integers, which act on each lane separately while no lane overflows,
+and reversed_kernel and witness_kernel multiply their shift by `unit`, the
+integer with 1 in every lane.  op and op_inv never call the kernels: they
+compute the formulas with ring and AffineExpr arithmetic, for Points as for
+SymPoints, so those checks compare two derivations that share no code.
 
 Both formulas are affine in both arguments, so they close over AffineExpr;
 collapse.py expands the reversed medial terms that way.  linear_form turns
 an AffineExpr into integer coefficient rows, and evaluate_form evaluates
 such rows at canonical pairs: AffineExpr.evaluate and the sampled checks of
 collapse.py share that one evaluation, the checks building the rows once
-per run.  Orbit 2 is the reversed orbit throughout this package:
-reversed_op swaps in the undo formula exactly when the acting element
-carries tag 2.
+per run and evaluating them once per chunk.  Orbit 2 is the reversed orbit
+throughout this package: reversed_op swaps in the undo formula exactly when
+the acting element carries tag 2.
 
 AffineExpr, Point, the concrete element, and SymPoint, the symbolic one,
 derive from ring.FrozenValue, as RingElem does, so all three are immutable;
@@ -243,30 +247,36 @@ def op_inv_kernel(shift: tuple[int, int], x1: int, x2: int,
     return u1 + u2, u1
 
 
-def reversed_kernel(a: tuple[int, int, int],
-                    b: tuple[int, int, int]) -> tuple[int, int, int]:
+def reversed_kernel(a: tuple[int, int, int], b: tuple[int, int, int],
+                    unit: int = 1) -> tuple[int, int, int]:
     """reversed_op on tagged pairs (orbit, n1, n2): a acted on by b, undone
-    when b carries tag 2; the result keeps a's tag."""
+    when b carries tag 2; the result keeps a's tag.  The shift pair is
+    multiplied by `unit`, the integer with 1 in every lane of lane-packed
+    values (collapse.py), so that it reaches every lane."""
     i, x1, x2 = a
     j, y1, y2 = b
     if j == 2:
-        n1, n2 = op_inv_kernel(SHIFT[j, i], x1, x2, y1, y2)
+        s1, s2 = SHIFT[j, i]
+        n1, n2 = op_inv_kernel((s1 * unit, s2 * unit), x1, x2, y1, y2)
     else:
-        n1, n2 = op_kernel(SHIFT[i, j], x1, x2, y1, y2)
+        s1, s2 = SHIFT[i, j]
+        n1, n2 = op_kernel((s1 * unit, s2 * unit), x1, x2, y1, y2)
     return i, n1, n2
 
 
-def witness_kernel(orbit: int, v1: int, v2: int) -> tuple[int, int, int]:
+def witness_kernel(orbit: int, v1: int, v2: int,
+                   unit: int = 1) -> tuple[int, int, int]:
     """Tagged pair (tag, n1, n2) of orbit_witness for the value pair (v1, v2).
 
     op(zero-of-i, w in j) = SHIFT[i, j] + t^2*w, so w = t^(-2) * (v - SHIFT[i, j])
-    in the other orbit j, and t^(-2) * (a, b) = (2*a + b, a + b).
+    in the other orbit j, and t^(-2) * (a, b) = (2*a + b, a + b).  The shift
+    pair is multiplied by `unit`, as in reversed_kernel.
     """
     if orbit != 1 and orbit != 2:
         raise ValueError(f"orbit tag must be 1 or 2, got {orbit}")
     other = 3 - orbit
     s1, s2 = SHIFT[orbit, other]
-    a, b = v1 - s1, v2 - s2
+    a, b = v1 - s1 * unit, v2 - s2 * unit
     return other, 2 * a + b, a + b
 
 

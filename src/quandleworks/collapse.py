@@ -25,6 +25,16 @@ orbit-2 zero under a translation by an orbit-1 element, and translations by
 orbit-1 elements are untouched by the reversal.  No operation crosses orbit
 tags, so no identification between the two final classes is ever forced:
 the total is exactly two.
+
+verify_theorem backs the expansion and the transport with sampled checks
+that share no code with the symbolic derivation: the integer kernels of
+affine.py run on random values.  They run CHUNK samples at a time, each
+coordinate of a chunk packed into one integer with a 64-bit lane per
+sample, so that each kernel runs once per chunk and one comparison checks
+a chunk; every lane stays below 2^20 in magnitude (see CHUNK).  The draws
+are those of successive randint calls (ring.random_draws), and a failure
+names the first failing sample in draw order, as the one-sample-at-a-time
+loops of the test oracle tests/seed_sampled.py do.
 """
 
 from __future__ import annotations
@@ -35,10 +45,29 @@ from typing import Mapping, Sequence
 from .affine import (SHIFT, AffineExpr, Point, SymPoint, evaluate_form, op,
                      op_kernel, reversed_kernel, reversed_op, witness_kernel)
 from .ring import (ONE, T, ZERO, FrozenValue, RingElem, product_pair,
-                   random_pairs, render_pair)
+                   random_draws, render_pair)
 
 PARAM = "a"
 VARS = ("w", "x", "y", "z")
+
+# The sampled checks draw integers in [-SAMPLE_BOUND, SAMPLE_BOUND] and run
+# CHUNK samples at a time, each coordinate of a chunk packed into one
+# integer sum(v_k * 2^(64k)) with one 64-bit lane per sample (SIMD within a
+# register).  The kernels are integer-affine, so one call on packed values
+# computes every lane at once, provided each constant is multiplied by the
+# integer with 1 in every lane (lane_ones) and no lane leaves
+# [-2^63, 2^63).  Every value a check computes is affine in the draws, so
+# its largest magnitude on draws in [-50, 50] is taken at a vertex of that
+# box; at every vertex each value, and each partial sum of a linear form,
+# stays below 2^11 (tests/test_collapse.py), so every lane stays below 2^20
+# in magnitude, far inside its 64 bits.  Two packed integers are then equal
+# exactly when every lane is, so one comparison checks a whole chunk.
+SAMPLE_BOUND = 50
+CHUNK = 256
+LANE_BYTES = 8
+LANE_BITS = 8 * LANE_BYTES
+HALF_LANE = 1 << (LANE_BITS - 1)
+_ONE_LANE = (1).to_bytes(LANE_BYTES, "little")
 
 
 class CollapseError(RuntimeError):
@@ -249,6 +278,65 @@ def hnf_close(shifts: Sequence[RingElem]) -> CollapseLattice:
     return lattice
 
 
+def lane_ones(n: int) -> int:
+    """The integer with 1 in each of n lanes."""
+    return int.from_bytes(_ONE_LANE * n, "little")
+
+
+def pack_columns(draws: bytes, width: int) -> tuple[list[int], int]:
+    """The `width` columns of `draws`, laid out as random_draws returns
+    them (`width` bytes per sample, each byte a value + SAMPLE_BOUND), as
+    packed integers, one lane per sample in draw order, and lane_ones of
+    the sample count."""
+    n = len(draws) // width
+    ones = lane_ones(n)
+    lanes = bytearray(LANE_BYTES * n)
+    columns = []
+    for c in range(width):
+        lanes[::LANE_BYTES] = draws[c::width]
+        columns.append(int.from_bytes(lanes, "little") - SAMPLE_BOUND * ones)
+    return columns, ones
+
+
+def unpack(packed: int, n: int) -> list[int]:
+    """The n lane values of a packed integer, lane 0 first.  Adding 2^63 to
+    every lane makes each one a word in [0, 2^64), so no lane borrows from
+    the next, and the words are read off as little-endian bytes."""
+    words = (packed + HALF_LANE * lane_ones(n)).to_bytes(LANE_BYTES * n, "little")
+    return [int.from_bytes(words[k:k + LANE_BYTES], "little") - HALF_LANE
+            for k in range(0, LANE_BYTES * n, LANE_BYTES)]
+
+
+def first_difference(got: Sequence[int], want: Sequence[int]) -> int:
+    """The first lane at which two unequal tuples of packed integers differ;
+    a plain integer such as an orbit tag counts as lane 0.  The lowest set
+    bit of a nonzero difference lies in its first nonzero lane, because
+    every lane is below 2^63 in magnitude."""
+    return min(((d & -d).bit_length() - 1) // LANE_BITS
+               for d in (g - w for g, w in zip(got, want)) if d)
+
+
+def _sample(draws: bytes, width: int, lane: int) -> list[RingElem]:
+    """The ring values of the sample in `lane`, read back from its draws."""
+    values = [d - SAMPLE_BOUND for d in draws[width * lane:width * (lane + 1)]]
+    return [RingElem(n1, n2) for n1, n2 in zip(values[::2], values[1::2])]
+
+
+def _lanewise(form, ones: int):
+    """A linear form whose constant pair reaches every lane of `ones`."""
+    (c1, c2), rows = form
+    return (c1 * ones, c2 * ones), rows
+
+
+def _first_failure(checks) -> tuple[int, int] | None:
+    """(lane, index) of the first sample of a chunk at which one of the
+    checks, each a (got, want) pair of tuples of packed integers, fails,
+    and of the first check failing there; None if every check holds."""
+    return min(((first_difference(got, want), index)
+                for index, (got, want) in enumerate(checks) if got != want),
+               default=None)
+
+
 def orbit2_collapse(sample_count: int, rng: random.Random) -> int:
     """Class count for orbit 2 once orbit 1 has collapsed (always 1).
 
@@ -256,8 +344,10 @@ def orbit2_collapse(sample_count: int, rng: random.Random) -> int:
     checked symbolically, then on `sample_count` random values, confirming
     each time that the acting element lies in orbit 1 and that the reversed
     structure applies the very same translation.  The samples run on the
-    integer kernels of affine.py; a RingElem or Point is built only for a
-    failure message.
+    integer kernels of affine.py, one call per kernel for each chunk of
+    CHUNK samples, packed into lanes; the values come from one random_draws
+    call per chunk, and a RingElem or Point is built only for the message
+    of the first failing sample.
     """
     if sample_count < 0:
         raise ValueError(f"sample_count must be at least 0, got {sample_count}")
@@ -268,16 +358,28 @@ def orbit2_collapse(sample_count: int, rng: random.Random) -> int:
         raise WitnessFailure("symbolic witness identity failed")
 
     zero2 = (2, 0, 0)
-    for v1, v2 in random_pairs(rng, sample_count):
-        wit = witness_kernel(2, v1, v2)
+    for start in range(0, sample_count, CHUNK):
+        draws = random_draws(rng, 2 * min(CHUNK, sample_count - start),
+                             SAMPLE_BOUND)
+        (v1, v2), ones = pack_columns(draws, 2)
+        wit = witness_kernel(2, v1, v2, ones)
         tag, w1, w2 = wit
         if tag != 1:
-            raise WitnessFailure(f"witness for {RingElem(v1, v2)} left orbit 1")
-        plain = op_kernel(SHIFT[2, tag], 0, 0, w1, w2)
-        if plain != (v1, v2):
-            raise WitnessFailure(f"witness for {RingElem(v1, v2)} does not reach it")
-        if reversed_kernel(zero2, wit) != (2, *plain):
-            raise WitnessFailure(f"translation by {Point(tag, RingElem(w1, w2))}"
+            raise WitnessFailure(f"witness for {_sample(draws, 2, 0)[0]}"
+                                 " left orbit 1")
+        s1, s2 = SHIFT[2, tag]
+        plain = op_kernel((s1 * ones, s2 * ones), 0, 0, w1, w2)
+        failure = _first_failure((
+            (plain, (v1, v2)),
+            (reversed_kernel(zero2, wit, ones), (2, *plain))))
+        if failure is not None:
+            lane, check = failure
+            if check == 0:
+                raise WitnessFailure(f"witness for {_sample(draws, 2, lane)[0]}"
+                                     " does not reach it")
+            n = len(draws) // 2
+            acting = Point(tag, RingElem(unpack(w1, n)[lane], unpack(w2, n)[lane]))
+            raise WitnessFailure(f"translation by {acting}"
                                  " differs between the two structures")
     return 1
 
@@ -330,8 +432,10 @@ class CollapseReport(FrozenValue):
         return "\n".join(lines) + "\n"
 
 
-def _ring_values(sample: Sequence[tuple[int, int]]) -> dict[str, RingElem]:
-    return {v: RingElem(n1, n2) for v, (n1, n2) in zip(VARS, sample)}
+# what each expansion check of verify_theorem reports, in check order
+EXPANSION_CHECKS = ("concrete lhs disagrees with the expansion",
+                    "concrete rhs disagrees with the expansion",
+                    "gap law (t^3-t)(x-y) violated")
 
 
 def verify_theorem(samples: int = 200, seed: int = 0) -> CollapseReport:
@@ -346,12 +450,18 @@ def verify_theorem(samples: int = 200, seed: int = 0) -> CollapseReport:
     AffineExpr arithmetic, checked against the frozen coefficients, while
     the concrete one runs the integer kernels of affine.py on tagged pairs.
     Each side is expanded once per run, and its AffineExpr.linear_form,
-    integer rows built from the expansion's own coefficients, is what each
-    sample evaluates with evaluate_form; the gap law is checked with
-    product_pair.  The samples' values come from one random_pairs call, and
-    the orbit-2 samples' from the next, so no RingElem or Point is built
-    unless a check fails.  A wrong coefficient in either derivation is
-    caught at stage 'expansion'.
+    integer rows built from the expansion's own coefficients, is what the
+    samples evaluate with evaluate_form; the gap law is checked with
+    product_pair.  The samples run CHUNK at a time, packed into lanes (see
+    CHUNK): one random_draws call gives a chunk's values, w, x, y, z per
+    sample and n1 before n2, then each kernel and form runs once and each
+    check is one comparison.  The orbit-2 samples are drawn after all of
+    these, so a seed draws what one randint call per value would, and
+    memory stays flat at any sample count.  No RingElem or Point is built
+    unless a check fails; the first failing sample in draw order is then
+    reported, with the first check that fails at it in the order tag, lhs,
+    rhs, gap law.  A wrong coefficient in either derivation is caught at
+    stage 'expansion'.
     """
     if samples < 0:
         raise ValueError(f"samples must be at least 0, got {samples}")
@@ -362,23 +472,25 @@ def verify_theorem(samples: int = 200, seed: int = 0) -> CollapseReport:
     rhs_form = rhs.expr.linear_form(VARS)
     gap = T.scale_t(2) - T  # t^3 - t
 
-    values = random_pairs(rng, 4 * samples)  # w, x, y, z per sample
-    for sample in zip(values, values, values, values):
-        (w1, w2), (x1, x2), (y1, y2), (z1, z2) = sample
+    for start in range(0, samples, CHUNK):
+        draws = random_draws(rng, 8 * min(CHUNK, samples - start), SAMPLE_BOUND)
+        (w1, w2, x1, x2, y1, y2, z1, z2), ones = pack_columns(draws, 8)
         w, x, y, z = (1, w1, w2), (1, x1, x2), (1, y1, y2), (2, z1, z2)
-        lt, l1, l2 = reversed_kernel(reversed_kernel(w, x), reversed_kernel(y, z))
-        rt, r1, r2 = reversed_kernel(reversed_kernel(w, y), reversed_kernel(x, z))
+        lt, l1, l2 = reversed_kernel(reversed_kernel(w, x, ones),
+                                     reversed_kernel(y, z, ones), ones)
+        rt, r1, r2 = reversed_kernel(reversed_kernel(w, y, ones),
+                                     reversed_kernel(x, z, ones), ones)
         if lt != 1 or rt != 1:
             raise ExpansionMismatch("orbit tag leaked across copies")
-        if (l1, l2) != evaluate_form(lhs_form, sample):
-            raise ExpansionMismatch("concrete lhs disagrees with the"
-                                    f" expansion at {_ring_values(sample)}")
-        if (r1, r2) != evaluate_form(rhs_form, sample):
-            raise ExpansionMismatch("concrete rhs disagrees with the"
-                                    f" expansion at {_ring_values(sample)}")
-        if (l1 - r1, l2 - r2) != product_pair(gap.n1, gap.n2, x1 - y1, x2 - y2):
-            raise ExpansionMismatch("gap law (t^3-t)(x-y) violated at"
-                                    f" {_ring_values(sample)}")
+        pairs = ((w1, w2), (x1, x2), (y1, y2), (z1, z2))
+        failure = _first_failure((
+            ((l1, l2), evaluate_form(_lanewise(lhs_form, ones), pairs)),
+            ((r1, r2), evaluate_form(_lanewise(rhs_form, ones), pairs)),
+            ((l1 - r1, l2 - r2), product_pair(gap.n1, gap.n2, x1 - y1, x2 - y2))))
+        if failure is not None:
+            lane, check = failure
+            values = dict(zip(VARS, _sample(draws, 8, lane)))
+            raise ExpansionMismatch(f"{EXPANSION_CHECKS[check]} at {values}")
 
     sides = (lhs, rhs)
     shifts = tuple(derive_relation(asg, sides) for asg in relation_assignments())

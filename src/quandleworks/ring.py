@@ -31,9 +31,11 @@ collapse.CollapseLattice, collapse.CollapseReport, quandle.AxiomReport and
 variety.IdentitySpec, the package's only value classes.  Code that computes
 many values in a row, such as the sampled checks of
 collapse.verify_theorem, works on the pairs themselves and builds a
-RingElem only for a result it hands out.  random_pairs yields all the pairs
-a sampled check needs from one loop, with the draws of successive randint
-calls.
+RingElem only for a result it hands out.  random_draws gives a sampled
+check each chunk's values as bytes from one getrandbits call: the top byte
+of each 32-bit Mersenne Twister word decides one randint attempt, so the
+bytes are the draws of successive randint calls, and the generator ends in
+the same state.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from __future__ import annotations
 import random
 import re
 from operator import attrgetter
-from typing import Iterator, Mapping
+from typing import Mapping
 
 
 class FrozenValue:
@@ -230,27 +232,37 @@ def parse_elem(text: str) -> RingElem:
     raise ValueError(f"cannot parse ring element {text!r}")
 
 
-def random_pairs(rng: random.Random, count: int,
-                 bound: int = 50) -> Iterator[tuple[int, int]]:
-    """Yield `count` pairs of independent uniform integers in
-    [-bound, bound], each drawn as rng.randint(-bound, bound) draws it, n1
-    before n2.
+# randint's k-bit draw is the top k bits of one 32-bit Mersenne Twister
+# word, so it is a function of the word's top byte when k <= 8: TOP_BITS[k]
+# maps each top byte to its top k bits
+TOP_BITS = tuple(bytes(b >> (8 - k) for b in range(256)) for k in range(9))
+
+
+def random_draws(rng: random.Random, count: int, bound: int) -> bytes:
+    """`count` independent uniform integers in [-bound, bound], each as the
+    byte value + bound, drawn as successive rng.randint(-bound, bound) calls
+    draw them; 0 <= bound <= 127.
 
     randint(-bound, bound) is randrange(span) - bound, and randrange(span)
-    draws getrandbits(span.bit_length()) until the value is below span;
-    calling getrandbits directly gives the same values and leaves the
-    generator in the same state, without the layers of calls.  Each pair
-    is drawn when it is asked for, so a sampled check holds one sample's
-    values at a time.
+    draws getrandbits(k) = word >> (32 - k), for k = span.bit_length() and
+    the generator's next 32-bit word, until the value is below span.
+    getrandbits(32 * m) returns the next m words, least significant first,
+    on every platform, so the top byte of each word gives each attempt, and
+    translate keeps the accepted ones in order: it deletes the top bytes of
+    the draws at or above span, then maps each remaining byte to its top k
+    bits.  Each attempt consumes one word, and a round asks only for the
+    draws still missing, so the values and the generator's state afterwards
+    are those of `count` randint calls.  A draw fits a byte only for
+    span <= 256, hence the bound.
     """
+    if not 0 <= bound <= 127:
+        raise ValueError(f"bound must be in 0..127, got {bound}")
     span = 2 * bound + 1
     bits = span.bit_length()
-    draw = rng.getrandbits
-    for _ in range(count):
-        n1 = draw(bits)
-        while n1 >= span:
-            n1 = draw(bits)
-        n2 = draw(bits)
-        while n2 >= span:
-            n2 = draw(bits)
-        yield n1 - bound, n2 - bound
+    reject = bytes(range(span << (8 - bits), 256))
+    draws = b""
+    while len(draws) < count:
+        need = count - len(draws)
+        words = rng.getrandbits(32 * need).to_bytes(4 * need, "little")
+        draws += words[3::4].translate(TOP_BITS[bits], reject)
+    return draws

@@ -3,6 +3,7 @@
 import inspect
 import random
 import textwrap
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -14,9 +15,13 @@ from quandleworks import (ONE, T, T_SQ, ZERO, AffineExpr, CollapseError,
                           affine, collapse, combine_shifts, derive_relation,
                           expand_lhs, expand_rhs, hnf_close, op,
                           orbit2_collapse, orbit_witness, relation_assignments,
-                          reversed_op, verify_theorem)
-from quandleworks.collapse import PARAM
+                          reversed_op, ring, verify_theorem)
+from quandleworks.affine import (ORBIT_TAGS, SHIFT, evaluate_form, op_inv_kernel,
+                                 op_kernel, reversed_kernel, witness_kernel)
+from quandleworks.collapse import (CHUNK, LANE_BITS, PARAM, VARS, first_difference,
+                                   lane_ones, pack_columns, unpack)
 import seed_hnf
+import seed_sampled
 from seed_ring import random_elem
 
 MINUS_ONE = RingElem(-1, -1)
@@ -384,3 +389,222 @@ def test_a_witness_mutant_fails_with_the_first_orbit2_sample_of_seed_0(
     with pytest.raises(WitnessFailure) as info:
         verify_theorem(200, seed=0)
     assert str(info.value) == f"witness for (24,-36) {failure}"
+
+
+# undoing every translation by orbit 1 as well: the expansion samples fail
+# with it, and on the orbit-2 samples only the translation check sees it
+TRANSPORT_MUTANT = ("reversed_kernel", "if j == 2:", "if j != 0:")
+# the reversed operation returning the acting element's tag
+TAG_MUTANT = ("reversed_kernel", "return i, n1, n2", "return j, n1, n2")
+
+
+def test_a_reversed_kernel_that_undoes_every_translation_fails_the_transport(
+        monkeypatch):
+    install_mutant(monkeypatch, *TRANSPORT_MUTANT)
+    with pytest.raises(WitnessFailure) as info:
+        orbit2_collapse(200, random.Random(0))
+    assert str(info.value) == ("translation by (48,48)@1 differs between the"
+                               " two structures")
+    assert info.value.stage == "orbit-2 transport"
+
+
+def swap_gap_law(monkeypatch):
+    # product_pair with its second factor's coordinates swapped: a wrong
+    # gap law that the lhs and rhs checks do not see
+    monkeypatch.setattr(collapse, "product_pair",
+                        lambda a, b, c, d: ring.product_pair(a, b, d, c))
+
+
+def installer(name, old, new, *_):
+    return lambda monkeypatch: install_mutant(monkeypatch, name, old, new)
+
+
+SAMPLED_MUTANTS = KERNEL_MUTANTS + WITNESS_MUTANTS + [TRANSPORT_MUTANT, TAG_MUTANT]
+FAULTS = ([lambda monkeypatch: None]
+          + [installer(*mutant) for mutant in SAMPLED_MUTANTS] + [swap_gap_law])
+FAULT_IDS = ["no fault"] + mutant_ids(SAMPLED_MUTANTS) + ["swapped gap law"]
+
+
+def outcome(run, *args):
+    """What run(*args) returns, or the type, stage and message it raises."""
+    try:
+        return run(*args)
+    except CollapseError as error:
+        return type(error), error.stage, str(error)
+
+
+@pytest.mark.parametrize("fault", FAULTS, ids=FAULT_IDS)
+def test_the_chunked_checks_report_what_the_scalar_loops_report(monkeypatch, fault):
+    # tests/seed_sampled.py runs the sampled checks one sample at a time;
+    # the sample counts end inside, at and just past chunk boundaries
+    fault(monkeypatch)
+    failures = set()
+    for seed in range(20):
+        for samples in (0, 1, 7, 255, 256, 257, 600):
+            expected = outcome(seed_sampled.verify_theorem, samples, seed)
+            assert outcome(verify_theorem, samples, seed) == expected
+            r, s = random.Random(seed), random.Random(seed)
+            transported = outcome(orbit2_collapse, samples, r)
+            assert transported == outcome(seed_sampled.orbit2_collapse, samples, s)
+            if transported == 1:
+                assert r.getstate() == s.getstate()
+            failures.add(expected if expected.__class__ is tuple else None)
+    # each fault is caught, and nothing else is
+    assert failures == {None} if fault is FAULTS[0] else len(failures) > 1
+
+
+def pack(values):
+    """sum(v_k * 2^(64k)): one lane per value, lane 0 first."""
+    return sum(v << (LANE_BITS * k) for k, v in enumerate(values))
+
+
+def packed(results):
+    """The lane-wise results of a kernel, each a tuple, packed per position."""
+    return tuple(pack(column) for column in zip(*results))
+
+
+# values at the draw bound, around zero, and far past it, so that the lanes
+# have mixed signs and borrow from one another
+EDGES = (50, -50, 49, -49, 1, -1, 0, 2**40, -2**40, 2**40 - 1, 1 - 2**40)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 64])
+def test_packed_evaluation_is_the_packing_of_the_lanewise_results(n):
+    rng = random.Random(n)
+
+    def column():
+        return [rng.choice(EDGES) if rng.random() < 0.5
+                else rng.randint(-2**40, 2**40) for _ in range(n)]
+
+    ones = lane_ones(n)
+    assert ones == pack([1] * n)
+    for i, j in product(ORBIT_TAGS, ORBIT_TAGS):
+        cols = [column() for _ in range(4)]
+        lanes = list(zip(*cols))
+        x1, x2, y1, y2 = map(pack, cols)
+        s1, s2 = SHIFT[i, j]
+        for kernel in (op_kernel, op_inv_kernel):
+            assert kernel((s1 * ones, s2 * ones), x1, x2, y1, y2) == packed(
+                [kernel((s1, s2), *lane) for lane in lanes])
+        tag, *values = reversed_kernel((i, x1, x2), (j, y1, y2), ones)
+        assert (tag, *values) == (i, *packed(
+            [reversed_kernel((i, a, b), (j, c, d))[1:] for a, b, c, d in lanes]))
+    for orbit in ORBIT_TAGS:
+        v1, v2 = column(), column()
+        tag, *values = witness_kernel(orbit, pack(v1), pack(v2), ones)
+        assert (tag, *values) == (3 - orbit, *packed(
+            [witness_kernel(orbit, a, b)[1:] for a, b in zip(v1, v2)]))
+    forms = [side.expr.linear_form(VARS) for side in SIDES] + [
+        ((rng.randint(-9, 9), rng.randint(-9, 9)),
+         tuple(tuple(rng.randint(-9, 9) for _ in range(4)) for _ in VARS))
+        for _ in range(4)]
+    for (c1, c2), rows in forms:
+        cols = [column() for _ in range(8)]
+        pairs = [(pack(cols[k]), pack(cols[k + 1])) for k in range(0, 8, 2)]
+        expected = packed([evaluate_form(((c1, c2), rows), zip(lane[::2], lane[1::2]))
+                           for lane in zip(*cols)])
+        assert evaluate_form(((c1 * ones, c2 * ones), rows), pairs) == expected
+    for a, b in [(1, -2), (0, 1), (-7, 3), (2**30, -2**30)]:
+        c, d = column(), column()
+        assert ring.product_pair(a, b, pack(c), pack(d)) == packed(
+            [ring.product_pair(a, b, *lane) for lane in zip(c, d)])
+
+
+def test_packing_reads_the_draws_lane_by_lane():
+    draws = random.Random(3).randbytes(8 * 37)
+    columns, ones = pack_columns(draws, 8)
+    assert ones == lane_ones(37)
+    for c, packed_column in enumerate(columns):
+        assert packed_column == pack([v - 50 for v in draws[c::8]])
+        assert unpack(packed_column, 37) == [v - 50 for v in draws[c::8]]
+    extremes = [2**63 - 1, -2**63, -1, 0, 1, -2**40, 2**40]
+    assert unpack(pack(extremes), len(extremes)) == extremes
+    assert pack_columns(b"", 2) == ([0, 0], 0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, CHUNK])
+def test_first_difference_names_the_one_lane_that_differs(n):
+    rng = random.Random(n)
+    base = [rng.choice(EDGES) for _ in range(n)]
+    for k in {0, 1, n - 1} & set(range(n)):
+        for delta in (1, -1, 2**40, -2**62, 3 << 20):
+            other = list(base)
+            other[k] += delta
+            assert first_difference((pack(base),), (pack(other),)) == k
+            # a plain integer, such as an orbit tag, counts as lane 0
+            assert first_difference((1, pack(base)), (1, pack(other))) == k
+            assert first_difference((1, pack(base)), (2, pack(other))) == 0
+    # the first of several differing lanes, in any coordinate
+    other = list(base)
+    other[n - 1] -= 5
+    other[n // 2] += 3
+    assert first_difference((pack(base), pack(base)),
+                            (pack(base), pack(other))) == n // 2
+
+
+def test_first_failure_takes_the_first_sample_then_the_first_check():
+    lanes = [0, 0, 0, 0]
+    failing = {1: [0, 9, 0, 9], 2: [0, 0, 0, 9], 3: [0, 9, 0, 0]}
+    checks = [((pack(lanes),), (pack(failing.get(index, lanes)),))
+              for index in range(4)]
+    assert collapse._first_failure(checks) == (1, 1)
+    assert collapse._first_failure(checks[2:]) == (1, 1)
+    assert collapse._first_failure(checks[:1]) is None
+
+
+def test_every_lane_value_stays_far_inside_its_lane():
+    # every value the sampled checks compute is affine in the draws, so its
+    # largest magnitude on the draw box is at a vertex: check them all
+    bound = collapse.SAMPLE_BOUND
+    gap = T.scale_t(2) - T
+    largest = 0
+    for v in product((-bound, bound), repeat=8):
+        w, x, y, z = (1, *v[0:2]), (1, *v[2:4]), (1, *v[4:6]), (2, *v[6:8])
+        inner = [reversed_kernel(a, b) for a, b in ((w, x), (y, z), (w, y), (x, z))]
+        lhs = reversed_kernel(inner[0], inner[1])
+        rhs = reversed_kernel(inner[2], inner[3])
+        values = [n for value in inner + [lhs, rhs] for n in value[1:]]
+        values += [lhs[1] - rhs[1], lhs[2] - rhs[2], v[2] - v[4], v[3] - v[5],
+                   *ring.product_pair(gap.n1, gap.n2, v[2] - v[4], v[3] - v[5])]
+        for (n1, n2), rows in (side.expr.linear_form(VARS) for side in SIDES):
+            for (a, b, p, q), (x1, x2) in zip(rows, zip(v[::2], v[1::2])):
+                n1 += a * x1 + p * x2
+                n2 += b * x1 + q * x2
+                values += [n1, n2]
+        largest = max(largest, *map(abs, values))
+    for v1, v2 in product((-bound, bound), repeat=2):
+        tag, w1, w2 = witness_kernel(2, v1, v2)
+        plain = op_kernel(SHIFT[2, tag], 0, 0, w1, w2)
+        moved = reversed_kernel((2, 0, 0), (tag, w1, w2))
+        largest = max(largest, abs(w1), abs(w2), *map(abs, plain + moved[1:]))
+    assert bound <= largest < 2**11
+
+
+def test_verify_theorem_runs_each_kernel_once_per_chunk(monkeypatch):
+    calls = {"random_draws": 0, "reversed_kernel": 0, "witness_kernel": 0,
+             "evaluate_form": 0}
+    for name in calls:
+        original = getattr(collapse, name)
+
+        def counted(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(collapse, name, counted)
+    verify_theorem(2 * CHUNK + 1)
+    # three chunks of expansion samples, then three of orbit-2 samples
+    assert calls == {"random_draws": 6, "reversed_kernel": 3 * 6 + 3,
+                     "witness_kernel": 3, "evaluate_form": 3 * 2}
+
+
+def test_verify_theorem_memory_stays_flat_as_the_samples_grow():
+    # the draws of one chunk at a time, never those of the whole run
+    tracemalloc.start()
+    try:
+        peaks = []
+        for samples in (200, 20_000):
+            tracemalloc.reset_peak()
+            verify_theorem(samples)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert peaks[1] <= 2 * peaks[0]
