@@ -11,14 +11,14 @@ of a small generating set S (generators): distributivity is
 R_s R_j = R_{j*s} R_s for s in S and every j, and mediality is decided by
 the displacement group (displacements_commute), each |S| n compositions
 where a pair-by-pair check takes n^2.  Only a table that fails is scanned
-instance by instance, to name its witness.  Derived tables are built
-from whole translations too: the inverse table and an orbit reversal invert
-columns with _inverse, and induced_rows picks and renames rows with gather:
-relabel and the quotient closure in variety.py share it.  Each identity is
-one function of a table, a sequence of row tuples: medial_violation and
-n_quandle_violation return the lexicographically first violating instance,
-and FiniteQuandle.is_medial / is_n_quandle and the quotient closure all ask
-them.
+instance by instance, to name its witness.  The quotient closure in
+variety.py joins the very pairs these checks compare, skipping elements
+merged into smaller ones (displacement_commutators, n_quandle_violations).
+The inverse table and an orbit reversal invert columns with _inverse, and
+relabel and the closure build tables with induced_rows.  medial_violation
+and n_quandle_violation return the lexicographically first violating
+instance in a table, a sequence of row tuples, for FiniteQuandle.is_medial
+/ is_n_quandle and the closure's postcondition.
 """
 
 from __future__ import annotations
@@ -243,37 +243,44 @@ def scan_distributive(columns):
     return first
 
 
-def displacements_commute(columns) -> bool:
-    """Whether the displacement group Dis(Q) = <R_x R_y^-1> is abelian, where
-    columns[x] is the translation R_x of a quandle Q, as a tuple; a quandle
-    is medial exactly when it is (Joyce, JPAA 23, 1982; Jedlicka,
+def displacement_commutators(columns, find):
+    """Yield the maps (g_x g_s, g_s g_x), as tuples, for s in S =
+    generators(columns) after e = S[0], and every x; columns[x] is R_x and
+    g_x = R_x R_e^-1.  They are all equal exactly when Dis(Q) = <R_x R_y^-1>
+    is abelian, that is when Q is medial (Joyce, JPAA 23, 1982; Jedlicka,
     Pilitowska, Stanovsky and Zamojska-Dzienio, J. Algebra 2015).
 
-    With S = generators(columns), e = S[0] and g_x = R_x R_e^-1, it is
-    abelian iff each g_s commutes with every g_x.  The g_x generate Dis(Q),
-    and Inn(Q) = <R_s>, as each R_x is some h R_s h^-1 with h in <R_s> (see
-    check_axioms).  Let N be the normal closure of the g_s in Inn(Q):
-    modulo N every R_s is R_e, so Inn(Q)/N is cyclic, each R_x = h R_s h^-1
-    is R_e modulo N, and Dis(Q) = N.  When every g_s commutes with every
-    g_x, the g_s lie in the centralizer of Dis(Q), which is normal in
-    Inn(Q) and so contains N = Dis(Q): Dis(Q) is abelian.  The converse is
-    immediate.  g_e is the identity, so that is (|S| - 1) n commutations of
-    two compositions each; each g_x is built when it is first reached.
+    The g_x generate Dis(Q), and Inn(Q) = <R_s>, as each R_x is some
+    h R_s h^-1 with h in <R_s> (see check_axioms).  Let N be the normal
+    closure of the g_s in Inn(Q): modulo N every R_s is R_e, so Inn(Q)/N is
+    cyclic, each R_x = h R_s h^-1 is R_e modulo N, and Dis(Q) = N.  When
+    every g_s commutes with every g_x, the g_s lie in the centralizer of
+    Dis(Q), which is normal in Inn(Q) and so contains N = Dis(Q): Dis(Q) is
+    abelian.  The converse is immediate.  So Q/~ is medial exactly when the
+    congruence ~ joins each pair position by position (Bonatto and
+    Stanovsky, J. Math. Soc. Japan 73, 2021).  find is the class lookup of
+    the ~ being closed (int for none); s or x with find(v) != v when reached
+    is skipped.  x ~ x' < x makes g_x and g_x' induce the same map on Q/~,
+    and x', least in its class, was kept.  s ~ s' < s, s' = h(t) for an
+    earlier generator t and h in the group of the earlier R_t, so R_s
+    induces h R_t h^-1: the kept generators still generate Q/~.
     """
     gens = generators(columns)
     displace = gather(_inverse(columns[next(gens)]))  # displace(R_x) is g_x
-    disp = []  # (g_x, f -> f g_x) for the first len(disp) elements x
+    disp = [(g, gather(g)) for g in map(displace, columns)]  # (g_x, f -> f g_x)
     for s in gens:
+        if find(s) != s:
+            continue
         gs = displace(columns[s])
         after_s = gather(gs)  # after_s(f) is f g_s
-        for x, column in enumerate(columns):
-            if x == len(disp):
-                g = displace(column)
-                disp.append((g, gather(g)))
-            g, after_g = disp[x]
-            if after_g(gs) != after_s(g):
-                return False
-    return True
+        for x, (g, after_g) in enumerate(disp):
+            if find(x) == x:
+                yield after_s(g), after_g(gs)
+
+
+def displacements_commute(columns) -> bool:
+    """Whether the quandle with translations `columns` is medial."""
+    return all(a == b for a, b in displacement_commutators(columns, int))
 
 
 def scan_medial(rows):
@@ -311,13 +318,17 @@ def medial_violation(rows):
     return first
 
 
-def n_quandle_violation(rows, power: int):
-    """The first (lhs, rhs, x, y), y outermost, where x acted on `power`
-    times by y is lhs, not rhs = x, in the quandle table `rows`, or None; a
-    negative power iterates inverse translations.  Each translation is
-    walked cycle by cycle, so the cost does not grow with |power|."""
+def n_quandle_violations(rows, power: int, find):
+    """Yield (lhs, rhs, x, y), y outermost, for each cycle of each R_y in
+    the table `rows` on which y acting `power` times (inverses if negative)
+    moves the least element x to lhs, not rhs = x.  Each pair is forced,
+    and a congruence that joins it carries it around the cycle; y is
+    skipped as x is in displacement_commutators.  Cycles are walked, so
+    the cost does not grow with |power|."""
     n = len(rows)
     for y in range(n):
+        if find(y) != y:
+            continue
         seen = [False] * n
         for start in range(n):
             if seen[start]:
@@ -333,8 +344,11 @@ def n_quandle_violation(rows, power: int):
                 x = rows[x][y]
             shift = power % len(cycle)
             if shift:
-                return cycle[shift], start, start, y
-    return None
+                yield cycle[shift], start, start, y
+
+
+def n_quandle_violation(rows, power: int):
+    return next(n_quandle_violations(rows, power, int), None)
 
 
 class FiniteQuandle:

@@ -2,24 +2,21 @@
 
 quotient_by_identity computes the quotient by the least congruence whose
 quotient satisfies a chosen identity: the medial law, or "every translation
-has order dividing n".  Each round builds the current quotient's table
-with quandle.induced_rows, the builder relabel uses too, and asks the
-identity's function of a table (quandle.medial_violation or
-n_quandle_violation, which FiniteQuandle.is_medial and is_n_quandle ask
-too) for its first violated instance, then joins the two classes it names;
-Congruence.join is the one routine that closes a partition under the
-operation, a worklist congruence closure over class lists (Downey, Sethi and
-Tarjan, J. ACM 27, 1980).  Each join is forced in every congruence with that
-property, so the fixpoint is the least such congruence.
+has order dividing n".  In one pass it joins each pair of lines that
+IdentitySpec.forced_lines yields (quandle.displacement_commutators gives
+the pairs, and why merged elements are skipped) with
+Congruence.join_lines, the one routine that closes a partition under the
+operation, a worklist congruence closure over class lists (Downey, Sethi
+and Tarjan, J. ACM 27, 1980); then it builds the quotient table once.
+Every pair is forced, so the congruence lies in the least one, and the
+postconditions raise unless it is a congruence whose quotient satisfies
+the identity, which makes it the least one.
 
-A Congruence labels each element with its class's least member.  For each
-pair that merged, join maps the two rows, and then the two columns, to
-labels with quandle.gather and compares them whole; union runs only where
-they differ.  A union that merges adds one pair to the worklist.  A merge
-can still cost up to 2n union calls, one per differing position, but on the
-reversed finite shadows a whole medial quotient makes fewer than 2n of them
-(34 at n = 22, 304 at n = 202), where unioning the images at every position
-made 2n per merge (881 at n = 22).
+A Congruence labels each element with its class's least member.
+join_lines maps two lines to labels with quandle.gather, compares them
+whole and unions only where they differ; each merge pushes its two rows
+and its two columns.  A medial quotient of a reversed shadow makes under
+2n union calls (22 at n = 22; 881 when every position was unioned).
 """
 
 from __future__ import annotations
@@ -28,7 +25,8 @@ from itertools import compress
 from operator import ne
 
 from .quandle import (FiniteQuandle, InternalAxiomFailure, gather,
-                      induced_rows, medial_violation, n_quandle_violation)
+                      displacement_commutators, induced_rows, medial_violation,
+                      n_quandle_violation, n_quandle_violations)
 from .ring import FrozenValue
 
 MEDIAL_TAG = "medial"
@@ -63,6 +61,13 @@ class IdentitySpec(FrozenValue):
         if self.tag == MEDIAL_TAG:
             return medial_violation(rows)
         return n_quandle_violation(rows, self.parameter)
+
+    def forced_lines(self, q: FiniteQuandle, find):
+        """Pairs of lines whose joins force the identity on q's quotient."""
+        if self.tag == MEDIAL_TAG:
+            return displacement_commutators(q.columns(), find)
+        return (((lhs,), (rhs,)) for lhs, rhs, _, _
+                in n_quandle_violations(q.table, self.parameter, find))
 
 
 MEDIAL = IdentitySpec(MEDIAL_TAG)
@@ -114,28 +119,30 @@ class Congruence:
         return [index.setdefault(r, len(index)) for r in self._label]
 
     def join(self, a: int, b: int) -> None:
-        """Merge the classes of a and b, then close the partition under the
-        operation.  For each pair that merged, the rows of its two elements
-        are mapped to class labels and compared whole, and so are their
-        columns; union runs only where the mapped lines differ, and each
-        pair that merges there is handled the same way.  Positions equal in
-        the snapshot stay equal, since labels only merge."""
+        self.join_lines((a,), (b,))
+
+    def join_lines(self, la, lb) -> None:
+        """Merge the classes of la[i] and lb[i] for each position i, then
+        close the partition under the operation.  Each pair of lines is
+        mapped to class labels and compared whole; union runs only where
+        the mapped lines differ, and each pair that merges there pushes its
+        two rows and its two columns, handled the same way.  Positions
+        equal in the snapshot stay equal, since labels only merge."""
         q = self.quandle
+        rows, columns = q.table, q.columns()
         label, union = self._label, self.union
-        pending = [(a, b)] if union(a, b) else []
+        pending = [(la, lb)]
         while pending:
-            a, b = pending.pop()
+            la, lb = pending.pop()
+            mapped_a, mapped_b = gather(la)(label), gather(lb)(label)
+            if mapped_a == mapped_b:
+                continue
             # No inverse images: a translation permutes the finite carrier, so
             # the map it induces on the classes is onto, hence one-to-one, and
             # then its inverse respects the classes too.
-            for lines in (q.table, q.columns()):
-                la, lb = lines[a], lines[b]
-                mapped_a, mapped_b = gather(la)(label), gather(lb)(label)
-                if mapped_a == mapped_b:
-                    continue
-                for u, v in compress(zip(la, lb), map(ne, mapped_a, mapped_b)):
-                    if union(u, v):
-                        pending.append((u, v))
+            for u, v in compress(zip(la, lb), map(ne, mapped_a, mapped_b)):
+                if union(u, v):
+                    pending += (rows[u], rows[v]), (columns[u], columns[v])
 
     def is_compatible(self) -> bool:
         """Both operation arguments and the inverse translations respect the
@@ -160,23 +167,17 @@ def quotient_by_identity(q: FiniteQuandle,
     """Quotient by the least congruence whose quotient satisfies `spec`.
 
     Returns the quotient quandle and the projection list (element -> class,
-    classes numbered by smallest member).  Each round builds the table of
-    the current quotient, asks IdentitySpec.violation for its first violated
-    instance, and joins representatives of the two classes it names, which
-    closes the partition into a congruence again.  A round that finds no
-    violation shows the quotient satisfies the identity, and since every
-    join was forced the congruence is the least one.
+    classes numbered by smallest member).  See the module docstring.
     """
     cong = Congruence(q)
-    while True:
-        reps = [block[0] for block in cong.blocks()]
-        proj = cong.projection()
-        rows = induced_rows(q.table, reps, proj)
-        forced = spec.violation(rows)
-        if forced is None:
-            break
-        cong.join(reps[forced[0]], reps[forced[1]])
+    for la, lb in spec.forced_lines(q, cong.find):
+        if la != lb:
+            cong.join_lines(la, lb)
     if not cong.is_compatible():
         raise InternalAxiomFailure("closure ended on a partition that is not"
                                    " a congruence")
+    proj = cong.projection()
+    rows = induced_rows(q.table, [block[0] for block in cong.blocks()], proj)
+    if spec.violation(rows) is not None:
+        raise InternalAxiomFailure("the closure's quotient fails the identity")
     return FiniteQuandle(rows), proj

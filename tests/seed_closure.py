@@ -1,11 +1,18 @@
-"""Test oracles: a union-find partition, and a two-phase congruence closure
+"""Test oracles: a union-find partition, the round loop quotient_by_identity
+ran before it seeded every forced pair, and a two-phase congruence closure
 written independently of the worklist closure in quandleworks.variety.
 
 UnionFindCongruence is the union-find design quandleworks.variety.Congruence
 had before it kept a class label per element: a forest with path halving in
 which the smaller root wins, closed by a join that unions the images of each
-merged pair under both arguments at every position.  It offers the same methods, so it can stand in for the
+merged pair under both arguments at every position.  It offers the same
+methods, join_lines as one join per position, so it can stand in for the
 label-array class wherever that one is used.
+
+round_projection joins one violated instance per round, on the union-find
+partition: each round builds the current quotient's table and asks the
+identity for its first violation.  It is fast enough for tables of a few
+hundred elements.
 
 Compatibility is closed by full passes over all pairs, repeated until a pass
 changes nothing, alternating with a sweep that unions the two sides of every
@@ -16,7 +23,7 @@ n-quandle sweep iterates translations |power| times, so keep powers small.
 from itertools import product
 
 from quandleworks import FiniteQuandle
-from quandleworks.quandle import gather
+from quandleworks.quandle import gather, induced_rows
 
 
 class UnionFindCongruence:
@@ -68,6 +75,10 @@ class UnionFindCongruence:
                     if self.union(u, v):
                         pending.append((u, v))
 
+    def join_lines(self, la, lb) -> None:
+        for a, b in zip(la, lb):
+            self.join(a, b)
+
     def is_compatible(self) -> bool:
         q = self.quandle
         root = [self.find(x) for x in range(q.n)]
@@ -78,6 +89,19 @@ class UnionFindCongruence:
             if any(gather(lines[a])(root) != gather(lines[r])(root) for a, r in pairs):
                 return False
         return True
+
+
+def round_projection(q: FiniteQuandle, spec) -> list[int]:
+    """Projection of the least congruence whose quotient satisfies `spec`,
+    one join of a violated instance per round until none is violated."""
+    cong = UnionFindCongruence(q)
+    while True:
+        reps = [block[0] for block in cong.blocks()]
+        proj = cong.projection()
+        forced = spec.violation(induced_rows(q.table, reps, proj))
+        if forced is None:
+            return proj
+        cong.join(reps[forced[0]], reps[forced[1]])
 
 
 def _close_compatibility(cong, q: FiniteQuandle, inv) -> bool:

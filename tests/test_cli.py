@@ -296,6 +296,29 @@ def test_verify_paper_rejects_negative_samples(capsys):
     assert "--samples" in err
 
 
+def test_verify_paper_bounds_samples_before_any_work(capsys, monkeypatch):
+    # a small input must not start unbounded work: above the limit nothing
+    # runs, and the limit itself still reaches verify_theorem
+    counts = []
+
+    def recorded(samples, seed):
+        counts.append(samples)
+        raise collapse.CollapseError("lattice", "stub")
+
+    monkeypatch.setattr(cli_module, "verify_theorem", recorded)
+    for text in ("1000001", "10" + "0" * 30):
+        code, out, err = run(capsys, "verify-paper", "--samples", text)
+        assert (code, out) == (2, "")
+        assert err == f"error: --samples must be at most 1000000, got {int(text)}\n"
+    assert counts == []
+    assert run(capsys, "verify-paper", "--samples", "1000000")[0] == 1
+    assert counts == [1000000]
+    code, out, err = run(capsys, "verify-paper", "--samples", "-5")
+    assert (code, out, err) == (2, "", "error: --samples must be at least 0, got -5\n")
+    code, out, _ = run(capsys, "verify-paper", "--help")
+    assert code == 0 and "0 to 1000000 (default 200)" in " ".join(out.split())
+
+
 def test_verify_paper_reports_a_broken_lattice_certificate(capsys, monkeypatch):
     # a basis column the stated combinations do not sum to breaks the certificate
     monkeypatch.setattr(collapse.CollapseLattice, "basis_columns",

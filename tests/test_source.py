@@ -17,7 +17,8 @@ from conftest import build_corpus, two_orbit_quandle_mod
 from quandleworks import (MEDIAL, FiniteQuandle, MalformedTable,
                           affine_quandle, check_axioms, dihedral_quandle,
                           n_quandle, quandle, quotient_by_identity, relabel,
-                          render_table_text, trivial_quandle, verify_theorem)
+                          render_table_text, trivial_quandle, variety,
+                          verify_theorem)
 from quandleworks.cli import main
 from quandleworks.ring import reduce
 
@@ -271,6 +272,29 @@ def test_confirming_mediality_never_scans_instances(monkeypatch, tmp_path):
     assert _corpus_validations(corpus) == validations
     monkeypatch.setattr(quandle, "scan_medial", forbidden)
     assert _medial_confirmations(tables, tmp_path) == expected
+
+
+def test_a_medial_quotient_builds_one_table_and_scans_no_instance(monkeypatch):
+    # the closure joins the forced pairs in one pass, then builds the
+    # quotient table once; the displacement group confirms it medial
+    cases = [q for _, q in build_corpus()]
+    cases += [two_orbit_quandle_mod(m, t).reverse_orbit(m) for m, t in ((5, 2), (11, 3))]
+    expected = [quotient_by_identity(q, MEDIAL) for q in cases]
+    assert sum(quotient.n < q.n for q, (quotient, _) in zip(cases, expected)) == 4
+    calls = [0]
+    induced_rows = variety.induced_rows
+
+    def counted(*args):
+        calls[0] += 1
+        return induced_rows(*args)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a quandle was scanned instance by instance")
+
+    monkeypatch.setattr(variety, "induced_rows", counted)
+    monkeypatch.setattr(quandle, "scan_medial", forbidden)
+    assert [quotient_by_identity(q, MEDIAL) for q in cases] == expected
+    assert calls[0] == len(cases) == 43
 
 
 def _count_compositions(monkeypatch):

@@ -1,6 +1,7 @@
 """Smallest-congruence quotients against the partition-enumeration oracle."""
 
 import random
+from functools import partial
 
 import pytest
 
@@ -12,7 +13,8 @@ from quandleworks import (MEDIAL, Congruence, FiniteQuandle, IdentitySpec,
                           InternalAxiomFailure, affine_quandle, dihedral_quandle,
                           n_quandle, quandle, quotient_by_identity, relabel,
                           trivial_quandle, variety)
-from seed_closure import UnionFindCongruence, _close_compatibility, seed_projection
+from seed_closure import (UnionFindCongruence, _close_compatibility, round_projection,
+                          seed_projection)
 from seed_partitions import TooLarge, brute_force_smallest_congruence
 
 DIFFERENTIAL_SPECS = (MEDIAL,) + tuple(n_quandle(k) for k in (1, 2, 3, -2, 6))
@@ -167,17 +169,18 @@ def test_reversed_two_orbit_table_medializes_to_two_classes(shadow_mod5):
     assert quotient.n == shadow_mod5.n
 
 
+def _shuffled(rng, q):
+    perm = list(range(q.n))
+    rng.shuffle(perm)
+    return relabel(q, perm)
+
+
 def _differential_cases(moduli=(5, 11)):
     """Relabeled finite shadows with orbit 2 reversed (every root of
     t^2 + t - 1 mod m, for each modulus), and every reversed orbit of
     relabeled affine tables."""
     rng = random.Random(20261018)
-
-    def shuffled(q):
-        perm = list(range(q.n))
-        rng.shuffle(perm)
-        return relabel(q, perm)
-
+    shuffled = partial(_shuffled, rng)
     for m in moduli:
         for t in range(m):
             if (t * t + t - 1) % m == 0:
@@ -196,6 +199,37 @@ def test_worklist_closure_matches_the_two_phase_oracle():
         for spec in DIFFERENTIAL_SPECS:
             _, proj = quotient_by_identity(q, spec)
             assert proj == seed_projection(q, spec), (name, spec)
+
+
+def _round_corpus():
+    """Every quandle of order at most 4; relabeled shadows with each orbit
+    reversed, for every root of t^2 + t - 1 mod m, m < 60; every reversed
+    orbit of seven relabeled affine tables; dihedral tables of order 3-33."""
+    shuffled = partial(_shuffled, random.Random(20261021))
+    yield from (("small", q) for q in _small_tables())
+    for m in range(1, 60):
+        for t in range(m):
+            if (t * t + t - 1) % m == 0:
+                q = shuffled(two_orbit_quandle_mod(m, t))
+                for block in q.orbits():
+                    yield f"shadow{m}t{t}-rev{block[0]}", q.reverse_orbit(block[0])
+    for n, t in ((21, 4), (27, 4), (25, 6), (15, 2), (9, 4), (33, 2), (125, 6)):
+        q = shuffled(affine_quandle(n, t))
+        for block in q.orbits():
+            yield f"affine{n}t{t}-rev{block[0]}", q.reverse_orbit(block[0])
+    yield from ((f"dihedral{n}", dihedral_quandle(n)) for n in range(3, 34))
+
+
+def test_seeded_closure_matches_the_round_loop():
+    # one pass over the forced pairs against one join of a violated instance
+    # per round, on the union-find partition
+    cases = list(_round_corpus())
+    assert len(cases) == 43 + 30 + 23 + 31
+    specs = DIFFERENTIAL_SPECS + (n_quandle(10**8 + 1),)
+    for name, q in cases:
+        for spec in specs:
+            _, proj = quotient_by_identity(q, spec)
+            assert proj == round_projection(q, spec), (name, spec)
 
 
 def _small_tables():
