@@ -21,20 +21,16 @@ Each closed form is one integer kernel on canonical pairs: op_kernel and
 op_inv_kernel take the shift pair and the two value pairs, witness_kernel
 computes orbit_witness, and reversed_kernel runs reversed_op on tagged
 pairs (orbit, n1, n2).  The sampled checks of collapse.py chain the kernels
-and box nothing.  They call each kernel once per chunk of samples, on
-lane-packed integers: the kernels only add values and multiply them by
-fixed integers, which act on each lane separately while no lane overflows,
-and reversed_kernel and witness_kernel multiply their shift by `unit`, the
-integer with 1 in every lane.  op and op_inv never call the kernels: they
-compute the formulas with ring and AffineExpr arithmetic, for Points as for
-SymPoints, so those checks compare two derivations that share no code.
+on lane-packed integers (collapse.CHUNK) and box nothing.  op and op_inv
+never call the kernels: they compute the formulas with ring and AffineExpr
+arithmetic, for Points as for SymPoints, so those checks compare two
+derivations that share no code.
 
 Both formulas are affine in both arguments, so they close over AffineExpr;
 collapse.py expands the reversed medial terms that way.  linear_form turns
 an AffineExpr into integer coefficient rows, and evaluate_form evaluates
 such rows at canonical pairs: AffineExpr.evaluate and the sampled checks of
-collapse.py share that one evaluation, the checks building the rows once
-per run and evaluating them once per chunk.  Orbit 2 is the reversed orbit
+collapse.py share that one evaluation.  Orbit 2 is the reversed orbit
 throughout this package: reversed_op swaps in the undo formula exactly when
 the acting element carries tag 2.
 
@@ -251,8 +247,7 @@ def reversed_kernel(a: tuple[int, int, int], b: tuple[int, int, int],
                     unit: int = 1) -> tuple[int, int, int]:
     """reversed_op on tagged pairs (orbit, n1, n2): a acted on by b, undone
     when b carries tag 2; the result keeps a's tag.  The shift pair is
-    multiplied by `unit`, the integer with 1 in every lane of lane-packed
-    values (collapse.py), so that it reaches every lane."""
+    multiplied by `unit`, collapse.lane_ones on lane-packed values."""
     i, x1, x2 = a
     j, y1, y2 = b
     if j == 2:

@@ -28,13 +28,9 @@ the total is exactly two.
 
 verify_theorem backs the expansion and the transport with sampled checks
 that share no code with the symbolic derivation: the integer kernels of
-affine.py run on random values.  They run CHUNK samples at a time, each
-coordinate of a chunk packed into one integer with a 64-bit lane per
-sample, so that each kernel runs once per chunk and one comparison checks
-a chunk; every lane stays below 2^20 in magnitude (see CHUNK).  The draws
-are those of successive randint calls (ring.random_draws), and a failure
-names the first failing sample in draw order, as the one-sample-at-a-time
-loops of the test oracle tests/seed_sampled.py do.
+affine.py run on random values, a chunk of samples at a time (CHUNK,
+_check_samples), and the one-sample-at-a-time loops of
+tests/seed_sampled.py are their test oracle.
 """
 
 from __future__ import annotations
@@ -42,10 +38,11 @@ from __future__ import annotations
 import random
 from typing import Mapping, Sequence
 
-from .affine import (SHIFT, AffineExpr, Point, SymPoint, evaluate_form, op,
-                     op_kernel, reversed_kernel, reversed_op, witness_kernel)
+from .affine import (SHIFT, AffineExpr, SymPoint, evaluate_form, op,
+                     op_kernel, orbit_witness, reversed_kernel, reversed_op,
+                     witness_kernel)
 from .ring import (ONE, T, ZERO, FrozenValue, RingElem, product_pair,
-                   random_draws, render_pair)
+                   render_pair)
 
 PARAM = "a"
 VARS = ("w", "x", "y", "z")
@@ -65,8 +62,6 @@ VARS = ("w", "x", "y", "z")
 SAMPLE_BOUND = 50
 CHUNK = 256
 LANE_BYTES = 8
-LANE_BITS = 8 * LANE_BYTES
-HALF_LANE = 1 << (LANE_BITS - 1)
 _ONE_LANE = (1).to_bytes(LANE_BYTES, "little")
 
 
@@ -283,11 +278,42 @@ def lane_ones(n: int) -> int:
     return int.from_bytes(_ONE_LANE * n, "little")
 
 
+# randint(-SAMPLE_BOUND, SAMPLE_BOUND) draws from _SPAN values with _BITS
+# random bits an attempt; _TOP_BITS maps a word's top byte to the attempt it
+# decides, and _REJECT holds the top bytes of the attempts it rejects
+_SPAN = 2 * SAMPLE_BOUND + 1
+_BITS = _SPAN.bit_length()
+_TOP_BITS = bytes(b >> (8 - _BITS) for b in range(256))
+_REJECT = bytes(range(_SPAN << (8 - _BITS), 256))
+
+
+def random_draws(rng: random.Random, count: int) -> bytes:
+    """`count` independent uniform integers in [-SAMPLE_BOUND, SAMPLE_BOUND],
+    each as the byte value + SAMPLE_BOUND, drawn as successive
+    rng.randint(-SAMPLE_BOUND, SAMPLE_BOUND) calls draw them.
+
+    randint draws randrange(_SPAN), which takes getrandbits(_BITS), the top
+    _BITS bits of the generator's next 32-bit word, until the value is below
+    _SPAN.  getrandbits(32 * m) returns the next m words, least significant
+    first, on every platform, so the top byte of each word gives each
+    attempt, and translate keeps the accepted ones in order: it deletes the
+    rejected top bytes, then maps each remaining one to its attempt.  Each
+    attempt consumes one word, and a round asks only for the draws still
+    missing, so the values and the generator's state afterwards are those
+    of `count` randint calls.
+    """
+    draws = b""
+    while len(draws) < count:
+        need = count - len(draws)
+        words = rng.getrandbits(32 * need).to_bytes(4 * need, "little")
+        draws += words[3::4].translate(_TOP_BITS, _REJECT)
+    return draws
+
+
 def pack_columns(draws: bytes, width: int) -> tuple[list[int], int]:
     """The `width` columns of `draws`, laid out as random_draws returns
-    them (`width` bytes per sample, each byte a value + SAMPLE_BOUND), as
-    packed integers, one lane per sample in draw order, and lane_ones of
-    the sample count."""
+    them (`width` bytes per sample), as packed integers, one lane per
+    sample in draw order, and lane_ones of the sample count."""
     n = len(draws) // width
     ones = lane_ones(n)
     lanes = bytearray(LANE_BYTES * n)
@@ -298,27 +324,9 @@ def pack_columns(draws: bytes, width: int) -> tuple[list[int], int]:
     return columns, ones
 
 
-def unpack(packed: int, n: int) -> list[int]:
-    """The n lane values of a packed integer, lane 0 first.  Adding 2^63 to
-    every lane makes each one a word in [0, 2^64), so no lane borrows from
-    the next, and the words are read off as little-endian bytes."""
-    words = (packed + HALF_LANE * lane_ones(n)).to_bytes(LANE_BYTES * n, "little")
-    return [int.from_bytes(words[k:k + LANE_BYTES], "little") - HALF_LANE
-            for k in range(0, LANE_BYTES * n, LANE_BYTES)]
-
-
-def first_difference(got: Sequence[int], want: Sequence[int]) -> int:
-    """The first lane at which two unequal tuples of packed integers differ;
-    a plain integer such as an orbit tag counts as lane 0.  The lowest set
-    bit of a nonzero difference lies in its first nonzero lane, because
-    every lane is below 2^63 in magnitude."""
-    return min(((d & -d).bit_length() - 1) // LANE_BITS
-               for d in (g - w for g, w in zip(got, want)) if d)
-
-
-def _sample(draws: bytes, width: int, lane: int) -> list[RingElem]:
-    """The ring values of the sample in `lane`, read back from its draws."""
-    values = [d - SAMPLE_BOUND for d in draws[width * lane:width * (lane + 1)]]
+def _sample(draws: bytes, width: int) -> list[RingElem]:
+    """The ring values of the first sample of `draws`, n1 before n2."""
+    values = [d - SAMPLE_BOUND for d in draws[:width]]
     return [RingElem(n1, n2) for n1, n2 in zip(values[::2], values[1::2])]
 
 
@@ -328,59 +336,67 @@ def _lanewise(form, ones: int):
     return (c1 * ones, c2 * ones), rows
 
 
-def _first_failure(checks) -> tuple[int, int] | None:
-    """(lane, index) of the first sample of a chunk at which one of the
-    checks, each a (got, want) pair of tuples of packed integers, fails,
-    and of the first check failing there; None if every check holds."""
-    return min(((first_difference(got, want), index)
-                for index, (got, want) in enumerate(checks) if got != want),
-               default=None)
+def _check_samples(rng: random.Random, count: int, width: int, check) -> None:
+    """Run check(draws) on `count` samples of `width` draws each, CHUNK
+    samples to a call, with each chunk's draws from one random_draws call.
+
+    check packs its draws (pack_columns) and raises a CollapseError at the
+    first check that fails, naming the first sample of its draws.  When a
+    chunk fails, check runs again on each of its samples alone, in draw
+    order, so the first failing sample raises, with the first check that
+    fails at it, as the one-sample-at-a-time loops of tests/seed_sampled.py
+    do.  If no sample fails alone, which only a kernel that does not act
+    lane by lane can cause, the chunk's own error is raised.
+    """
+    for start in range(0, count, CHUNK):
+        draws = random_draws(rng, width * min(CHUNK, count - start))
+        try:
+            check(draws)
+        except CollapseError:
+            for k in range(0, len(draws), width):
+                check(draws[k:k + width])
+            raise
+
+
+def _require_count(name: str, count: int) -> None:
+    if type(count) is not int:
+        raise TypeError(f"{name} must be an int, got {count!r}")
+    if count < 0:
+        raise ValueError(f"{name} must be at least 0, got {count}")
 
 
 def orbit2_collapse(sample_count: int, rng: random.Random) -> int:
     """Class count for orbit 2 once orbit 1 has collapsed (always 1).
 
     The witness identity op(zero-of-2, t^(-2)*(x+1) in orbit 1) = x-of-2 is
-    checked symbolically, then on `sample_count` random values, confirming
-    each time that the acting element lies in orbit 1 and that the reversed
-    structure applies the very same translation.  The samples run on the
-    integer kernels of affine.py, one call per kernel for each chunk of
-    CHUNK samples, packed into lanes; the values come from one random_draws
-    call per chunk, and a RingElem or Point is built only for the message
-    of the first failing sample.
+    checked symbolically, then on `sample_count` random values with the
+    integer kernels of affine.py (_check_samples), confirming each time
+    that the acting element lies in orbit 1 and that the reversed structure
+    applies the very same translation.
     """
-    if sample_count < 0:
-        raise ValueError(f"sample_count must be at least 0, got {sample_count}")
+    _require_count("sample_count", sample_count)
     x = AffineExpr.var("x")
     witness = SymPoint(1, ONE.scale_t(-2) * (x + ONE))
     base = SymPoint(2, AffineExpr.const(ZERO))
     if op(base, witness) != SymPoint(2, x):
         raise WitnessFailure("symbolic witness identity failed")
 
-    zero2 = (2, 0, 0)
-    for start in range(0, sample_count, CHUNK):
-        draws = random_draws(rng, 2 * min(CHUNK, sample_count - start),
-                             SAMPLE_BOUND)
+    def check(draws: bytes) -> None:
         (v1, v2), ones = pack_columns(draws, 2)
         wit = witness_kernel(2, v1, v2, ones)
         tag, w1, w2 = wit
         if tag != 1:
-            raise WitnessFailure(f"witness for {_sample(draws, 2, 0)[0]}"
-                                 " left orbit 1")
+            raise WitnessFailure(f"witness for {_sample(draws, 2)[0]} left orbit 1")
         s1, s2 = SHIFT[2, tag]
         plain = op_kernel((s1 * ones, s2 * ones), 0, 0, w1, w2)
-        failure = _first_failure((
-            (plain, (v1, v2)),
-            (reversed_kernel(zero2, wit, ones), (2, *plain))))
-        if failure is not None:
-            lane, check = failure
-            if check == 0:
-                raise WitnessFailure(f"witness for {_sample(draws, 2, lane)[0]}"
-                                     " does not reach it")
-            n = len(draws) // 2
-            acting = Point(tag, RingElem(unpack(w1, n)[lane], unpack(w2, n)[lane]))
-            raise WitnessFailure(f"translation by {acting}"
-                                 " differs between the two structures")
+        if plain != (v1, v2):
+            raise WitnessFailure(f"witness for {_sample(draws, 2)[0]} does not reach it")
+        if reversed_kernel((2, 0, 0), wit, ones) != (2, *plain):
+            acting = orbit_witness(_sample(draws, 2)[0], 2)
+            raise WitnessFailure(f"translation by {acting} differs between the two"
+                                 " structures")
+
+    _check_samples(rng, sample_count, 2, check)
     return 1
 
 
@@ -432,12 +448,6 @@ class CollapseReport(FrozenValue):
         return "\n".join(lines) + "\n"
 
 
-# what each expansion check of verify_theorem reports, in check order
-EXPANSION_CHECKS = ("concrete lhs disagrees with the expansion",
-                    "concrete rhs disagrees with the expansion",
-                    "gap law (t^3-t)(x-y) violated")
-
-
 def verify_theorem(samples: int = 200, seed: int = 0) -> CollapseReport:
     """Run the whole pipeline and return the report (total is 2 on success).
 
@@ -452,19 +462,12 @@ def verify_theorem(samples: int = 200, seed: int = 0) -> CollapseReport:
     Each side is expanded once per run, and its AffineExpr.linear_form,
     integer rows built from the expansion's own coefficients, is what the
     samples evaluate with evaluate_form; the gap law is checked with
-    product_pair.  The samples run CHUNK at a time, packed into lanes (see
-    CHUNK): one random_draws call gives a chunk's values, w, x, y, z per
-    sample and n1 before n2, then each kernel and form runs once and each
-    check is one comparison.  The orbit-2 samples are drawn after all of
-    these, so a seed draws what one randint call per value would, and
-    memory stays flat at any sample count.  No RingElem or Point is built
-    unless a check fails; the first failing sample in draw order is then
-    reported, with the first check that fails at it in the order tag, lhs,
-    rhs, gap law.  A wrong coefficient in either derivation is caught at
-    stage 'expansion'.
+    product_pair.  Each sample draws w, x, y, z, n1 before n2, and the
+    orbit-2 samples are drawn after all of them (_check_samples); the
+    checks at a sample run in the order tag, lhs, rhs, gap law.  A wrong
+    coefficient in either derivation is caught at stage 'expansion'.
     """
-    if samples < 0:
-        raise ValueError(f"samples must be at least 0, got {samples}")
+    _require_count("samples", samples)
     rng = random.Random(seed)
     lhs = expand_lhs()
     rhs = expand_rhs()
@@ -472,8 +475,7 @@ def verify_theorem(samples: int = 200, seed: int = 0) -> CollapseReport:
     rhs_form = rhs.expr.linear_form(VARS)
     gap = T.scale_t(2) - T  # t^3 - t
 
-    for start in range(0, samples, CHUNK):
-        draws = random_draws(rng, 8 * min(CHUNK, samples - start), SAMPLE_BOUND)
+    def check(draws: bytes) -> None:
         (w1, w2, x1, x2, y1, y2, z1, z2), ones = pack_columns(draws, 8)
         w, x, y, z = (1, w1, w2), (1, x1, x2), (1, y1, y2), (2, z1, z2)
         lt, l1, l2 = reversed_kernel(reversed_kernel(w, x, ones),
@@ -483,15 +485,17 @@ def verify_theorem(samples: int = 200, seed: int = 0) -> CollapseReport:
         if lt != 1 or rt != 1:
             raise ExpansionMismatch("orbit tag leaked across copies")
         pairs = ((w1, w2), (x1, x2), (y1, y2), (z1, z2))
-        failure = _first_failure((
-            ((l1, l2), evaluate_form(_lanewise(lhs_form, ones), pairs)),
-            ((r1, r2), evaluate_form(_lanewise(rhs_form, ones), pairs)),
-            ((l1 - r1, l2 - r2), product_pair(gap.n1, gap.n2, x1 - y1, x2 - y2))))
-        if failure is not None:
-            lane, check = failure
-            values = dict(zip(VARS, _sample(draws, 8, lane)))
-            raise ExpansionMismatch(f"{EXPANSION_CHECKS[check]} at {values}")
+        if (l1, l2) != evaluate_form(_lanewise(lhs_form, ones), pairs):
+            failed = "concrete lhs disagrees with the expansion"
+        elif (r1, r2) != evaluate_form(_lanewise(rhs_form, ones), pairs):
+            failed = "concrete rhs disagrees with the expansion"
+        elif (l1 - r1, l2 - r2) != product_pair(gap.n1, gap.n2, x1 - y1, x2 - y2):
+            failed = "gap law (t^3-t)(x-y) violated"
+        else:
+            return
+        raise ExpansionMismatch(f"{failed} at {dict(zip(VARS, _sample(draws, 8)))}")
 
+    _check_samples(rng, samples, 8, check)
     sides = (lhs, rhs)
     shifts = tuple(derive_relation(asg, sides) for asg in relation_assignments())
     chain = tuple(combine_shifts(shifts[0], shifts[1]))

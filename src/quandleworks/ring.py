@@ -31,16 +31,11 @@ collapse.CollapseLattice, collapse.CollapseReport, quandle.AxiomReport and
 variety.IdentitySpec, the package's only value classes.  Code that computes
 many values in a row, such as the sampled checks of
 collapse.verify_theorem, works on the pairs themselves and builds a
-RingElem only for a result it hands out.  random_draws gives a sampled
-check each chunk's values as bytes from one getrandbits call: the top byte
-of each 32-bit Mersenne Twister word decides one randint attempt, so the
-bytes are the draws of successive randint calls, and the generator ends in
-the same state.
+RingElem only for a result it hands out.
 """
 
 from __future__ import annotations
 
-import random
 import re
 from operator import attrgetter
 from typing import Mapping
@@ -230,39 +225,3 @@ def parse_elem(text: str) -> RingElem:
     if _INT_RE.match(s):
         return RingElem.from_int(int(s))
     raise ValueError(f"cannot parse ring element {text!r}")
-
-
-# randint's k-bit draw is the top k bits of one 32-bit Mersenne Twister
-# word, so it is a function of the word's top byte when k <= 8: TOP_BITS[k]
-# maps each top byte to its top k bits
-TOP_BITS = tuple(bytes(b >> (8 - k) for b in range(256)) for k in range(9))
-
-
-def random_draws(rng: random.Random, count: int, bound: int) -> bytes:
-    """`count` independent uniform integers in [-bound, bound], each as the
-    byte value + bound, drawn as successive rng.randint(-bound, bound) calls
-    draw them; 0 <= bound <= 127.
-
-    randint(-bound, bound) is randrange(span) - bound, and randrange(span)
-    draws getrandbits(k) = word >> (32 - k), for k = span.bit_length() and
-    the generator's next 32-bit word, until the value is below span.
-    getrandbits(32 * m) returns the next m words, least significant first,
-    on every platform, so the top byte of each word gives each attempt, and
-    translate keeps the accepted ones in order: it deletes the top bytes of
-    the draws at or above span, then maps each remaining byte to its top k
-    bits.  Each attempt consumes one word, and a round asks only for the
-    draws still missing, so the values and the generator's state afterwards
-    are those of `count` randint calls.  A draw fits a byte only for
-    span <= 256, hence the bound.
-    """
-    if not 0 <= bound <= 127:
-        raise ValueError(f"bound must be in 0..127, got {bound}")
-    span = 2 * bound + 1
-    bits = span.bit_length()
-    reject = bytes(range(span << (8 - bits), 256))
-    draws = b""
-    while len(draws) < count:
-        need = count - len(draws)
-        words = rng.getrandbits(32 * need).to_bytes(4 * need, "little")
-        draws += words[3::4].translate(TOP_BITS[bits], reject)
-    return draws

@@ -16,7 +16,7 @@ A Congruence labels each element with its class's least member.
 join_lines maps two lines to labels with quandle.gather, compares them
 whole and unions only where they differ; each merge pushes its two rows
 and its two columns.  A medial quotient of a reversed shadow makes under
-2n union calls (22 at n = 22; 881 when every position was unioned).
+2n union calls (22 at n = 22).
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ mapping to its canonical pair; the tests check every RingElem operation
 against LaurentPoly arithmetic followed by reduce, and lift(e) is the
 polynomial n1*t + n2*t^2 of a canonical pair.  random_pair and random_elem
 draw the tests' random ring elements with randint, which is also the
-specification of the library's one draw function, ring.random_draws.
+specification of the library's one draw function, collapse.random_draws.
 """
 
 import random

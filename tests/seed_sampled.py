@@ -1,10 +1,10 @@
 """Test oracle: the sampled checks of verify_theorem, one sample at a time.
 
 collapse.verify_theorem and collapse.orbit2_collapse run their sampled
-checks on chunks of lane-packed integers.  These are the same checks as
-plain loops over one sample at a time, each value drawn with randint
-(seed_ring.random_pair), failing with the same message at the first
-failing sample.  Every function they share with collapse.py is looked up
+checks on chunks of lane-packed integers, drawn by collapse.random_draws.
+These are the same checks as plain loops over one sample at a time, each
+value drawn with randint (seed_ring.random_pair), failing with the same
+message at the first failing sample.  Every function they share with collapse.py is looked up
 on the collapse module when it is called, so a mutant installed there
 reaches both.
 """

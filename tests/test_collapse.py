@@ -18,11 +18,11 @@ from quandleworks import (ONE, T, T_SQ, ZERO, AffineExpr, CollapseError,
                           reversed_op, ring, verify_theorem)
 from quandleworks.affine import (ORBIT_TAGS, SHIFT, evaluate_form, op_inv_kernel,
                                  op_kernel, reversed_kernel, witness_kernel)
-from quandleworks.collapse import (CHUNK, LANE_BITS, PARAM, VARS, first_difference,
-                                   lane_ones, pack_columns, unpack)
+from quandleworks.collapse import (CHUNK, LANE_BYTES, PARAM, SAMPLE_BOUND, VARS,
+                                   lane_ones, pack_columns, random_draws)
 import seed_hnf
 import seed_sampled
-from seed_ring import random_elem
+from seed_ring import random_elem, random_pair
 
 MINUS_ONE = RingElem(-1, -1)
 T_CUBED = RingElem(1, -1)
@@ -285,6 +285,16 @@ def test_verify_theorem_report():
         verify_theorem(samples=-3)
 
 
+
+@pytest.mark.parametrize("count", [True, False, 1.0, "3", None])
+def test_a_sample_count_must_be_an_int(count):
+    # a bool is an int subclass: verify_theorem(True) would run one sample
+    # and report samples=True
+    with pytest.raises(TypeError, match="samples must be an int"):
+        verify_theorem(count)
+    with pytest.raises(TypeError, match="sample_count must be an int"):
+        orbit2_collapse(count, random.Random(0))
+
 def test_verify_theorem_is_deterministic():
     a = verify_theorem(samples=50, seed=3)
     b = verify_theorem(samples=50, seed=3)
@@ -408,6 +418,17 @@ def test_a_reversed_kernel_that_undoes_every_translation_fails_the_transport(
     assert info.value.stage == "orbit-2 transport"
 
 
+
+def test_a_fault_that_no_single_sample_shows_still_fails_the_chunk(monkeypatch):
+    # a reversed kernel that goes wrong only on packed values: every sample
+    # passes alone, so the chunk's own error is raised, not lost
+    install_mutant(monkeypatch, "reversed_kernel", "return i, n1, n2",
+                   "return i, n1 + (abs(x1) > 2**40), n2")
+    assert verify_theorem(1).total == 2
+    with pytest.raises(ExpansionMismatch) as info:
+        verify_theorem(200)
+    assert info.value.stage == "expansion"
+
 def swap_gap_law(monkeypatch):
     # product_pair with its second factor's coordinates swapped: a wrong
     # gap law that the lhs and rhs checks do not see
@@ -455,7 +476,7 @@ def test_the_chunked_checks_report_what_the_scalar_loops_report(monkeypatch, fau
 
 def pack(values):
     """sum(v_k * 2^(64k)): one lane per value, lane 0 first."""
-    return sum(v << (LANE_BITS * k) for k, v in enumerate(values))
+    return sum(v << (8 * LANE_BYTES * k) for k, v in enumerate(values))
 
 
 def packed(results):
@@ -516,41 +537,32 @@ def test_packing_reads_the_draws_lane_by_lane():
     assert ones == lane_ones(37)
     for c, packed_column in enumerate(columns):
         assert packed_column == pack([v - 50 for v in draws[c::8]])
-        assert unpack(packed_column, 37) == [v - 50 for v in draws[c::8]]
-    extremes = [2**63 - 1, -2**63, -1, 0, 1, -2**40, 2**40]
-    assert unpack(pack(extremes), len(extremes)) == extremes
     assert pack_columns(b"", 2) == ([0, 0], 0)
 
 
-@pytest.mark.parametrize("n", [1, 2, 7, CHUNK])
-def test_first_difference_names_the_one_lane_that_differs(n):
-    rng = random.Random(n)
-    base = [rng.choice(EDGES) for _ in range(n)]
-    for k in {0, 1, n - 1} & set(range(n)):
-        for delta in (1, -1, 2**40, -2**62, 3 << 20):
-            other = list(base)
-            other[k] += delta
-            assert first_difference((pack(base),), (pack(other),)) == k
-            # a plain integer, such as an orbit tag, counts as lane 0
-            assert first_difference((1, pack(base)), (1, pack(other))) == k
-            assert first_difference((1, pack(base)), (2, pack(other))) == 0
-    # the first of several differing lanes, in any coordinate
-    other = list(base)
-    other[n - 1] -= 5
-    other[n // 2] += 3
-    assert first_difference((pack(base), pack(base)),
-                            (pack(base), pack(other))) == n // 2
 
-
-def test_first_failure_takes_the_first_sample_then_the_first_check():
-    lanes = [0, 0, 0, 0]
-    failing = {1: [0, 9, 0, 9], 2: [0, 0, 0, 9], 3: [0, 9, 0, 0]}
-    checks = [((pack(lanes),), (pack(failing.get(index, lanes)),))
-              for index in range(4)]
-    assert collapse._first_failure(checks) == (1, 1)
-    assert collapse._first_failure(checks[2:]) == (1, 1)
-    assert collapse._first_failure(checks[:1]) is None
-
+def test_random_draws_are_the_draws_of_successive_random_pair_calls():
+    # the sampled checks of verify-paper draw each chunk's values in one
+    # random_draws call, and verify-paper never prints its samples, so only
+    # this test sees a drift in the sample stream: the values and the
+    # generator state afterwards must be those of one random_pair call per
+    # pair, that is, of two randint calls (tests/seed_ring.py)
+    bound = SAMPLE_BOUND
+    for count in range(10):
+        for seed in range(20):
+            r, s = random.Random(seed), random.Random(seed)
+            draws = random_draws(r, 2 * count)
+            pairs = [(n1 - bound, n2 - bound)
+                     for n1, n2 in zip(draws[::2], draws[1::2])]
+            assert pairs == [random_pair(s, bound) for _ in range(count)]
+            assert r.getstate() == s.getstate()
+            # and the next draw carries on the same stream
+            assert random_draws(r, 1)[0] - bound == s.randint(-bound, bound)
+    # a long request, which takes one round more for each shortfall
+    r, s = random.Random(5), random.Random(5)
+    assert list(random_draws(r, 3000)) == [
+        s.randint(-bound, bound) + bound for _ in range(3000)]
+    assert r.getstate() == s.getstate()
 
 def test_every_lane_value_stays_far_inside_its_lane():
     # every value the sampled checks compute is affine in the draws, so its

@@ -8,9 +8,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from quandleworks.ring import (ONE, T, T_INV, T_SQ, ZERO, RingElem,
-                               parse_elem, product_pair, random_draws, reduce,
+                               parse_elem, product_pair, reduce,
                                render_elem, render_pair)
-from seed_ring import LaurentPoly, lift, random_pair
+from seed_ring import LaurentPoly, lift
 
 elems = st.builds(RingElem,
                   st.integers(min_value=-60, max_value=60),
@@ -169,32 +169,3 @@ def test_ring_elements_are_frozen_dataclass_values():
     assert RingElem(1, 2) != (1, 2)
     assert RingElem(n1=1, n2=2) == RingElem(1, 2)
 
-
-@pytest.mark.parametrize("bound", [0, 1, 7, 50, 127])
-def test_random_pairs_makes_the_draws_of_successive_random_pair_calls(bound):
-    # the sampled checks of verify-paper draw each chunk's values in one
-    # random_draws call, and verify-paper never prints its samples, so only
-    # this test sees a drift in the sample stream: the values and the
-    # generator state afterwards must be those of one random_pair call per
-    # pair, that is, of two randint calls (tests/seed_ring.py)
-    for count in range(10):
-        for seed in range(20):
-            r, s = random.Random(seed), random.Random(seed)
-            draws = random_draws(r, 2 * count, bound)
-            pairs = [(n1 - bound, n2 - bound)
-                     for n1, n2 in zip(draws[::2], draws[1::2])]
-            assert pairs == [random_pair(s, bound) for _ in range(count)]
-            assert r.getstate() == s.getstate()
-            # and the next draw carries on the same stream
-            assert random_draws(r, 1, bound)[0] - bound == s.randint(-bound, bound)
-    # a long request, which takes one round more for each shortfall
-    r, s = random.Random(5), random.Random(5)
-    assert list(random_draws(r, 3000, bound)) == [
-        s.randint(-bound, bound) + bound for _ in range(3000)]
-    assert r.getstate() == s.getstate()
-
-
-@pytest.mark.parametrize("bound", [128, 1000, -1])
-def test_random_draws_needs_each_draw_to_fit_a_byte(bound):
-    with pytest.raises(ValueError, match="bound must be in 0..127"):
-        random_draws(random.Random(0), 1, bound)

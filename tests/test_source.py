@@ -76,6 +76,16 @@ def test_the_library_imports_only_the_listed_standard_modules():
     assert found - {"__future__", "quandleworks"} == STANDARD_MODULES
 
 
+
+def test_the_ring_is_exact_arithmetic_only_and_collapse_owns_the_draws():
+    # the sampled checks draw their samples with collapse.random_draws, at
+    # collapse.SAMPLE_BOUND; ring.py draws nothing
+    ring_imports = [name for where, name in _absolute_imports()
+                    if where.startswith("ring.py:")]
+    assert ring_imports and "random" not in ring_imports
+    assert [m.__name__ for m in _library_modules()
+            if hasattr(m, "random_draws")] == ["quandleworks.collapse"]
+
 def test_importing_the_cli_loads_no_dataclass_machinery():
     # setup_s times this import in a fresh interpreter; the frozen values
     # derive from ring.FrozenValue, which loads dataclasses only to raise
