@@ -22,17 +22,20 @@ op_inv_kernel take the shift pair and the two value pairs, witness_kernel
 computes orbit_witness, and reversed_kernel runs reversed_op on tagged
 pairs (orbit, n1, n2).  The sampled checks of collapse.py chain the kernels
 on lane-packed integers (collapse.CHUNK) and box nothing.  op and op_inv
-never call the kernels: they compute the formulas with ring and AffineExpr
-arithmetic, for Points as for SymPoints, so those checks compare two
-derivations that share no code.
+never call the kernels, so those checks compare two derivations that share
+no code: each is one combine, a linear combination over the ring, for
+Points as for SymPoints.  op combines (shift, t*x, t^2*y), and op_inv
+combines (t^(-1)*shift, t^(-1)*x, -t*y), since t^(-1)*t^2 = t.
 
 Both formulas are affine in both arguments, so they close over AffineExpr;
-collapse.py expands the reversed medial terms that way.  linear_form turns
-an AffineExpr into integer coefficient rows, and evaluate_form evaluates
-such rows at canonical pairs: AffineExpr.evaluate and the sampled checks of
-collapse.py share that one evaluation.  Orbit 2 is the reversed orbit
-throughout this package: reversed_op swaps in the undo formula exactly when
-the acting element carries tag 2.
+collapse.py expands the reversed medial terms that way.  combine is the one
+routine of AffineExpr arithmetic: it sums canonical integer pairs and
+builds one AffineExpr per call, and +, -, * and substitute each call it
+once.  linear_form turns an AffineExpr into integer coefficient rows, and
+evaluate_form evaluates such rows at canonical pairs: AffineExpr.evaluate
+and the sampled checks of collapse.py share that one evaluation.  Orbit 2
+is the reversed orbit throughout this package: reversed_op swaps in the
+undo formula exactly when the acting element carries tag 2.
 
 AffineExpr, Point, the concrete element, and SymPoint, the symbolic one,
 derive from ring.FrozenValue, as RingElem does, so all three are immutable;
@@ -48,6 +51,7 @@ from .ring import (ONE, T, T_INV, T_SQ, ZERO, FrozenValue, RingElem,
                    parse_elem, product_pair, render_elem, render_pair)
 
 ORBIT_TAGS = (1, 2)
+MINUS_T = -T  # t^(-1) * -t^2, the factor of b in op_inv
 ORBIT_MARK = {1: ZERO, 2: ONE}  # additive marker of each copy
 # m_j - m_i for the tag pair (i, j) as a canonical pair, the shift in both
 # formulas
@@ -80,58 +84,33 @@ class AffineExpr(FrozenValue):
     def variables(self) -> tuple[str, ...]:
         return tuple(sorted(self.coeffs))
 
-    @staticmethod
-    def _promote(value):
-        if isinstance(value, AffineExpr):
-            return value
-        if isinstance(value, RingElem):
-            return AffineExpr(value)
-        return None
-
     def __add__(self, other) -> "AffineExpr":
-        other = self._promote(other)
-        if other is None:
-            return NotImplemented
-        merged = dict(self.coeffs)
-        for v, c in other.coeffs.items():
-            merged[v] = merged.get(v, ZERO) + c
-        return AffineExpr(self.constant + other.constant, merged)
+        return combine(((1, self), (1, other)))
 
     __radd__ = __add__
 
     def __neg__(self) -> "AffineExpr":
-        return AffineExpr(-self.constant, {v: -c for v, c in self.coeffs.items()})
+        return combine(((-1, self),))
 
     def __sub__(self, other) -> "AffineExpr":
-        other = self._promote(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        return combine(((1, self), (-1, other)))
 
     def __mul__(self, scalar) -> "AffineExpr":
-        if not isinstance(scalar, (int, RingElem)):
-            return NotImplemented
-        return AffineExpr(scalar * self.constant,
-                          {v: scalar * c for v, c in self.coeffs.items()})
+        return combine(((scalar, self),))
 
     __rmul__ = __mul__
 
     def substitute(self, assignment: Mapping[str, "AffineExpr | RingElem"]) -> "AffineExpr":
         """The expression with each variable of `assignment` replaced by its
         value, summed term by term into one new expression."""
-        constant = self.constant
-        coeffs: dict[str, RingElem] = {}
+        terms = [(1, self.constant)]
         for v, c in self.coeffs.items():
-            if v not in assignment:
-                coeffs[v] = coeffs.get(v, ZERO) + c
-                continue
-            value = self._promote(assignment[v])
-            if value is None:
-                raise TypeError(f"cannot substitute {assignment[v]!r} for {v!r}")
-            constant = constant + c * value.constant
-            for u, d in value.coeffs.items():
-                coeffs[u] = coeffs.get(u, ZERO) + c * d
-        return AffineExpr(constant, coeffs)
+            value = assignment[v] if v in assignment else AffineExpr.var(v)
+            if not isinstance(value, (AffineExpr, RingElem)):
+                raise TypeError(f"cannot substitute {value!r} for {v!r}")
+            terms.append((c, value))
+        out = combine(terms)
+        return out if out.__class__ is AffineExpr else AffineExpr(out)
 
     def linear_form(self, names: Sequence[str]) -> tuple[
             tuple[int, int], tuple[tuple[int, int, int, int], ...]]:
@@ -163,6 +142,41 @@ class AffineExpr(FrozenValue):
 
     def __repr__(self) -> str:
         return f"AffineExpr[{self.render()}]"
+
+
+def combine(terms) -> "AffineExpr | RingElem":
+    """The sum of scalar * value over the (scalar, value) pairs of `terms`,
+    for a scalar that is an int or a RingElem and a value that is a
+    RingElem or an AffineExpr: an AffineExpr when some value is one, else a
+    RingElem.  One pass sums canonical pairs, with product_pair for each
+    scalar times each part of its value (the integer k is the pair (k, k)),
+    then builds the constant, one RingElem per nonzero coefficient and one
+    AffineExpr."""
+    k1 = k2 = 0  # the constant
+    sums: dict[str, tuple[int, int]] = {}
+    symbolic = False
+    for scalar, value in terms:
+        if isinstance(scalar, RingElem):
+            a, b = scalar.n1, scalar.n2
+        elif isinstance(scalar, int):
+            a = b = scalar
+        else:
+            raise TypeError(f"a scalar is an int or a RingElem, not {scalar!r}")
+        if isinstance(value, AffineExpr):
+            symbolic = True
+            for v, c in value.coeffs.items():
+                n1, n2 = product_pair(a, b, c.n1, c.n2)
+                s1, s2 = sums.get(v, (0, 0))
+                sums[v] = s1 + n1, s2 + n2
+            value = value.constant
+        elif not isinstance(value, RingElem):
+            raise TypeError(f"a value is a RingElem or an AffineExpr, not {value!r}")
+        n1, n2 = product_pair(a, b, value.n1, value.n2)
+        k1, k2 = k1 + n1, k2 + n2
+    if not symbolic:
+        return RingElem(k1, k2)
+    return AffineExpr(RingElem(k1, k2), {v: RingElem(n1, n2)
+                                         for v, (n1, n2) in sums.items() if n1 or n2})
 
 
 class Point(FrozenValue):
@@ -276,21 +290,21 @@ def witness_kernel(orbit: int, v1: int, v2: int,
 
 
 def op(a, b):
-    """a acted on by b, keeping a's orbit tag: shift + t*a + t^2*b in ring
-    and AffineExpr arithmetic, a Point for two Points and a SymPoint for
-    any SymPoint in either slot."""
+    """a acted on by b, keeping a's orbit tag: shift + t*a + t^2*b, one
+    combine, a Point for two Points and a SymPoint for any SymPoint in
+    either slot."""
     shift = RingElem(*SHIFT[a.orbit, b.orbit])
-    return _element(a.orbit, shift + T * _payload(a) + T_SQ * _payload(b))
+    return _element(a.orbit, combine(((1, shift), (T, _payload(a)),
+                                      (T_SQ, _payload(b)))))
 
 
 def op_inv(a, b):
     """The unique c with op(c, b) = a, inverting the translation by b:
-    t^(-1) * (shift + a - t^2*b), for any mix of Point and SymPoint as in op."""
+    t^(-1)*shift + t^(-1)*a - t*b, one combine, for any mix of Point and
+    SymPoint as in op."""
     shift = RingElem(*SHIFT[b.orbit, a.orbit])
-    # -b is added, not b subtracted: when a is a Point the sum so far is a
-    # RingElem, and a RingElem minus an AffineExpr has no operator
-    return _element(a.orbit,
-                    T_INV * (shift + _payload(a) + T_SQ * -_payload(b)))
+    return _element(a.orbit, combine(((T_INV, shift), (T_INV, _payload(a)),
+                                      (MINUS_T, _payload(b)))))
 
 
 def reversed_op(a, b):

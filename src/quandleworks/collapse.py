@@ -453,7 +453,8 @@ def verify_theorem(samples: int = 200, seed: int = 0) -> CollapseReport:
 
     Randomized coherence checks (symbolic expansion vs concrete evaluation,
     the (t^3 - t)*(x - y) gap law, and the orbit-2 witness transport) are
-    driven by a generator seeded with `seed`, so output is reproducible.
+    driven by a generator seeded with `seed`, an int (TypeError otherwise,
+    a bool included), so output is reproducible.
 
     The expansion check compares two independent derivations of the same
     term: the symbolic one builds it with op and op_inv in ring and
@@ -468,6 +469,8 @@ def verify_theorem(samples: int = 200, seed: int = 0) -> CollapseReport:
     coefficient in either derivation is caught at stage 'expansion'.
     """
     _require_count("samples", samples)
+    if type(seed) is not int:
+        raise TypeError(f"seed must be an int, got {seed!r}")
     rng = random.Random(seed)
     lhs = expand_lhs()
     rhs = expand_rhs()

@@ -13,7 +13,7 @@ from conftest import assert_frozen_dataclass_semantics, evaluate_point
 from quandleworks import (ONE, T, T_INV, T_SQ, ZERO, AffineExpr, Point,
                           RingElem, SymPoint, op, op_inv, orbit_witness,
                           parse_point, reversed_op, verify_theorem)
-from quandleworks.affine import (ORBIT_TAGS, SHIFT, evaluate_form,
+from quandleworks.affine import (ORBIT_TAGS, SHIFT, combine, evaluate_form,
                                  op_inv_kernel, op_kernel, reversed_kernel,
                                  witness_kernel)
 from quandleworks.ring import product_pair, reduce
@@ -500,3 +500,141 @@ def test_substitute_matches_the_term_by_term_sum():
     # only expressions and ring elements are values; a bare int is neither
     with pytest.raises(TypeError, match="cannot substitute 3 for 'x'"):
         AffineExpr.var("x").substitute({"x": 3})
+
+
+# --- the operand contract of symbolic arithmetic --------------------------
+
+X = AffineExpr.var("x")
+# an int scalar k is the ring element (k, k), a bool included
+SCALED = [(lambda: X * True, (1, 1)), (lambda: True * X, (1, 1)),
+          (lambda: 3 * X, (3, 3)), (lambda: X * -2, (-2, -2)),
+          (lambda: T * X, (1, 0)), (lambda: X * T_SQ, (0, 1))]
+# neither a number nor a string is an expression or a ring element, and
+# only a ring element or an int is a scalar
+REJECTED = [lambda: X * 1.5, lambda: 1.5 * X, lambda: X * X, lambda: X + 1,
+            lambda: 1 + X, lambda: X - 1, lambda: ONE - X, lambda: X + "x",
+            lambda: X * None]
+
+
+@pytest.mark.parametrize("case", range(len(SCALED)))
+def test_an_int_or_ring_scalar_scales_every_coefficient(case):
+    run, (n1, n2) = SCALED[case]
+    out = run()
+    assert out == AffineExpr(ZERO, {"x": RingElem(n1, n2)})
+    assert [type(n) for n in (out.constant.n1, out.constant.n2,
+                              out.coeffs["x"].n1, out.coeffs["x"].n2)] == [int] * 4
+
+
+@pytest.mark.parametrize("case", range(len(REJECTED)))
+def test_symbolic_arithmetic_rejects_other_operands(case):
+    with pytest.raises(TypeError):
+        REJECTED[case]()
+
+
+def test_substitute_names_a_value_it_cannot_substitute():
+    with pytest.raises(TypeError, match=r"^cannot substitute 2 for 'x'$"):
+        X.substitute({"x": 2})
+    # only the variables the expression uses are looked at, and an
+    # expression whose variables all become ring elements stays one
+    assert X.substitute({"y": 2}) == X
+    assert X.substitute({"x": T}) == AffineExpr.const(T)
+    assert (X + ONE).substitute({}) == X + ONE
+
+
+# the constant of f(a, b) for a = (3,-4) + t*u in orbit i and b = (-7,2) +
+# t^2*v in orbit j; the coefficients of u and v depend on f alone
+OPERATION_CONSTANTS = {
+    (op, 1, 1): (-13, 18), (op, 1, 2): (-12, 19),
+    (op, 2, 1): (-14, 17), (op, 2, 2): (-13, 18),
+    (op_inv, 1, 1): (-3, 12), (op_inv, 1, 2): (-5, 11),
+    (op_inv, 2, 1): (-1, 13), (op_inv, 2, 2): (-3, 12),
+}
+OPERATION_COEFFS = {op: ((0, 1), (-1, 2)), op_inv: ((1, 1), (-1, 1))}
+
+
+@pytest.mark.parametrize("symbolic", list(product((False, True), repeat=2)),
+                         ids=lambda s: "-".join("sym" if k else "point" for k in s))
+def test_operations_give_the_pinned_results_on_every_point_mix(symbolic):
+    # a Point argument contributes its constant only, and the result is a
+    # Point exactly when both arguments are
+    for (f, i, j), (k1, k2) in OPERATION_CONSTANTS.items():
+        a = (SymPoint(i, AffineExpr(RingElem(3, -4), {"u": T})) if symbolic[0]
+             else Point(i, RingElem(3, -4)))
+        b = (SymPoint(j, AffineExpr(RingElem(-7, 2), {"v": T_SQ})) if symbolic[1]
+             else Point(j, RingElem(-7, 2)))
+        out = f(a, b)
+        if not any(symbolic):
+            assert out == Point(i, RingElem(k1, k2))
+            continue
+        coeffs = {name: RingElem(*pair) for name, pair, used
+                  in zip("uv", OPERATION_COEFFS[f], symbolic) if used}
+        assert out == SymPoint(i, AffineExpr(RingElem(k1, k2), coeffs))
+
+
+# --- combine against the ring specification --------------------------------
+
+def random_scalar(rng: random.Random):
+    return rng.randint(-9, 9) if rng.random() < 0.4 else random_elem(rng, bound=9)
+
+
+def negated(scalar):
+    return -scalar if isinstance(scalar, int) else RingElem(-scalar.n1, -scalar.n2)
+
+
+def random_terms(rng: random.Random):
+    """Terms over 0 to 4 variables, with int and ring scalars, ring and
+    expression values, and pairs of terms that cancel, in a whole value or
+    in one variable's coefficient only."""
+    names = rng.sample(("w", "x", "y", "z"), rng.randint(0, 4))
+    terms = []
+    for _ in range(rng.randint(0, 5)):
+        if names and rng.random() < 0.6:
+            value = AffineExpr(random_elem(rng, bound=9),
+                               {v: random_elem(rng, bound=9)
+                                for v in rng.sample(names, rng.randint(1, len(names)))})
+        else:
+            value = random_elem(rng, bound=9)
+        terms.append((random_scalar(rng), value))
+    if terms and rng.random() < 0.5:
+        scalar, value = rng.choice(terms)
+        terms.append((negated(scalar), value))
+    if names and rng.random() < 0.5:
+        p, q, name = random_elem(rng, bound=9), random_elem(rng, bound=9), rng.choice(names)
+        # p*q - q*p: the two coefficients of `name` cancel in the ring
+        terms += [(p, AffineExpr.var(name, q)), (negated(q), AffineExpr.var(name, p))]
+    rng.shuffle(terms)
+    return terms
+
+
+def oracle_combine(terms):
+    sums = {}  # variable -> polynomial; None keys the constant
+    for scalar, value in terms:
+        factor = LaurentPoly({0: scalar}) if isinstance(scalar, int) else lift(scalar)
+        parts = ([(None, value)] if isinstance(value, RingElem)
+                 else [(None, value.constant), *value.coeffs.items()])
+        for v, c in parts:
+            sums[v] = sums.get(v, LaurentPoly()) + factor * lift(c)
+    constant = reduce(sums.pop(None, LaurentPoly()).coeffs)
+    if all(isinstance(value, RingElem) for _, value in terms):
+        return constant
+    coeffs = {v: reduce(poly.coeffs) for v, poly in sums.items()}
+    return constant, {v: c for v, c in coeffs.items() if not c.is_zero()}
+
+
+def test_combine_matches_laurent_polynomial_arithmetic():
+    rng = random.Random(23)
+    cancelled = 0
+    for _ in range(400):
+        terms = random_terms(rng)
+        out, expected = combine(terms), oracle_combine(terms)
+        if isinstance(expected, RingElem):
+            assert out.__class__ is RingElem and out == expected
+            continue
+        assert out.__class__ is AffineExpr
+        # the coefficient dict is compared as stored: no zero coefficient
+        assert (out.constant, out.coeffs) == expected
+        named = {v for _, value in terms if isinstance(value, AffineExpr)
+                 for v in value.coeffs}
+        cancelled += len(named - set(out.coeffs))
+    assert cancelled > 50
+    assert combine([]) == ZERO and combine(iter([(2, T)])) == RingElem(2, 0)

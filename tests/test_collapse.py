@@ -295,6 +295,15 @@ def test_a_sample_count_must_be_an_int(count):
     with pytest.raises(TypeError, match="sample_count must be an int"):
         orbit2_collapse(count, random.Random(0))
 
+
+@pytest.mark.parametrize("seed", [None, True, 1.0, "3"])
+def test_a_seed_must_be_an_int(seed):
+    # random.Random(None) seeds from the operating system's entropy and
+    # Random(True) as Random(1), while the report would print the seed given
+    with pytest.raises(TypeError, match=f"^seed must be an int, got {seed!r}$"):
+        verify_theorem(0, seed=seed)
+
+
 def test_verify_theorem_is_deterministic():
     a = verify_theorem(samples=50, seed=3)
     b = verify_theorem(samples=50, seed=3)
@@ -406,6 +415,15 @@ def test_a_witness_mutant_fails_with_the_first_orbit2_sample_of_seed_0(
 TRANSPORT_MUTANT = ("reversed_kernel", "if j == 2:", "if j != 0:")
 # the reversed operation returning the acting element's tag
 TAG_MUTANT = ("reversed_kernel", "return i, n1, n2", "return j, n1, n2")
+
+
+def test_combine_dropping_a_values_constant_fails_at_the_expansion(monkeypatch):
+    # the symbolic arithmetic, not a kernel: the frozen coefficients catch
+    # it before any sample is drawn
+    install_mutant(monkeypatch, "combine", "value = value.constant", "value = ZERO")
+    with pytest.raises(ExpansionMismatch, match="^lhs: constant ") as info:
+        verify_theorem(0)
+    assert info.value.stage == "expansion"
 
 
 def test_a_reversed_kernel_that_undoes_every_translation_fails_the_transport(

@@ -228,6 +228,37 @@ def test_operations_on_points_never_run_the_integer_kernels(monkeypatch):
         verify_theorem(1)
 
 
+def _count_constructions(monkeypatch):
+    """Patch AffineExpr.__init__ and RingElem.__init__ to count the values
+    built; the running counts are the entries of the dict returned."""
+    built = {"AffineExpr": 0, "RingElem": 0}
+    for cls in (quandleworks.AffineExpr, quandleworks.RingElem):
+        init = cls.__init__
+
+        def counted(self, *args, name=cls.__name__, init=init, **kwargs):
+            built[name] += 1
+            init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counted)
+    return built
+
+
+def test_symbolic_arithmetic_builds_one_expression_per_operation(monkeypatch):
+    # op and op_inv are one affine.combine each, which sums integer pairs
+    # and builds its result once; verify_theorem(0) builds the four
+    # variables of each side, the substitutions, and one expression per
+    # operation
+    w, z = (quandleworks.SymPoint(tag, quandleworks.AffineExpr.var(name))
+            for tag, name in ((1, "w"), (2, "z")))
+    built = _count_constructions(monkeypatch)
+    for acting in (w, z):
+        built.update(AffineExpr=0, RingElem=0)
+        quandleworks.reversed_op(w, acting)
+        assert built["AffineExpr"] == 1
+    built.update(AffineExpr=0, RingElem=0)
+    assert verify_theorem(0).total == 2
+    assert built["AffineExpr"] <= 33 and built["RingElem"] <= 54
+
+
 def _medial_confirmations(tables, directory):
     files = {}
     for name, q in (("dihedral33", dihedral_quandle(33)), ("dihedral15", dihedral_quandle(15)),
