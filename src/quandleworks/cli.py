@@ -39,7 +39,7 @@ def integer(text: str) -> int:
     return int(text)
 
 
-def _load_rows(path: str) -> list[list[int]]:
+def _load_rows(path: str) -> tuple[tuple[int, ...], ...]:
     try:
         return parse_table_text(Path(path).read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
@@ -104,10 +104,8 @@ def cmd_quotient(args) -> int:
             raise UsageError("--variety nquandle requires --n")
         spec = n_quandle(args.n)
     quotient, projection = quotient_by_identity(q, spec)
-    for x, c in enumerate(projection):
-        print(f"{x + 1} -> {c + 1}")
-    print()
-    sys.stdout.write(render_table_text(quotient))
+    lines = "".join(f"{x + 1} -> {c + 1}\n" for x, c in enumerate(projection))
+    sys.stdout.write(lines + "\n" + render_table_text(quotient))
     return 0
 
 

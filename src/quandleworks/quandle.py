@@ -110,8 +110,9 @@ def induced_rows(table, reps, rename) -> list[tuple[int, ...]]:
 
 
 class _Rows(tuple):
-    """Row tuples that _as_rows has validated, so that check_axioms can
-    take them as they are: FiniteQuandle validates the shape once."""
+    """n row tuples of n ints in 0..n-1, as _as_rows and parse_table_text
+    return them.  FiniteQuandle and check_axioms take a _Rows as it is, so
+    each table's shape is validated once."""
 
     __slots__ = ()
 
@@ -142,8 +143,8 @@ def check_axioms(table) -> AxiomReport:
 
     Witnesses are deterministic: the lexicographically first violating
     instance of the first failing axiom (unused slots are None).  Input of
-    the wrong shape raises MalformedTable; rows that _as_rows has already
-    validated, as FiniteQuandle passes them, are not validated again.
+    the wrong shape raises MalformedTable; a _Rows, as FiniteQuandle passes
+    it, is not validated again.
 
     Right self-distributivity says that every translation R_k is an
     automorphism.  With bijective columns it is enough that each R_s is,
@@ -355,7 +356,7 @@ class FiniteQuandle:
     """Validated, immutable operation table.  Construction checks all axioms."""
 
     def __init__(self, table) -> None:
-        rows = _as_rows(table)
+        rows = table if table.__class__ is _Rows else _as_rows(table)
         report = check_axioms(rows)
         if not report.ok:
             raise AxiomError(report)
@@ -484,14 +485,16 @@ _LINE_BREAK_RE = re.compile(r"\r\n|[\n\r\v\f\x1c-\x1e]")
 _ASCII_SPACE = " \t\n\r\v\f\x1c\x1d\x1e\x1f"
 
 
-def parse_table_text(text: str) -> list[list[int]]:
-    """Parse the 1-indexed 'quandle v1' format into a 0-indexed row list.
+def parse_table_text(text: str) -> _Rows:
+    """Parse the 1-indexed 'quandle v1' format into 0-indexed rows.
 
     Lines end at ASCII line breaks and shed ASCII whitespace only.  Blank
     lines and lines starting with '#' are skipped.  The order and the
     entries are runs of ASCII digits 0-9, separated by ASCII whitespace.
-    The result is a raw table: shape and entry ranges are enforced here,
-    the axioms are not.
+    Shape and entry ranges are enforced here, so the result is the
+    validated _Rows that FiniteQuandle stores; the axioms are not checked.
+    An ASCII row of canonical entries 1..n is read in one lookup per entry
+    in a token table; any other row is checked entry by entry.
     """
     lines = (line.strip(_ASCII_SPACE) for line in _LINE_BREAK_RE.split(text))
     content = ((lineno, s) for lineno, s in enumerate(lines, start=1)
@@ -515,6 +518,7 @@ def parse_table_text(text: str) -> list[list[int]]:
         raise MalformedTable("order must be positive", line=lineno)
 
     rows = []
+    entry = None  # canonical token -> 0-indexed entry
     for lineno, s in content:
         if len(rows) == n:
             raise MalformedTable("unexpected content after table", line=lineno)
@@ -522,6 +526,14 @@ def parse_table_text(text: str) -> list[list[int]]:
         if len(parts) != n:
             raise MalformedTable(f"row {len(rows) + 1} has {len(parts)} entries,"
                                  f" expected {n}", line=lineno)
+        if entry is None:  # built after a row of n entries: no larger than the text
+            entry = dict(zip(map(str, range(1, n + 1)), range(n)))
+        if s.isascii():
+            try:
+                rows.append(tuple(map(entry.__getitem__, parts)))
+                continue
+            except KeyError:  # a non-canonical or bad entry: check each below
+                pass
         # an entry is a run of ASCII digits, but int() also reads a sign,
         # '_' separators and the digits of other scripts; on ASCII text it
         # reads nothing else, so only such lines are checked entry by entry.
@@ -545,10 +557,10 @@ def parse_table_text(text: str) -> list[list[int]]:
             if not 1 <= v <= n:
                 raise MalformedTable(f"entry {v} out of range 1..{n}", line=lineno)
             row.append(v - 1)
-        rows.append(row)
+        rows.append(tuple(row))
     if len(rows) < n:
         raise MalformedTable(f"expected {n} table rows, found {len(rows)}")
-    return rows
+    return _Rows(rows)
 
 
 def render_table_text(table) -> str:

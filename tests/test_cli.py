@@ -24,6 +24,10 @@ from quandleworks.cli import main
 # kernels replaced the generic ring arithmetic on concrete points
 GOLDEN_RUNS = json.loads(
     Path(__file__).with_name("golden_cli.json").read_text(encoding="utf-8"))
+# argparse's help and usage errors at COLUMNS=80, recorded on one Python
+# version: argparse lays out help differently across versions
+GOLDEN_USAGE = json.loads(
+    Path(__file__).with_name("golden_usage.json").read_text(encoding="utf-8"))
 
 
 def run(capsys, *argv):
@@ -166,6 +170,38 @@ def test_an_order_too_long_to_convert_exits_two(capsys, tmp_path, argv):
     assert err == "error: line 2: order is too large\n"
 
 
+def test_a_huge_declared_order_fails_at_once_without_order_sized_work(tmp_path):
+    # a few bytes that declare n = 10**9 are refused from what they hold,
+    # with no table of n tokens built; the probe caps its own address space,
+    # so such a table would end in MemoryError, not exhaust the machine
+    short_row, no_rows = tmp_path / "short-row.txt", tmp_path / "no-rows.txt"
+    short_row.write_text("quandle v1\nn=1000000000\n1\n")
+    no_rows.write_text("quandle v1\nn=1000000000\n")
+    probe = "\n".join([
+        "import contextlib, io, resource, sys, tracemalloc",
+        "resource.setrlimit(resource.RLIMIT_AS, (2**29, 2**29))",
+        "from quandleworks.cli import main",
+        "tracemalloc.start()",
+        "for argv in (['check'], ['orbits'], ['reverse', '--element', '1'],",
+        "             ['quotient', '--variety', 'medial']):",
+        "    for path in sys.argv[1:]:",
+        "        err = io.StringIO()",
+        "        with contextlib.redirect_stderr(err):",
+        "            code = main([argv[0], path, *argv[1:]])",
+        "        print(code, err.getvalue(), end='')",
+        "print('peak under 1 MiB:', tracemalloc.get_traced_memory()[1] < 2**20)",
+    ])
+    env = {**os.environ, "PYTHONPATH": str(Path(quandleworks.__file__).parent.parent)}
+    probe_run = subprocess.run(
+        [sys.executable, "-c", probe, str(short_row), str(no_rows)],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert probe_run.stderr == ""
+    assert probe_run.stdout.splitlines() == 4 * [
+        "2 error: line 3: row 1 has 1 entries, expected 1000000000",
+        "2 error: expected 1000000000 table rows, found 0",
+    ] + ["peak under 1 MiB: True"]
+
+
 def test_check_with_a_huge_translation_power(capsys, d3_file):
     # the work does not grow with the power: d3's translations are involutions
     code, out, _ = run(capsys, "check", d3_file, "--nquandle", "100000000")
@@ -223,7 +259,7 @@ def test_quotient_identity_projection(capsys, d3_file):
     assert code == 0
     head, _, table = out.partition("\n\n")
     assert head.splitlines() == ["1 -> 1", "2 -> 2", "3 -> 3"]
-    assert parse_table_text(table) == [list(r) for r in dihedral_quandle(3).table]
+    assert parse_table_text(table) == dihedral_quandle(3).table
 
 
 def test_quotient_collapse_to_one_class(capsys, d3_file):
@@ -483,6 +519,17 @@ def test_usage_errors(capsys):
     assert code == 2
     code, out, _ = run(capsys, "--help")
     assert code == 0 and "quandleworks" in out
+
+
+@pytest.mark.skipif(
+    "%d.%d" % sys.version_info[:2] != GOLDEN_USAGE["python"],
+    reason=f"argparse output recorded on Python {GOLDEN_USAGE['python']}")
+@pytest.mark.parametrize("golden", GOLDEN_USAGE["runs"],
+                         ids=[g["name"] for g in GOLDEN_USAGE["runs"]])
+def test_help_and_usage_errors_match_the_golden_bytes(capsys, monkeypatch, golden):
+    monkeypatch.setenv("COLUMNS", str(GOLDEN_USAGE["columns"]))
+    assert run(capsys, *golden["argv"]) == (
+        golden["code"], golden["stdout"], golden["stderr"])
 
 
 VALID_TABLES = [render_table_text(table) for n in (1, 2, 3, 4)

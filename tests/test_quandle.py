@@ -15,9 +15,10 @@ from quandleworks import (AxiomError, AxiomReport, FiniteQuandle,
                           MalformedTable, affine_quandle, check_axioms,
                           dihedral_quandle, parse_table_text, relabel,
                           render_table_text, trivial_quandle)
-from quandleworks.quandle import (displacements_commute, generators,
+from quandleworks.quandle import (_Rows, displacements_commute, generators,
                                  n_quandle_violation, scan_medial)
 from seed_axioms import seed_check_axioms, seed_displacements_commute
+import seed_parse
 
 BROKEN_IDEMPOTENCE = [[1, 1], [0, 0]]
 BROKEN_BIJECTIVITY = [[0, 0], [0, 1]]
@@ -465,7 +466,7 @@ def test_constructors_validate_parameters():
 def test_text_round_trip(corpus):
     for name, q in corpus:
         text = render_table_text(q)
-        assert parse_table_text(text) == [list(row) for row in q.table], name
+        assert parse_table_text(text) == q.table, name
 
 
 def test_render_accepts_raw_rows():
@@ -485,8 +486,8 @@ n=2
 
 2 2
 """
-    assert parse_table_text(text) == [[0, 0], [1, 1]]
-    assert parse_table_text(text + "\n# trailing comment\n  \n#\n") == [[0, 0], [1, 1]]
+    assert parse_table_text(text) == ((0, 0), (1, 1))
+    assert parse_table_text(text + "\n# trailing comment\n  \n#\n") == ((0, 0), (1, 1))
 
 
 def test_parse_reads_every_ascii_line_break_and_non_ascii_comments():
@@ -499,7 +500,7 @@ def test_parse_reads_every_ascii_line_break_and_non_ascii_comments():
                  "\x1f\tquandle v1 \x1f\n n=2\t\n\v1\t1\x1f\n2 \x1f 2\n",
                  "# caf\u00e9 \u3000\u2028\u00a0\nquandle v1\nn=2\n# \u2028 \x85\n1 1\n2 2\n",
                  "# \u00e9\r\nquandle v1\rn=2\v1 1\f\x1f2 2\x1c\x1d\x1e# \u2029\r\n"):
-        assert parse_table_text(text) == [[0, 0], [1, 1]], repr(text)
+        assert parse_table_text(text) == ((0, 0), (1, 1)), repr(text)
 
 
 @pytest.mark.parametrize("text,fragment", [
@@ -550,9 +551,80 @@ def test_parse_diagnostics(text, fragment):
     assert fragment in str(excinfo.value)
 
 
+PARSE_CORPUS = [q for _, q in build_corpus()]
+# entries that int() reads, or that are out of range, or not digits at all
+BAD_ENTRIES = ("0{}", "00{}", "+{}", "-{}", "0_{}", "{}_0", "1_0", "0", "{n1}",
+               "x", "{}.0", "{full}", "{arabic}")
+# separators: ASCII whitespace, then Unicode spaces and line breaks that
+# str.split() splits at and the format rejects
+SEPARATORS = (" ", "  ", "\t", "\x1f", "\u3000", "\u00a0", "\u2028", "\x85")
+
+
+@st.composite
+def mutated_table_texts(draw):
+    """A relabeled corpus table as text, with up to four mutations: a bad,
+    non-canonical or non-ASCII entry, a non-ASCII separator, or a row that
+    is short, long, missing or repeated."""
+    q = draw(st.sampled_from(PARSE_CORPUS))
+    n = q.n
+    rows = [[str(v + 1) for v in row]
+            for row in relabel(q, draw(st.permutations(range(n)))).table]
+    seps = [[" "] * n for _ in rows]  # seps[i][j] follows rows[i][j]
+    for _ in range(draw(st.integers(0, 4))):
+        if not rows:
+            break
+        i = draw(st.integers(0, len(rows) - 1))
+        j = draw(st.integers(0, len(rows[i]) - 1)) if rows[i] else 0
+        kind = draw(st.sampled_from(("entry", "entry", "entry", "separator",
+                                     "separator", "short", "long", "drop row",
+                                     "repeat row")))
+        if kind == "entry" and rows[i]:
+            token = str(draw(st.integers(1, n)))
+            rows[i][j] = draw(st.sampled_from(BAD_ENTRIES)).format(
+                token, n1=n + 1,
+                full="".join(chr(0xFF10 + int(d)) for d in token),
+                arabic="".join(chr(0x0660 + int(d)) for d in token))
+        elif kind == "separator" and rows[i]:
+            seps[i][j] = draw(st.sampled_from(SEPARATORS))
+        elif kind == "short" and rows[i]:
+            del rows[i][j], seps[i][j]
+        elif kind == "long":
+            rows[i].insert(j, str(draw(st.integers(1, n))))
+            seps[i].insert(j, " ")
+        elif kind == "drop row":
+            del rows[i], seps[i]
+        elif kind == "repeat row":
+            rows.insert(i, list(rows[i]))
+            seps.insert(i, list(seps[i]))
+    lines = ["".join(map(str.__add__, row, sep_row))
+             for row, sep_row in zip(rows, seps)]
+    return "\n".join(["quandle v1", f"n={n}", *lines]) + "\n"
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(text=mutated_table_texts())
+def test_parse_matches_the_per_entry_parser(text):
+    # tests/seed_parse.py checks and converts every entry with int(); the
+    # token table must accept the same texts with the same rows, and reject
+    # the rest with the same message and line
+    try:
+        expected = seed_parse.parse_table_text(text)
+    except MalformedTable as exc:
+        with pytest.raises(MalformedTable) as excinfo:
+            parse_table_text(text)
+        assert (str(excinfo.value), excinfo.value.line) == (str(exc), exc.line)
+    else:
+        rows = parse_table_text(text)
+        assert type(rows) is _Rows and rows == tuple(map(tuple, expected))
+
+
+def test_parse_reads_a_non_canonical_entry_by_its_value():
+    assert parse_table_text("quandle v1\nn=2\n1 1\n02 002\n") == ((0, 0), (1, 1))
+
+
 def test_parse_does_not_check_axioms():
     rows = parse_table_text("quandle v1\nn=2\n2 2\n1 1\n")
-    assert rows == BROKEN_IDEMPOTENCE
+    assert rows == tuple(map(tuple, BROKEN_IDEMPOTENCE))
     assert not check_axioms(rows).ok
 
 
