@@ -3,29 +3,31 @@ symbolic evaluation and an operational single-orbit reversal.
 
 The carrier is two tagged copies of the ring; the operation keeps the tag of
 its left argument, so orbit tags stay concrete even in symbolic terms.
-With m_1 = 0 and m_2 = 1 marking the copies:
+Copy i is marked m_i = i - 1, so for x in copy i and y in copy j the
+shift m_j - m_i is the integer s = j - i:
 
-    x in copy i acted on by y in copy j  ->  (m_j - m_i + t*x + t^2*y) in copy i
-    undone by                                t^(-1) * (m_i - m_j + x - t^2*y)
+    x in copy i acted on by y in copy j  ->  (s + t*x + t^2*y) in copy i
+    undone by                                t^(-1) * (-s + x - t^2*y)
 
 (1 - t reduces to t^2, hence the t^2 in the first formula).  Both have
-closed forms in the canonical pairs x = (x1, x2), y = (y1, y2) and shift
-s = m_j - m_i = (s1, s2), using t*(n1, n2) = (n2, n1 - n2) and
+closed forms in the canonical pairs x = (x1, x2), y = (y1, y2), where the
+integer s is the pair (s, s), using t*(n1, n2) = (n2, n1 - n2) and
 t^2*(n1, n2) = (n1 - n2, 2*n2 - n1):
 
-    op      (s1 + x2 + y1 - y2,  s2 + x1 - x2 + 2*y2 - y1)
+    op      (s + x2 + y1 - y2,  s + x1 - x2 + 2*y2 - y1)
     op_inv  (u1 + u2, u1)  for  u = -s + x - t^2*y
-            = (-s1 + x1 - y1 + y2,  -s2 + x2 - 2*y2 + y1)
+            = (-s + x1 - y1 + y2,  -s + x2 - 2*y2 + y1)
 
 Each closed form is one integer kernel on canonical pairs: op_kernel and
-op_inv_kernel take the shift pair and the two value pairs, witness_kernel
+op_inv_kernel take the integer shift and the two value pairs, witness_kernel
 computes orbit_witness, and reversed_kernel runs reversed_op on tagged
 pairs (orbit, n1, n2).  The sampled checks of collapse.py chain the kernels
 on lane-packed integers (collapse.CHUNK) and box nothing.  op and op_inv
 never call the kernels, so those checks compare two derivations that share
 no code: each is one combine, a linear combination over the ring, for
-Points as for SymPoints.  op combines (shift, t*x, t^2*y), and op_inv
-combines (t^(-1)*shift, t^(-1)*x, -t*y), since t^(-1)*t^2 = t.
+Points as for SymPoints.  op combines (s, t*x, t^2*y), and op_inv
+combines (-s*t^(-1), t^(-1)*x, -t*y), since t^(-1)*t^2 = t; the integer s
+is a scalar, so neither builds a ring element for it.
 
 Both formulas are affine in both arguments, so they close over AffineExpr;
 collapse.py expands the reversed medial terms that way.  combine is the one
@@ -50,14 +52,8 @@ from typing import Mapping, Sequence
 from .ring import (ONE, T, T_INV, T_SQ, ZERO, FrozenValue, RingElem,
                    parse_elem, product_pair, render_elem, render_pair)
 
-ORBIT_TAGS = (1, 2)
+ORBIT_TAGS = (1, 2)  # copy i is marked m_i = i - 1, so the shift m_j - m_i is j - i
 MINUS_T = -T  # t^(-1) * -t^2, the factor of b in op_inv
-ORBIT_MARK = {1: ZERO, 2: ONE}  # additive marker of each copy
-# m_j - m_i for the tag pair (i, j) as a canonical pair, the shift in both
-# formulas
-SHIFT = {(i, j): (ORBIT_MARK[j].n1 - ORBIT_MARK[i].n1,
-                  ORBIT_MARK[j].n2 - ORBIT_MARK[i].n2)
-         for i in ORBIT_TAGS for j in ORBIT_TAGS}
 
 
 class AffineExpr(FrozenValue):
@@ -240,36 +236,31 @@ def evaluate_form(form, pairs: Sequence[tuple[int, int]]) -> tuple[int, int]:
     return n1, n2
 
 
-def op_kernel(shift: tuple[int, int], x1: int, x2: int,
-              y1: int, y2: int) -> tuple[int, int]:
-    """Canonical pair of shift + t*x + t^2*y, for the shift pair of the tags
+def op_kernel(s: int, x1: int, x2: int, y1: int, y2: int) -> tuple[int, int]:
+    """Canonical pair of s + t*x + t^2*y, for the integer shift s of the tags
     and the value pairs x of the acted-on and y of the acting element."""
-    s1, s2 = shift
-    return s1 + x2 + y1 - y2, s2 + x1 - x2 + 2 * y2 - y1
+    return s + x2 + y1 - y2, s + x1 - x2 + 2 * y2 - y1
 
 
-def op_inv_kernel(shift: tuple[int, int], x1: int, x2: int,
-                  y1: int, y2: int) -> tuple[int, int]:
-    """Canonical pair of t^(-1) * (shift + x - t^2*y), the undo formula."""
-    s1, s2 = shift
-    u1 = s1 + x1 - y1 + y2
-    u2 = s2 + x2 - 2 * y2 + y1
+def op_inv_kernel(s: int, x1: int, x2: int, y1: int, y2: int) -> tuple[int, int]:
+    """Canonical pair of t^(-1) * (s + x - t^2*y), the undo formula, for the
+    integer s = m_i - m_j of x in copy i and y in copy j."""
+    u1 = s + x1 - y1 + y2
+    u2 = s + x2 - 2 * y2 + y1
     return u1 + u2, u1
 
 
 def reversed_kernel(a: tuple[int, int, int], b: tuple[int, int, int],
                     unit: int = 1) -> tuple[int, int, int]:
     """reversed_op on tagged pairs (orbit, n1, n2): a acted on by b, undone
-    when b carries tag 2; the result keeps a's tag.  The shift pair is
+    when b carries tag 2; the result keeps a's tag.  The integer shift is
     multiplied by `unit`, collapse.lane_ones on lane-packed values."""
     i, x1, x2 = a
     j, y1, y2 = b
     if j == 2:
-        s1, s2 = SHIFT[j, i]
-        n1, n2 = op_inv_kernel((s1 * unit, s2 * unit), x1, x2, y1, y2)
+        n1, n2 = op_inv_kernel((i - j) * unit, x1, x2, y1, y2)
     else:
-        s1, s2 = SHIFT[i, j]
-        n1, n2 = op_kernel((s1 * unit, s2 * unit), x1, x2, y1, y2)
+        n1, n2 = op_kernel((j - i) * unit, x1, x2, y1, y2)
     return i, n1, n2
 
 
@@ -277,34 +268,32 @@ def witness_kernel(orbit: int, v1: int, v2: int,
                    unit: int = 1) -> tuple[int, int, int]:
     """Tagged pair (tag, n1, n2) of orbit_witness for the value pair (v1, v2).
 
-    op(zero-of-i, w in j) = SHIFT[i, j] + t^2*w, so w = t^(-2) * (v - SHIFT[i, j])
-    in the other orbit j, and t^(-2) * (a, b) = (2*a + b, a + b).  The shift
-    pair is multiplied by `unit`, as in reversed_kernel.
+    op(zero-of-i, w in j) = s + t^2*w with s = j - i, so w = t^(-2) * (v - s)
+    in the other orbit j, and t^(-2) * (a, b) = (2*a + b, a + b).  The
+    shift is multiplied by `unit`, as in reversed_kernel.
     """
     if orbit != 1 and orbit != 2:
         raise ValueError(f"orbit tag must be 1 or 2, got {orbit}")
     other = 3 - orbit
-    s1, s2 = SHIFT[orbit, other]
-    a, b = v1 - s1 * unit, v2 - s2 * unit
+    s = (other - orbit) * unit
+    a, b = v1 - s, v2 - s
     return other, 2 * a + b, a + b
 
 
 def op(a, b):
-    """a acted on by b, keeping a's orbit tag: shift + t*a + t^2*b, one
-    combine, a Point for two Points and a SymPoint for any SymPoint in
-    either slot."""
-    shift = RingElem(*SHIFT[a.orbit, b.orbit])
-    return _element(a.orbit, combine(((1, shift), (T, _payload(a)),
-                                      (T_SQ, _payload(b)))))
+    """a acted on by b, keeping a's orbit tag: s + t*a + t^2*b for the
+    integer shift s = b.orbit - a.orbit, one combine, a Point for two
+    Points and a SymPoint for any SymPoint in either slot."""
+    return _element(a.orbit, combine(((b.orbit - a.orbit, ONE),
+                                      (T, _payload(a)), (T_SQ, _payload(b)))))
 
 
 def op_inv(a, b):
     """The unique c with op(c, b) = a, inverting the translation by b:
-    t^(-1)*shift + t^(-1)*a - t*b, one combine, for any mix of Point and
-    SymPoint as in op."""
-    shift = RingElem(*SHIFT[b.orbit, a.orbit])
-    return _element(a.orbit, combine(((T_INV, shift), (T_INV, _payload(a)),
-                                      (MINUS_T, _payload(b)))))
+    t^(-1)*(a.orbit - b.orbit) + t^(-1)*a - t*b, one combine, for any mix
+    of Point and SymPoint as in op."""
+    return _element(a.orbit, combine(((a.orbit - b.orbit, T_INV),
+                                      (T_INV, _payload(a)), (MINUS_T, _payload(b)))))
 
 
 def reversed_op(a, b):

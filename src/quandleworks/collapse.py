@@ -38,8 +38,8 @@ from __future__ import annotations
 import random
 from typing import Mapping, Sequence
 
-from .affine import (SHIFT, AffineExpr, SymPoint, evaluate_form, op,
-                     op_kernel, orbit_witness, reversed_kernel, reversed_op,
+from .affine import (AffineExpr, SymPoint, evaluate_form, op, op_kernel,
+                     orbit_witness, reversed_kernel, reversed_op,
                      witness_kernel)
 from .ring import (ONE, T, ZERO, FrozenValue, RingElem, product_pair,
                    render_pair)
@@ -387,8 +387,7 @@ def orbit2_collapse(sample_count: int, rng: random.Random) -> int:
         tag, w1, w2 = wit
         if tag != 1:
             raise WitnessFailure(f"witness for {_sample(draws, 2)[0]} left orbit 1")
-        s1, s2 = SHIFT[2, tag]
-        plain = op_kernel((s1 * ones, s2 * ones), 0, 0, w1, w2)
+        plain = op_kernel((tag - 2) * ones, 0, 0, w1, w2)
         if plain != (v1, v2):
             raise WitnessFailure(f"witness for {_sample(draws, 2)[0]} does not reach it")
         if reversed_kernel((2, 0, 0), wit, ones) != (2, *plain):

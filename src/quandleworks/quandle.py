@@ -100,24 +100,30 @@ def _inverse(perm) -> tuple[int, ...]:
     return tuple(inverse)
 
 
-def induced_rows(table, reps, rename) -> list[tuple[int, ...]]:
+def induced_rows(table, reps, rename) -> _Rows:
     """The operation `table` induces on the elements `reps`, renamed: entry
     (i, j) is rename[table[reps[i]][reps[j]]].  With the class
     representatives and the class numbering this is a quotient table; with
-    a permutation's inverse and the permutation, a relabeled table."""
+    a permutation's inverse and the permutation, a relabeled table.  rename
+    must take the entries to 0..len(reps)-1, as both do, so the result is
+    a _Rows, validated by construction."""
     pick = gather(reps)
-    return [gather(pick(table[r]))(rename) for r in reps]
+    return _Rows([gather(pick(table[r]))(rename) for r in reps])
 
 
 class _Rows(tuple):
-    """n row tuples of n ints in 0..n-1, as _as_rows and parse_table_text
-    return them.  FiniteQuandle and check_axioms take a _Rows as it is, so
-    each table's shape is validated once."""
+    """n row tuples of n ints in 0..n-1.  parse_table_text, induced_rows,
+    reverse_orbit and affine_quandle build their tables as _Rows, and
+    _as_rows validates any other table into one.  FiniteQuandle and
+    check_axioms take a _Rows as it is, so each table's shape is validated
+    at most once, and a derived table's never."""
 
     __slots__ = ()
 
 
 def _as_rows(table) -> _Rows:
+    """A table that is not a _Rows, validated entry by entry into one;
+    MalformedTable names the first bad row or entry."""
     rows = list(table)
     n = len(rows)
     if n == 0:
@@ -127,13 +133,11 @@ def _as_rows(table) -> _Rows:
         entries = tuple(row)
         if len(entries) != n:
             raise MalformedTable(f"row {i} has {len(entries)} entries, expected {n}")
-        if not (set(map(type, entries)) == {int}
-                and 0 <= min(entries) and max(entries) < n):
-            for v in entries:  # name the first bad entry
-                if type(v) is not int:
-                    raise MalformedTable(f"row {i} has non-integer entry {v!r}")
-                if not 0 <= v < n:
-                    raise MalformedTable(f"row {i} entry {v} out of range 0..{n - 1}")
+        for v in entries:
+            if type(v) is not int:
+                raise MalformedTable(f"row {i} has non-integer entry {v!r}")
+            if not 0 <= v < n:
+                raise MalformedTable(f"row {i} entry {v} out of range 0..{n - 1}")
         out.append(entries)
     return _Rows(out)
 
@@ -431,7 +435,7 @@ class FiniteQuandle:
         columns = [_inverse(column) if j in block else column
                    for j, column in enumerate(self._columns)]
         try:
-            return FiniteQuandle(zip(*columns))
+            return FiniteQuandle(_Rows(zip(*columns)))
         except AxiomError as exc:
             raise InternalAxiomFailure(
                 f"reversing the orbit of {x} broke the axioms: {exc}") from exc
@@ -465,8 +469,8 @@ def affine_quandle(n: int, t: int) -> FiniteQuandle:
         raise ValueError("order must be positive")
     if math.gcd(t % n, n) != 1:
         raise ValueError(f"{t} is not a unit modulo {n}")
-    return FiniteQuandle([[(t * i + (1 - t) * j) % n for j in range(n)]
-                          for i in range(n)])
+    return FiniteQuandle(_Rows(tuple((t * i + (1 - t) * j) % n for j in range(n))
+                               for i in range(n)))
 
 
 def relabel(q: FiniteQuandle, perm) -> FiniteQuandle:

@@ -12,7 +12,7 @@ reaches both.
 import random
 
 from quandleworks import collapse
-from quandleworks.affine import SHIFT, AffineExpr, Point, SymPoint, op
+from quandleworks.affine import AffineExpr, Point, SymPoint, op
 from quandleworks.collapse import (VARS, CollapseReport, ExpansionMismatch,
                                    WitnessFailure)
 from quandleworks.ring import ONE, T, ZERO, RingElem
@@ -36,7 +36,7 @@ def orbit2_collapse(sample_count: int, rng: random.Random) -> int:
         tag, w1, w2 = wit
         if tag != 1:
             raise WitnessFailure(f"witness for {RingElem(v1, v2)} left orbit 1")
-        plain = collapse.op_kernel(SHIFT[2, tag], 0, 0, w1, w2)
+        plain = collapse.op_kernel(tag - 2, 0, 0, w1, w2)
         if plain != (v1, v2):
             raise WitnessFailure(f"witness for {RingElem(v1, v2)} does not reach it")
         if collapse.reversed_kernel(zero2, wit) != (2, *plain):

@@ -13,7 +13,7 @@ from conftest import assert_frozen_dataclass_semantics, evaluate_point
 from quandleworks import (ONE, T, T_INV, T_SQ, ZERO, AffineExpr, Point,
                           RingElem, SymPoint, op, op_inv, orbit_witness,
                           parse_point, reversed_op, verify_theorem)
-from quandleworks.affine import (ORBIT_TAGS, SHIFT, combine, evaluate_form,
+from quandleworks.affine import (ORBIT_TAGS, combine, evaluate_form,
                                  op_inv_kernel, op_kernel, reversed_kernel,
                                  witness_kernel)
 from quandleworks.ring import product_pair, reduce
@@ -324,12 +324,12 @@ def box(tagged) -> Point:
 
 def boxed_op_kernel(a, b):
     x, y = a.value, b.value
-    return box((a.orbit, *op_kernel(SHIFT[a.orbit, b.orbit], x.n1, x.n2, y.n1, y.n2)))
+    return box((a.orbit, *op_kernel(b.orbit - a.orbit, x.n1, x.n2, y.n1, y.n2)))
 
 
 def boxed_op_inv_kernel(a, b):
     x, y = a.value, b.value
-    return box((a.orbit, *op_inv_kernel(SHIFT[b.orbit, a.orbit], x.n1, x.n2, y.n1, y.n2)))
+    return box((a.orbit, *op_inv_kernel(a.orbit - b.orbit, x.n1, x.n2, y.n1, y.n2)))
 
 
 def boxed_reversed_kernel(a, b):

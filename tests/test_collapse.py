@@ -16,7 +16,7 @@ from quandleworks import (ONE, T, T_SQ, ZERO, AffineExpr, CollapseError,
                           expand_lhs, expand_rhs, hnf_close, op,
                           orbit2_collapse, orbit_witness, relation_assignments,
                           reversed_op, ring, verify_theorem)
-from quandleworks.affine import (ORBIT_TAGS, SHIFT, evaluate_form, op_inv_kernel,
+from quandleworks.affine import (ORBIT_TAGS, evaluate_form, op_inv_kernel,
                                  op_kernel, reversed_kernel, witness_kernel)
 from quandleworks.collapse import (CHUNK, LANE_BYTES, PARAM, SAMPLE_BOUND, VARS,
                                    lane_ones, pack_columns, random_draws)
@@ -521,10 +521,9 @@ def test_packed_evaluation_is_the_packing_of_the_lanewise_results(n):
         cols = [column() for _ in range(4)]
         lanes = list(zip(*cols))
         x1, x2, y1, y2 = map(pack, cols)
-        s1, s2 = SHIFT[i, j]
         for kernel in (op_kernel, op_inv_kernel):
-            assert kernel((s1 * ones, s2 * ones), x1, x2, y1, y2) == packed(
-                [kernel((s1, s2), *lane) for lane in lanes])
+            assert kernel((j - i) * ones, x1, x2, y1, y2) == packed(
+                [kernel(j - i, *lane) for lane in lanes])
         tag, *values = reversed_kernel((i, x1, x2), (j, y1, y2), ones)
         assert (tag, *values) == (i, *packed(
             [reversed_kernel((i, a, b), (j, c, d))[1:] for a, b, c, d in lanes]))
@@ -604,7 +603,7 @@ def test_every_lane_value_stays_far_inside_its_lane():
         largest = max(largest, *map(abs, values))
     for v1, v2 in product((-bound, bound), repeat=2):
         tag, w1, w2 = witness_kernel(2, v1, v2)
-        plain = op_kernel(SHIFT[2, tag], 0, 0, w1, w2)
+        plain = op_kernel(tag - 2, 0, 0, w1, w2)
         moved = reversed_kernel((2, 0, 0), (tag, w1, w2))
         largest = max(largest, abs(w1), abs(w2), *map(abs, plain + moved[1:]))
     assert bound <= largest < 2**11
