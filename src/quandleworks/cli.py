@@ -188,16 +188,7 @@ def cmd_reversal_experiment(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="quandleworks",
-        description="Finite quandle workbench: axiom checks, orbit reversal,"
-                    " smallest-congruence quotients, and the exact two-element"
-                    " collapse verification.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check", help="validate a table file, optionally with"
-                                     " extra property checks")
+def _check_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("file")
     p.add_argument("--medial", action="store_true",
                    help="also test the medial law")
@@ -205,28 +196,28 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also test that every translation has order dividing N")
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("orbits", help="print the orbit decomposition")
+
+def _orbits_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("file")
     p.set_defaults(func=cmd_orbits)
 
-    p = sub.add_parser("reverse", help="invert all translations by the orbit"
-                                       " of one element")
+
+def _reverse_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("file")
     p.add_argument("--element", type=integer, required=True, metavar="X",
                    help="1-indexed element whose orbit is reversed")
     p.set_defaults(func=cmd_reverse)
 
-    p = sub.add_parser("quotient", help="quotient by the smallest congruence"
-                                        " forcing an identity")
+
+def _quotient_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("file")
     p.add_argument("--variety", choices=("medial", "nquandle"), required=True)
     p.add_argument("--n", type=integer, metavar="K",
                    help="translation order bound for --variety nquandle")
     p.set_defaults(func=cmd_quotient)
 
-    p = sub.add_parser("verify-paper",
-                       help="verify the two-element collapse of the reversed"
-                            " two-orbit quandle end to end")
+
+def _verify_paper_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--samples", type=integer, default=200,
                    help="randomized coherence sample count, 0 to"
                         f" {MAX_SAMPLES} (default 200)")
@@ -236,8 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print the five expansion coefficients first")
     p.set_defaults(func=cmd_verify_paper)
 
-    p = sub.add_parser("demo-affine", help="evaluate the two-orbit operation"
-                                           " or an orbit witness")
+
+def _demo_affine_arguments(p: argparse.ArgumentParser) -> None:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--op", nargs=2, metavar=("A", "B"),
                        help="two points '(n1,n2)@orbit'; prints A acted on by B")
@@ -246,18 +237,55 @@ def build_parser() -> argparse.ArgumentParser:
                             " point whose action sends the orbit's zero to X")
     p.set_defaults(func=cmd_demo_affine)
 
-    p = sub.add_parser("reversal-experiment",
-                       help="for every medial table in a directory, reverse"
-                            " each orbit and report the forced-medial"
-                            " quotient sizes")
+
+def _reversal_experiment_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("corpus", help="directory of quandle v1 files")
     p.set_defaults(func=cmd_reversal_experiment)
 
+
+# each command, in help order: its help text, and the function that adds its
+# arguments and its handler to its parser
+COMMANDS = {
+    "check": ("validate a table file, optionally with extra property checks",
+              _check_arguments),
+    "orbits": ("print the orbit decomposition", _orbits_arguments),
+    "reverse": ("invert all translations by the orbit of one element",
+                _reverse_arguments),
+    "quotient": ("quotient by the smallest congruence forcing an identity",
+                 _quotient_arguments),
+    "verify-paper": ("verify the two-element collapse of the reversed"
+                     " two-orbit quandle end to end", _verify_paper_arguments),
+    "demo-affine": ("evaluate the two-orbit operation or an orbit witness",
+                    _demo_affine_arguments),
+    "reversal-experiment": ("for every medial table in a directory, reverse"
+                            " each orbit and report the forced-medial quotient"
+                            " sizes", _reversal_experiment_arguments),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or one that lists every command but
+    gives only `command` its arguments."""
+    parser = argparse.ArgumentParser(
+        prog="quandleworks",
+        description="Finite quandle workbench: axiom checks, orbit reversal,"
+                    " smallest-congruence quotients, and the exact two-element"
+                    " collapse verification.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if command in (None, name):
+            add_arguments(p)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command line, `sys.argv[1:]` by default; return the exit
+    status.  A line that starts with a command name adds only that
+    command's arguments; any other (no command, an unknown one, or a leading
+    option such as --help) builds every command's, to print or reject it."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -1,5 +1,6 @@
 """Command-line behavior: output shapes and the 0/1/2 exit-status contract."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -519,6 +520,8 @@ def test_usage_errors(capsys):
     assert code == 2
     code, out, _ = run(capsys, "--help")
     assert code == 0 and "quandleworks" in out
+    # main reads any iterable of arguments, as parse_args does
+    assert main(iter(["verify-paper", "--samples", "0"])) == 0
 
 
 @pytest.mark.skipif(
@@ -530,6 +533,71 @@ def test_help_and_usage_errors_match_the_golden_bytes(capsys, monkeypatch, golde
     monkeypatch.setenv("COLUMNS", str(GOLDEN_USAGE["columns"]))
     assert run(capsys, *golden["argv"]) == (
         golden["code"], golden["stdout"], golden["stderr"])
+
+
+# FILE and DIR stand for a table file and the directory that holds it
+ORACLE_ARGVS = [golden["argv"] for golden in GOLDEN_USAGE["runs"]] + [
+    ["check", "FILE", "--medial", "--nquandle", "2"],
+    ["orbits", "FILE"],
+    ["reverse", "FILE", "--element", "2"],
+    ["quotient", "FILE", "--variety", "nquandle", "--n", "2"],
+    ["verify-paper", "--samples", "0", "--show-expansion"],
+    ["demo-affine", "--witness", "(3,-4)", "1"],
+    ["reversal-experiment", "DIR"],
+    ["--", "check", "FILE"],
+    ["chec", "FILE"],
+    ["Check", "FILE"],
+]
+
+
+@pytest.mark.parametrize("columns", ["40", "80", "200"])
+@pytest.mark.parametrize("argv", ORACLE_ARGVS,
+                         ids=lambda argv: " ".join(argv) or "no-command")
+def test_main_answers_as_the_parser_of_every_command_does(capsys, monkeypatch,
+                                                          tmp_path, argv, columns):
+    (tmp_path / "d3.txt").write_text(render_table_text(dihedral_quandle(3)))
+    places = {"FILE": str(tmp_path / "d3.txt"), "DIR": str(tmp_path)}
+    argv = [places.get(arg, arg) for arg in argv]
+    monkeypatch.setenv("COLUMNS", columns)
+    answer = run(capsys, *argv)
+    whole_tree = cli_module.build_parser
+    monkeypatch.setattr(cli_module, "build_parser", lambda command=None: whole_tree())
+    assert run(capsys, *argv) == answer
+
+
+# add_argument calls: each of the 8 parsers adds its -h, and the commands add
+# 15 arguments in all, 3 of them verify-paper's and 3 check's
+@pytest.mark.parametrize("argv, arguments", [
+    (["verify-paper", "--samples", "0"], 8 + 3),
+    (["check", "FILE"], 8 + 3),
+    (["--help"], 8 + 15),
+    ([], 8 + 15),
+    (["no-such-command"], 8 + 15),
+], ids=["verify-paper", "check", "help", "no-command", "unknown-command"])
+def test_main_adds_only_the_named_commands_arguments(capsys, monkeypatch, d3_file,
+                                                     argv, arguments):
+    added = []
+    add_argument = argparse._ActionsContainer.add_argument
+
+    def counting_add_argument(self, *args, **kwargs):
+        added.append(args)
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse._ActionsContainer, "add_argument",
+                        counting_add_argument)
+    run(capsys, *(d3_file if arg == "FILE" else arg for arg in argv))
+    assert len(added) == arguments, added
+
+
+def test_the_docs_name_every_command_in_order():
+    listed = cli_module.__doc__.split("Commands:", 1)[1].split(".", 1)[0]
+    assert [name.strip() for name in listed.split(",")] == list(cli_module.COMMANDS)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    synopsis = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1]
+    synopsis = synopsis.split("```", 1)[0]
+    assert [line.split()[1] for line in synopsis.splitlines()] == list(
+        cli_module.COMMANDS)
 
 
 VALID_TABLES = [render_table_text(table) for n in (1, 2, 3, 4)
