@@ -14,7 +14,7 @@ where a pair-by-pair check takes n^2.  Only a table that fails is scanned
 instance by instance, to name its witness.  The quotient closure in
 variety.py joins the very pairs these checks compare, skipping elements
 merged into smaller ones (displacement_commutators, n_quandle_violations).
-The inverse table and an orbit reversal invert columns with _inverse, and
+Only an orbit reversal and relabel invert (_inverse) to build a table;
 relabel and the closure build tables with induced_rows.  medial_violation
 and n_quandle_violation return the lexicographically first violating
 instance in a table, a sequence of row tuples, for FiniteQuandle.is_medial
@@ -378,13 +378,11 @@ class FiniteQuandle:
     def __repr__(self) -> str:
         return f"FiniteQuandle(n={self.n})"
 
-    @cached_property
-    def _inverse_table(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(zip(*map(_inverse, self._columns)))
-
     def inverse_translations(self) -> tuple[tuple[int, ...], ...]:
-        """result[i][j] is the unique x with x acted on by j giving i."""
-        return self._inverse_table
+        """result[i][j] is the unique x with x acted on by j giving i.  No
+        production path calls it; the test oracles do, and bench/tracer.py
+        wraps it by name, so it moves to the tests when that target goes."""
+        return tuple(zip(*map(_inverse, self._columns)))
 
     @cached_property
     def _columns(self) -> tuple[tuple[int, ...], ...]:

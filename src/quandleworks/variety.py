@@ -9,8 +9,9 @@ Congruence.join_lines, the one routine that closes a partition under the
 operation, a worklist congruence closure over class lists (Downey, Sethi
 and Tarjan, J. ACM 27, 1980); then it builds the quotient table once.
 Every pair is forced, so the congruence lies in the least one, and the
-postconditions raise unless it is a congruence whose quotient satisfies
-the identity, which makes it the least one.
+postconditions raise unless it is a congruence (its rows and columns
+respect the classes, and the inverse translations follow) whose quotient
+satisfies the identity, which makes it the least one.
 
 A Congruence labels each element with its class's least member.
 join_lines maps two lines to labels with quandle.gather, compares them
@@ -137,25 +138,25 @@ class Congruence:
             mapped_a, mapped_b = gather(la)(label), gather(lb)(label)
             if mapped_a == mapped_b:
                 continue
-            # No inverse images: a translation permutes the finite carrier, so
-            # the map it induces on the classes is onto, hence one-to-one, and
-            # then its inverse respects the classes too.
+            # No inverse images: is_compatible says why they follow.
             for u, v in compress(zip(la, lb), map(ne, mapped_a, mapped_b)):
                 if union(u, v):
                     pending += (rows[u], rows[v]), (columns[u], columns[v])
 
     def is_compatible(self) -> bool:
-        """Both operation arguments and the inverse translations respect the
-        classes: the row, the column and the inverse row of each element of
-        a class with two or more members, mapped to class labels, equal
-        those of the class's least member, which by transitivity covers
-        every pair inside a class."""
+        """Both operation arguments respect the classes: the row and the
+        column of each element of a class with two or more members, mapped
+        to class labels, equal those of the class's least member, which by
+        transitivity covers every pair inside a class.  Inverse translations
+        follow: a translation that respects the classes maps the finite set
+        of classes onto itself, hence one-to-one, so its inverse respects
+        them (test_variety.py::test_forward_images_imply_inverse_images)."""
         q = self.quandle
         label = self._label
         merged = [x for block in self._members if len(block) > 1 for x in block]
         if not merged:
             return True
-        for lines in (q.table, q.columns(), q.inverse_translations()):
+        for lines in (q.table, q.columns()):
             mapped = {x: gather(lines[x])(label) for x in merged}
             if any(mapped[x] != mapped[label[x]] for x in merged):
                 return False

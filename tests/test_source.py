@@ -345,6 +345,42 @@ def test_a_medial_quotient_builds_one_table_and_scans_no_instance(monkeypatch):
     assert calls[0] == len(cases) == 43
 
 
+def _quotient_runs(directory):
+    """Every quotient of the corpus and two reversed shadows, and the CLI
+    commands that take quotients."""
+    shadows = [two_orbit_quandle_mod(m, t) for m, t in ((5, 2), (11, 3))]
+    cases = [q for _, q in build_corpus()] + [q.reverse_orbit(q.n - 1) for q in shadows]
+    table = directory / "shadow11-rev"
+    table.write_text(render_table_text(cases[-1]))
+    corpus = directory / "medial"
+    corpus.mkdir(exist_ok=True)
+    for q in shadows + [dihedral_quandle(9), affine_quandle(13, 2)]:
+        (corpus / f"table{q.n}").write_text(render_table_text(q))
+    return [
+        [quotient_by_identity(q, spec) for q in cases
+         for spec in (MEDIAL, n_quandle(2), n_quandle(3), n_quandle(-2))],
+        cli("quotient", str(table), "--variety", "medial"),
+        cli("quotient", str(table), "--variety", "nquandle", "--n", "-2"),
+        cli("reversal-experiment", str(corpus)),
+    ]
+
+
+def test_quotients_build_no_inverse_table(monkeypatch, tmp_path):
+    # a partition closed under both arguments of the operation is closed
+    # under the inverse translations, so the congruence check compares rows
+    # and columns only, and no quotient inverts a translation
+    assert not hasattr(FiniteQuandle, "_inverse_table")
+    expected = _quotient_runs(tmp_path)
+    assert sum(quotient.n < len(proj) for quotient, proj in expected[0]) == 59
+    assert expected[3][1].count(" 2 drop\n") == 4
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("production code built an inverse table")
+
+    monkeypatch.setattr(FiniteQuandle, "inverse_translations", forbidden)
+    assert _quotient_runs(tmp_path) == expected
+
+
 def _count_compositions(monkeypatch):
     """Patch quandle.gather so that each call of a composition it builds is
     counted; the running count is the one entry of the list returned."""
