@@ -23,8 +23,8 @@ lattice it certifies is always Z^2.  Orbit 1 thus collapses to one class.
 Orbit 2 follows by transport: every orbit-2 value is the image of the
 orbit-2 zero under a translation by an orbit-1 element, and translations by
 orbit-1 elements are untouched by the reversal.  No operation crosses orbit
-tags, so no identification between the two final classes is ever forced:
-the total is exactly two.
+tags, so no identification between the two final classes is ever forced
+(orbits_stay_apart): the total is exactly two.
 
 verify_theorem backs the expansion and the transport with sampled checks
 that share no code with the symbolic derivation: the integer kernels of
@@ -35,11 +35,12 @@ tests/seed_sampled.py are their test oracle.
 
 from __future__ import annotations
 
+import itertools
 import random
 from typing import Mapping, Sequence
 
-from .affine import (AffineExpr, SymPoint, evaluate_form, op, op_kernel,
-                     orbit_witness, reversed_kernel, reversed_op,
+from .affine import (ORBIT_TAGS, AffineExpr, SymPoint, evaluate_form, op,
+                     op_kernel, orbit_witness, reversed_kernel, reversed_op,
                      witness_kernel)
 from .ring import (ONE, T, ZERO, FrozenValue, RingElem, product_pair,
                    render_pair)
@@ -399,6 +400,34 @@ def orbit2_collapse(sample_count: int, rng: random.Random) -> int:
     return 1
 
 
+def orbits_stay_apart() -> None:
+    """Check that forcing the medial law never joins the two orbits, the
+    lower bound of the collapse, or raise CollapseError at stage
+    'separation'.
+
+    For each pair of tags (i, j), the reversed operation keeps the acted-on
+    tag i, on concrete pairs (reversed_kernel) and on independent symbolic
+    payloads (reversed_op).  So the tags form a congruence whose quotient is
+    the 2-element projection x*y = x, and that quotient satisfies the
+    medial law on all 16 tag quadruples: the least medial congruence lies
+    inside the tag partition.
+    """
+    x, y = AffineExpr.var("x"), AffineExpr.var("y")
+    star = {}
+    for i in ORBIT_TAGS:
+        for j in ORBIT_TAGS:
+            star[i, j] = reversed_kernel((i, 0, 0), (j, 0, 0))[0]
+            symbolic = reversed_op(SymPoint(i, x), SymPoint(j, y)).orbit
+            if star[i, j] != i or symbolic != i:
+                raise CollapseError(
+                    "separation", f"tag {i} acted on by tag {j} gives tag"
+                    f" {star[i, j]} on pairs and {symbolic} symbolically")
+    for a, b, c, d in itertools.product(ORBIT_TAGS, repeat=4):
+        if star[star[a, b], star[c, d]] != star[star[a, c], star[b, d]]:
+            raise CollapseError("separation", "the tag quotient is not medial"
+                                f" at tags {(a, b, c, d)}")
+
+
 class CollapseReport(FrozenValue):
     """What each stage of verify_theorem found; render gives the report
     that verify-paper prints."""
@@ -503,6 +532,7 @@ def verify_theorem(samples: int = 200, seed: int = 0) -> CollapseReport:
     chain = tuple(combine_shifts(shifts[0], shifts[1]))
     lattice = hnf_close(shifts)
     orbit2 = orbit2_collapse(samples, rng)
+    orbits_stay_apart()
     return CollapseReport(lhs_expansion=lhs, relation_shifts=shifts,
                           shift_chain=chain, lattice=lattice,
                           orbit1_classes=1, orbit2_classes=orbit2,

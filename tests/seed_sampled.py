@@ -86,6 +86,7 @@ def verify_theorem(samples: int = 200, seed: int = 0) -> CollapseReport:
     chain = tuple(collapse.combine_shifts(shifts[0], shifts[1]))
     lattice = collapse.hnf_close(shifts)
     orbit2 = orbit2_collapse(samples, rng)
+    collapse.orbits_stay_apart()
     return CollapseReport(lhs_expansion=lhs, relation_shifts=shifts,
                           shift_chain=chain, lattice=lattice,
                           orbit1_classes=1, orbit2_classes=orbit2,

@@ -366,6 +366,16 @@ def test_verify_paper_reports_a_broken_lattice_certificate(capsys, monkeypatch):
     assert "combination certificate broken" in err
 
 
+def test_verify_paper_reports_an_operation_that_crosses_orbit_tags(capsys,
+                                                                   monkeypatch):
+    # the reversed kernel returning the acting element's tag
+    monkeypatch.setattr(collapse, "reversed_kernel", lambda a, b, unit=1: b)
+    code, out, err = run(capsys, "verify-paper", "--samples", "0")
+    assert (code, out) == (1, "")
+    assert err == ("verification failed at stage separation: tag 1 acted on by"
+                   " tag 2 gives tag 2 on pairs and 1 symbolically\n")
+
+
 @pytest.mark.parametrize("error", [
     collapse.CollapseError("lattice", "boom"), collapse.ExpansionMismatch("boom"),
     collapse.NonUniformRelation("boom"), collapse.WitnessFailure("boom"),
@@ -565,11 +575,12 @@ def test_main_answers_as_the_parser_of_every_command_does(capsys, monkeypatch,
     assert run(capsys, *argv) == answer
 
 
-# add_argument calls: each of the 8 parsers adds its -h, and the commands add
-# 15 arguments in all, 3 of them verify-paper's and 3 check's
+# add_argument calls: each parser adds its -h, and the commands add 15
+# arguments in all, 3 of them verify-paper's and 3 check's; a named command
+# builds 2 parsers, the whole tree 8
 @pytest.mark.parametrize("argv, arguments", [
-    (["verify-paper", "--samples", "0"], 8 + 3),
-    (["check", "FILE"], 8 + 3),
+    (["verify-paper", "--samples", "0"], 2 + 3),
+    (["check", "FILE"], 2 + 3),
     (["--help"], 8 + 15),
     ([], 8 + 15),
     (["no-such-command"], 8 + 15),
@@ -587,6 +598,41 @@ def test_main_adds_only_the_named_commands_arguments(capsys, monkeypatch, d3_fil
                         counting_add_argument)
     run(capsys, *(d3_file if arg == "FILE" else arg for arg in argv))
     assert len(added) == arguments, added
+
+
+# ArgumentParsers built: one valid line of each command builds the top-level
+# parser and its own, and a line that names no command builds all 8
+PARSER_LINES = [
+    (["check", "FILE", "--medial"], 2, 0),
+    (["orbits", "FILE"], 2, 0),
+    (["reverse", "FILE", "--element", "2"], 2, 0),
+    (["quotient", "FILE", "--variety", "medial"], 2, 0),
+    (["verify-paper", "--samples", "0"], 2, 0),
+    (["demo-affine", "--op", "(1,2)@1", "(0,0)@2"], 2, 0),
+    (["reversal-experiment", "DIR"], 2, 0),
+    (["--help"], 8, 0),
+    ([], 8, 2),
+    (["no-such-command"], 8, 2),
+]
+
+
+@pytest.mark.parametrize("argv, parsers, code", PARSER_LINES,
+                         ids=[" ".join(argv) or "no-command"
+                              for argv, *_ in PARSER_LINES])
+def test_main_builds_only_the_named_commands_parser(capsys, monkeypatch, tmp_path,
+                                                    argv, parsers, code):
+    (tmp_path / "d3.txt").write_text(render_table_text(dihedral_quandle(3)))
+    places = {"FILE": str(tmp_path / "d3.txt"), "DIR": str(tmp_path)}
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert run(capsys, *(places.get(arg, arg) for arg in argv))[0] == code
+    assert len(built) == parsers, built
 
 
 def test_the_docs_name_every_command_in_order():

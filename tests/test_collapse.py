@@ -417,6 +417,30 @@ TRANSPORT_MUTANT = ("reversed_kernel", "if j == 2:", "if j != 0:")
 TAG_MUTANT = ("reversed_kernel", "return i, n1, n2", "return j, n1, n2")
 
 
+# with no samples, no sampled loop runs before the separation stage
+def test_a_kernel_that_crosses_tags_fails_verification_at_the_separation(
+        monkeypatch):
+    install_mutant(monkeypatch, *TAG_MUTANT)
+    with pytest.raises(CollapseError) as info:
+        verify_theorem(0)
+    assert info.value.stage == "separation"
+    assert str(info.value) == ("tag 1 acted on by tag 2 gives tag 2 on pairs"
+                               " and 1 symbolically")
+
+
+def test_a_symbolic_inverse_that_crosses_tags_fails_the_separation(monkeypatch):
+    # expand_lhs already checks the tag of its one crossing term, so
+    # verify_theorem stops there; the separation stage sees the mutant too
+    install_mutant(monkeypatch, "op_inv", "_element(a.orbit", "_element(b.orbit")
+    with pytest.raises(CollapseError) as info:
+        collapse.orbits_stay_apart()
+    assert info.value.stage == "separation"
+    assert str(info.value) == ("tag 1 acted on by tag 2 gives tag 1 on pairs"
+                               " and 2 symbolically")
+    with pytest.raises(ExpansionMismatch, match="expected orbit 1, got 2"):
+        verify_theorem(0)
+
+
 def test_combine_dropping_a_values_constant_fails_at_the_expansion(monkeypatch):
     # the symbolic arithmetic, not a kernel: the frozen coefficients catch
     # it before any sample is drawn
@@ -620,8 +644,9 @@ def test_verify_theorem_runs_each_kernel_once_per_chunk(monkeypatch):
             return original(*args)
         monkeypatch.setattr(collapse, name, counted)
     verify_theorem(2 * CHUNK + 1)
-    # three chunks of expansion samples, then three of orbit-2 samples
-    assert calls == {"random_draws": 6, "reversed_kernel": 3 * 6 + 3,
+    # three chunks of expansion samples, then three of orbit-2 samples, then
+    # one call per tag pair at the separation stage
+    assert calls == {"random_draws": 6, "reversed_kernel": 3 * 6 + 3 + 4,
                      "witness_kernel": 3, "evaluate_form": 3 * 2}
 
 

@@ -15,10 +15,11 @@ import pytest
 import quandleworks
 from conftest import build_corpus, two_orbit_quandle_mod
 from quandleworks import (MEDIAL, FiniteQuandle, MalformedTable,
-                          affine_quandle, check_axioms, dihedral_quandle,
-                          n_quandle, parse_table_text, quandle,
-                          quotient_by_identity, relabel, render_table_text,
-                          trivial_quandle, variety, verify_theorem)
+                          affine_quandle, check_axioms, collapse,
+                          dihedral_quandle, n_quandle, parse_table_text,
+                          quandle, quotient_by_identity, relabel,
+                          render_table_text, trivial_quandle, variety,
+                          verify_theorem)
 from quandleworks.cli import main
 from quandleworks.ring import reduce
 
@@ -246,7 +247,9 @@ def test_symbolic_arithmetic_builds_one_expression_per_operation(monkeypatch):
     # op and op_inv are one affine.combine each, which sums integer pairs
     # and builds its result once, the integer orbit shift being a scalar;
     # verify_theorem(0) builds the four variables of each side, the
-    # substitutions, and one expression per operation
+    # substitutions, and one expression per operation; its separation stage
+    # builds two variables and one expression, with a constant and two
+    # coefficients, for each of its four operations
     w, z = (quandleworks.SymPoint(tag, quandleworks.AffineExpr.var(name))
             for tag, name in ((1, "w"), (2, "z")))
     points = [quandleworks.parse_point(f"(3,-4)@{tag}") for tag in (1, 2)]
@@ -262,8 +265,11 @@ def test_symbolic_arithmetic_builds_one_expression_per_operation(monkeypatch):
                 operation(a, b)
                 assert built == {"AffineExpr": 0, "RingElem": 1}
     built.update(AffineExpr=0, RingElem=0)
+    collapse.orbits_stay_apart()
+    assert built == {"AffineExpr": 2 + 4, "RingElem": 4 * 3}
+    built.update(AffineExpr=0, RingElem=0)
     assert verify_theorem(0).total == 2
-    assert built["AffineExpr"] <= 33 and built["RingElem"] <= 47
+    assert built["AffineExpr"] <= 33 + 6 and built["RingElem"] <= 47 + 12
 
 
 def _medial_confirmations(tables, directory):
