@@ -263,35 +263,34 @@ COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every command or, for a named `command`, the top-level
-    parser with only that command's subparser: 2 ArgumentParsers instead
-    of 8.  Its usage line still lists every command, as the whole tree's
-    does."""
+def build_parser() -> argparse.ArgumentParser:
+    """The whole tree: the top-level parser and a subparser per command."""
     parser = argparse.ArgumentParser(
         prog="quandleworks",
         description="Finite quandle workbench: axiom checks, orbit reversal,"
                     " smallest-congruence quotients, and the exact two-element"
                     " collapse verification.")
-    # a partial tree names every command itself; the whole tree leaves the
-    # metavar unset, so a missing command is reported as "command"
-    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, add_arguments) in COMMANDS.items():
-        if command in (None, name):
-            add_arguments(sub.add_parser(name, help=help_text))
+        add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
 def main(argv=None) -> int:
     """Run one command line, `sys.argv[1:]` by default; return the exit
-    status.  A line that starts with a command name builds only that
-    command's parser; any other (no command, an unknown one, or a leading
-    option such as --help) builds every command's, to print or reject it."""
+    status.  A line that starts with a command name is parsed by that
+    command's parser alone, built as the whole tree builds its subparser;
+    any other line, and a named one with arguments left over, goes to the
+    whole tree (build_parser), which prints or rejects it."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
-        args = parser.parse_args(argv)
+        args = rest = None
+        if argv and argv[0] in COMMANDS:
+            parser = argparse.ArgumentParser(prog=f"quandleworks {argv[0]}")
+            COMMANDS[argv[0]][1](parser)
+            args, rest = parser.parse_known_args(argv[1:])
+        if args is None or rest:
+            args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

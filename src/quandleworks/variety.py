@@ -119,9 +119,6 @@ class Congruence:
         index: dict[int, int] = {}
         return [index.setdefault(r, len(index)) for r in self._label]
 
-    def join(self, a: int, b: int) -> None:
-        self.join_lines((a,), (b,))
-
     def join_lines(self, la, lb) -> None:
         """Merge the classes of la[i] and lb[i] for each position i, then
         close the partition under the operation.  Each pair of lines is

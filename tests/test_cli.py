@@ -4,10 +4,12 @@ import argparse
 import contextlib
 import io
 import json
+import operator
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -557,34 +559,103 @@ ORACLE_ARGVS = [golden["argv"] for golden in GOLDEN_USAGE["runs"]] + [
     ["--", "check", "FILE"],
     ["chec", "FILE"],
     ["Check", "FILE"],
+    # lines around the switch from a command's own parser to the whole tree
+    ["check", "FILE", "--bogus"],
+    ["check", "--", "FILE"],
+    ["check", "FILE", "--", "x"],
+    ["check", "FILE", "-h", "extra"],
+    ["verify-paper", "--sam", "3"],
+    ["verify-paper", "-x"],
+    ["quotient", "FILE", "--variety", "x"],
 ]
+
+
+def whole_tree_main(argv) -> int:
+    """main as the whole tree runs every line, errors mapped as main maps
+    them: the reference that main's own-parser path must match."""
+    try:
+        args = cli_module.build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return int(exc.code or 0)
+    try:
+        return args.func(args)
+    except (cli_module.UsageError, cli_module.MalformedTable, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+def answer(run_line, argv):
+    """Exit code, stdout and stderr of run_line(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run_line(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def table_places(directory):
+    """FILE and DIR for a d3 table written in `directory`."""
+    (directory / "d3.txt").write_text(render_table_text(dihedral_quandle(3)))
+    return {"FILE": str(directory / "d3.txt"), "DIR": str(directory)}
 
 
 @pytest.mark.parametrize("columns", ["40", "80", "200"])
 @pytest.mark.parametrize("argv", ORACLE_ARGVS,
                          ids=lambda argv: " ".join(argv) or "no-command")
-def test_main_answers_as_the_parser_of_every_command_does(capsys, monkeypatch,
-                                                          tmp_path, argv, columns):
-    (tmp_path / "d3.txt").write_text(render_table_text(dihedral_quandle(3)))
-    places = {"FILE": str(tmp_path / "d3.txt"), "DIR": str(tmp_path)}
+def test_main_answers_as_the_parser_of_every_command_does(monkeypatch, tmp_path,
+                                                          argv, columns):
+    places = table_places(tmp_path)
     argv = [places.get(arg, arg) for arg in argv]
     monkeypatch.setenv("COLUMNS", columns)
-    answer = run(capsys, *argv)
-    whole_tree = cli_module.build_parser
-    monkeypatch.setattr(cli_module, "build_parser", lambda command=None: whole_tree())
-    assert run(capsys, *argv) == answer
+    assert answer(main, argv) == answer(whole_tree_main, argv)
+
+
+def _option_strings():
+    for _, add_arguments in cli_module.COMMANDS.values():
+        parser = argparse.ArgumentParser()
+        add_arguments(parser)
+        for action in parser._actions:
+            yield from action.option_strings
+
+
+# every command name and option string (-h and --help among them), the
+# end-of-options marker, and values that fill the commands' arguments or
+# fail their checks
+LINE_WORDS = st.sampled_from(list(dict.fromkeys([
+    *cli_module.COMMANDS, *_option_strings(), "--",
+    "FILE", "DIR", "0", "2", "-2", "x", "(1,2)@1", "medial", "nquandle"])))
+# half the lines start with a command name, so both parsers get lines
+command_lines = st.builds(
+    operator.add,
+    st.lists(st.sampled_from(list(cli_module.COMMANDS)) | LINE_WORDS, max_size=1),
+    st.lists(LINE_WORDS, max_size=5))
+
+
+@pytest.fixture(scope="module")
+def oracle_places(tmp_path_factory):
+    return table_places(tmp_path_factory.mktemp("oracle"))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(argv=command_lines)
+def test_main_answers_random_lines_as_the_whole_tree_does(oracle_places, argv):
+    argv = [oracle_places.get(arg, arg) for arg in argv]
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+        assert answer(main, argv) == answer(whole_tree_main, argv)
 
 
 # add_argument calls: each parser adds its -h, and the commands add 15
 # arguments in all, 3 of them verify-paper's and 3 check's; a named command
-# builds 2 parsers, the whole tree 8
+# builds its own parser alone, the whole tree 8, and a named line with
+# arguments left over both
 @pytest.mark.parametrize("argv, arguments", [
-    (["verify-paper", "--samples", "0"], 2 + 3),
-    (["check", "FILE"], 2 + 3),
+    (["verify-paper", "--samples", "0"], 1 + 3),
+    (["check", "FILE"], 1 + 3),
+    (["check", "FILE", "extra"], 1 + 3 + 8 + 15),
     (["--help"], 8 + 15),
     ([], 8 + 15),
     (["no-such-command"], 8 + 15),
-], ids=["verify-paper", "check", "help", "no-command", "unknown-command"])
+], ids=["verify-paper", "check", "check-extra", "help", "no-command",
+        "unknown-command"])
 def test_main_adds_only_the_named_commands_arguments(capsys, monkeypatch, d3_file,
                                                      argv, arguments):
     added = []
@@ -600,16 +671,18 @@ def test_main_adds_only_the_named_commands_arguments(capsys, monkeypatch, d3_fil
     assert len(added) == arguments, added
 
 
-# ArgumentParsers built: one valid line of each command builds the top-level
-# parser and its own, and a line that names no command builds all 8
+# ArgumentParsers built: one valid line of each command builds its own
+# parser alone, a line that names no command builds all 8, and a named line
+# with arguments left over builds its own and then all 8
 PARSER_LINES = [
-    (["check", "FILE", "--medial"], 2, 0),
-    (["orbits", "FILE"], 2, 0),
-    (["reverse", "FILE", "--element", "2"], 2, 0),
-    (["quotient", "FILE", "--variety", "medial"], 2, 0),
-    (["verify-paper", "--samples", "0"], 2, 0),
-    (["demo-affine", "--op", "(1,2)@1", "(0,0)@2"], 2, 0),
-    (["reversal-experiment", "DIR"], 2, 0),
+    (["check", "FILE", "--medial"], 1, 0),
+    (["orbits", "FILE"], 1, 0),
+    (["reverse", "FILE", "--element", "2"], 1, 0),
+    (["quotient", "FILE", "--variety", "medial"], 1, 0),
+    (["verify-paper", "--samples", "0"], 1, 0),
+    (["demo-affine", "--op", "(1,2)@1", "(0,0)@2"], 1, 0),
+    (["reversal-experiment", "DIR"], 1, 0),
+    (["check", "FILE", "extra"], 1 + 8, 2),
     (["--help"], 8, 0),
     ([], 8, 2),
     (["no-such-command"], 8, 2),
@@ -621,8 +694,7 @@ PARSER_LINES = [
                               for argv, *_ in PARSER_LINES])
 def test_main_builds_only_the_named_commands_parser(capsys, monkeypatch, tmp_path,
                                                     argv, parsers, code):
-    (tmp_path / "d3.txt").write_text(render_table_text(dihedral_quandle(3)))
-    places = {"FILE": str(tmp_path / "d3.txt"), "DIR": str(tmp_path)}
+    places = table_places(tmp_path)
     built = []
     init = argparse.ArgumentParser.__init__
 

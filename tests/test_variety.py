@@ -248,7 +248,7 @@ def test_join_gives_the_least_congruence_containing_the_pair():
             for b in range(a + 1, q.n):
                 containing = [p for p, cls in congruences.items() if cls[a] == cls[b]]
                 cong = Congruence(q)
-                cong.join(a, b)
+                cong.join_lines((a,), (b,))
                 assert cong.blocks() == seed_partitions._meet_partitions(containing, q.n), (
                     q.table, a, b)
                 pairs += 1
@@ -264,7 +264,7 @@ def test_join_matches_union_then_the_full_compatibility_passes():
         for a in range(q.n):
             for b in range(a + 1, q.n):
                 joined, oracle = Congruence(q), UnionFindCongruence(q)
-                joined.join(a, b)
+                joined.join_lines((a,), (b,))
                 oracle.union(a, b)
                 _close_compatibility(oracle, q, inv)
                 assert joined.blocks() == oracle.blocks(), (q.table, a, b)
@@ -283,7 +283,7 @@ def test_join_matches_the_union_find_oracle_on_every_pair():
         for a in elems:
             for b in range(a + 1, q.n):
                 joined, oracle = Congruence(q), UnionFindCongruence(q)
-                joined.join(a, b)
+                joined.join_lines((a,), (b,))
                 oracle.join(a, b)
                 assert joined.blocks() == oracle.blocks(), (name, a, b)
                 assert [joined.find(x) for x in elems] == [oracle.find(x) for x in elems]
@@ -342,10 +342,14 @@ def test_classes_are_ordered_by_least_member_under_any_union_order():
     for q in cases:
         for _ in range(8):
             cong = Congruence(q)
-            merge = rng.choice((cong.union, cong.join, None))
+
+            def join(a, b):
+                cong.join_lines((a,), (b,))
+
+            merge = rng.choice((cong.union, join, None))
             for _ in range(rng.randint(1, q.n)):
                 a, b = rng.randrange(q.n), rng.randrange(q.n)
-                (merge or rng.choice((cong.union, cong.join)))(a, b)
+                (merge or rng.choice((cong.union, join)))(a, b)
                 roots = [cong.find(x) for x in range(q.n)]
                 reference = partition_from_projection(roots)
                 block_of = {x: block for block in reference for x in block}
@@ -388,7 +392,7 @@ def test_is_compatible_agrees_with_the_oracle_check():
         for a in range(q.n):
             for b in range(a + 1, q.n):
                 cong = Congruence(q)
-                cong.join(a, b)
+                cong.join_lines((a,), (b,))
                 _check_is_compatible(q, cong, inv)
                 cong.union(rng.randrange(q.n), rng.randrange(q.n))
                 _check_is_compatible(q, cong, inv)
