@@ -422,10 +422,7 @@ class FiniteQuandle:
     def orbit_of(self, x: int) -> tuple[int, ...]:
         if not 0 <= x < self.n:
             raise ValueError(f"element {x} out of range 0..{self.n - 1}")
-        for block in self._orbit_blocks:
-            if x in block:
-                return block
-        raise AssertionError("unreachable: orbits cover the carrier")
+        return next(block for block in self._orbit_blocks if x in block)
 
     def reverse_orbit(self, x: int) -> "FiniteQuandle":
         """Replace the translation by every member of x's orbit with its inverse."""

@@ -12,7 +12,7 @@ reaches both.
 import random
 
 from quandleworks import collapse
-from quandleworks.affine import AffineExpr, Point, SymPoint, op
+from quandleworks.affine import AffineExpr, Point, SymPoint
 from quandleworks.collapse import (VARS, CollapseReport, ExpansionMismatch,
                                    WitnessFailure)
 from quandleworks.ring import ONE, T, ZERO, RingElem
@@ -26,8 +26,10 @@ def orbit2_collapse(sample_count: int, rng: random.Random) -> int:
     x = AffineExpr.var("x")
     witness = SymPoint(1, ONE.scale_t(-2) * (x + ONE))
     base = SymPoint(2, AffineExpr.const(ZERO))
-    if op(base, witness) != SymPoint(2, x):
+    if collapse.op(base, witness) != SymPoint(2, x):
         raise WitnessFailure("symbolic witness identity failed")
+    if collapse.reversed_op(base, witness) != SymPoint(2, x):
+        raise WitnessFailure("symbolic witness identity failed after reversal")
 
     zero2 = (2, 0, 0)
     for _ in range(sample_count):

@@ -460,6 +460,22 @@ def test_a_reversed_kernel_that_undoes_every_translation_fails_the_transport(
     assert info.value.stage == "orbit-2 transport"
 
 
+# the reversed operation inverting translations that act on orbit-2 points
+# too: the kernels and the tags are untouched, and the sides of the medial
+# law act on orbit-1 points only, so only the symbolic transport sees it
+REVERSED_OP_MUTANT = ("reversed_op", "if b.orbit == 2 else",
+                      "if b.orbit == 2 or a.orbit == 2 else")
+
+
+def test_a_reversed_op_that_moves_orbit2_points_fails_the_transport(monkeypatch):
+    install_mutant(monkeypatch, *REVERSED_OP_MUTANT)
+    with pytest.raises(WitnessFailure) as info:
+        verify_theorem(0)
+    assert info.value.stage == "orbit-2 transport"
+    assert str(info.value) == "symbolic witness identity failed after reversal"
+    assert outcome(seed_sampled.verify_theorem, 0, 0) == outcome(verify_theorem, 0, 0)
+    collapse.orbits_stay_apart()
+
 
 def test_a_fault_that_no_single_sample_shows_still_fails_the_chunk(monkeypatch):
     # a reversed kernel that goes wrong only on packed values: every sample
