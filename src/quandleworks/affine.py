@@ -77,9 +77,6 @@ class AffineExpr(FrozenValue):
     def const(cls, value: RingElem) -> "AffineExpr":
         return cls(value)
 
-    def variables(self) -> tuple[str, ...]:
-        return tuple(sorted(self.coeffs))
-
     def __add__(self, other) -> "AffineExpr":
         return combine(((1, self), (1, other)))
 

@@ -21,7 +21,7 @@ from .ring import parse_elem, render_pair
 from .variety import MEDIAL, n_quandle, quotient_by_identity
 
 
-# the most --samples verify-paper runs: ~1.5 s of checks on a 2-vCPU Xeon VM
+# the most --samples verify-paper runs: ~0.7 s of checks on a 2-vCPU Xeon VM
 MAX_SAMPLES = 10**6
 
 

@@ -191,19 +191,19 @@ def derive_relation(assignment: Mapping[str, AffineExpr | RingElem],
     return gap.constant
 
 
-def relation_assignments() -> list[dict[str, AffineExpr]]:
+def relation_assignments() -> list[dict[str, AffineExpr | RingElem]]:
     """The two canonical substitutions; their shifts are t^2 and -1."""
     t_inv3 = ONE.scale_t(-3)
     first = {
-        "w": AffineExpr.const(ONE),
-        "x": AffineExpr.const(ONE),
-        "y": AffineExpr.const(ZERO),
+        "w": ONE,
+        "x": ONE,
+        "y": ZERO,
         "z": AffineExpr.var(PARAM, -t_inv3),
     }
     second = {
-        "w": AffineExpr.const(ZERO),
-        "x": AffineExpr.const(ZERO),
-        "y": AffineExpr.const(ONE.scale_t(-2)),
+        "w": ZERO,
+        "x": ZERO,
+        "y": ONE.scale_t(-2),
         "z": AffineExpr(t_inv3, {PARAM: -t_inv3}),  # -t^(-3) * (a - 1)
     }
     return [first, second]

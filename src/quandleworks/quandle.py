@@ -11,9 +11,11 @@ of a small generating set S (generators): distributivity is
 R_s R_j = R_{j*s} R_s for s in S and every j, and mediality is decided by
 the displacement group (displacements_commute), each |S| n compositions
 where a pair-by-pair check takes n^2.  Only a table that fails is scanned
-instance by instance, to name its witness.  The quotient closure in
-variety.py joins the very pairs these checks compare, skipping elements
-merged into smaller ones (displacement_commutators, n_quandle_violations).
+instance by instance, to name its witness.  The orbits are the closures of
+single elements under the R_s.  reach is the one worklist closure: it
+finds S and the orbits.  The quotient closure in variety.py joins the very
+pairs these checks compare, skipping an element x merged into a smaller one
+(displacement_commutators, n_quandle_violations).
 Only an orbit reversal and relabel invert (_inverse) to build a table;
 relabel and the closure build tables with induced_rows.  medial_violation
 and n_quandle_violation return the lexicographically first violating
@@ -189,43 +191,46 @@ def check_axioms(table) -> AxiomReport:
     return AxiomReport(idem_wit is None, bij_wit is None, dist_wit is None, first)
 
 
+def reach(maps, work, reached) -> list[int]:
+    """Mark in `reached` every image of the elements of `work` under words
+    in `maps`, each a map on range(n) held as a tuple, and return the
+    elements newly marked.  The elements of work must be marked already;
+    work is used up.  Each newly marked element meets each map once."""
+    new = []
+    while work:
+        x = work.pop()
+        for f in maps:
+            y = f[x]
+            if not reached[y]:
+                reached[y] = True
+                work.append(y)
+                new.append(y)
+    return new
+
+
 def generators(columns):
     """Yield a set S of elements, ascending from 0, that generates the table
     whose translations R_x are columns[x], which must be bijective: every
     element is h(s) for some s in S and h in the group H = <R_s : s in S>.
 
     The least element not yet reached joins S, and the reached set is
-    closed under the R_s with a worklist, so each element meets each
-    translation once.  Each s is yielded as it joins S, so a check that
-    fails on an early generator stops before the rest are found.
+    closed under the R_s (reach): the elements reached before are closed
+    under the earlier generators, so they meet only the new one, and a
+    newly reached element meets them all, O(n |S|) in all.  Each s is
+    yielded as it joins S, so a check that fails on an early generator
+    stops before the rest are found.
     """
     n = len(columns)
     reached = [False] * n
-    gens: list[int] = []
+    gens = []
     for start in range(n):
         if reached[start]:
             continue
         yield start
-        # the elements reached so far are closed under the earlier
-        # generators, so they meet only the new one; a newly reached
-        # element meets them all
         old = [x for x in range(n) if reached[x]]
-        gens.append(start)
         reached[start] = True
-        work = [start]
-        translate = columns[start]
-        for x in old:
-            y = translate[x]
-            if not reached[y]:
-                reached[y] = True
-                work.append(y)
-        while work:
-            x = work.pop()
-            for s in gens:
-                y = columns[s][x]
-                if not reached[y]:
-                    reached[y] = True
-                    work.append(y)
+        gens.append(columns[start])
+        reach(gens, [start] + reach(gens[-1:], old, reached), reached)
 
 
 def scan_distributive(columns):
@@ -263,19 +268,16 @@ def displacement_commutators(columns, find):
     Dis(Q), which is normal in Inn(Q) and so contains N = Dis(Q): Dis(Q) is
     abelian.  The converse is immediate.  So Q/~ is medial exactly when the
     congruence ~ joins each pair position by position (Bonatto and
-    Stanovsky, J. Math. Soc. Japan 73, 2021).  find is the class lookup of
-    the ~ being closed (int for none); s or x with find(v) != v when reached
-    is skipped.  x ~ x' < x makes g_x and g_x' induce the same map on Q/~,
-    and x', least in its class, was kept.  s ~ s' < s, s' = h(t) for an
-    earlier generator t and h in the group of the earlier R_t, so R_s
-    induces h R_t h^-1: the kept generators still generate Q/~.
+    Stanovsky, J. Math. Soc. Japan 73, 2021), and each pair is forced
+    whether or not s is merged.  find is the class lookup of the ~ being
+    closed (int for none); x with find(x) != x when reached is skipped:
+    x ~ x' < x makes g_x and g_x' induce the same map on Q/~, and x', least
+    in its class, was kept.
     """
     gens = generators(columns)
     displace = gather(_inverse(columns[next(gens)]))  # displace(R_x) is g_x
     disp = [(g, gather(g)) for g in map(displace, columns)]  # (g_x, f -> f g_x)
     for s in gens:
-        if find(s) != s:
-            continue
         gs = displace(columns[s])
         after_s = gather(gs)  # after_s(f) is f g_s
         for x, (g, after_g) in enumerate(disp):
@@ -395,31 +397,26 @@ class FiniteQuandle:
 
     @cached_property
     def _orbit_blocks(self) -> tuple[tuple[int, ...], ...]:
-        # Forward edges suffice: a translation that maps a finite set into
-        # itself permutes it, so a set closed under all translations is
-        # closed under their inverses too.
+        # The orbits are those of Inn(Q) = <R_s : s in S> (see check_axioms).
+        # Forward images suffice: a translation that maps a finite set into
+        # itself permutes it, so a set closed under the R_s is closed under
+        # their inverses too.
+        columns = self._columns
+        maps = [columns[s] for s in generators(columns)]
         seen = [False] * self.n
         blocks = []
         for start in range(self.n):
-            if seen[start]:
-                continue
-            seen[start] = True
-            stack = [start]
-            members = []
-            while stack:
-                x = stack.pop()
-                members.append(x)
-                for nxt in self.table[x]:
-                    if not seen[nxt]:
-                        seen[nxt] = True
-                        stack.append(nxt)
-            blocks.append(tuple(sorted(members)))
+            if not seen[start]:
+                seen[start] = True
+                blocks.append(tuple(sorted(reach(maps, [start], seen) + [start])))
         return tuple(blocks)  # already ordered by smallest member
 
     def orbits(self) -> tuple[tuple[int, ...], ...]:
         return self._orbit_blocks
 
     def orbit_of(self, x: int) -> tuple[int, ...]:
+        if type(x) is not int:
+            raise TypeError(f"the element must be an int, got {x!r}")
         if not 0 <= x < self.n:
             raise ValueError(f"element {x} out of range 0..{self.n - 1}")
         return next(block for block in self._orbit_blocks if x in block)

@@ -2,7 +2,8 @@
 
 import math
 import random
-from itertools import product
+import re
+from itertools import islice, product
 
 import pytest
 from hypothesis import given, settings
@@ -13,8 +14,8 @@ from conftest import (assert_frozen_dataclass_semantics, build_corpus,
                       two_orbit_quandle_mod)
 from quandleworks import (AxiomError, AxiomReport, FiniteQuandle,
                           MalformedTable, affine_quandle, check_axioms,
-                          dihedral_quandle, parse_table_text, relabel,
-                          render_table_text, trivial_quandle)
+                          dihedral_quandle, parse_table_text, quandle,
+                          relabel, render_table_text, trivial_quandle)
 from quandleworks.quandle import (_Rows, displacements_commute, generators,
                                  n_quandle_violation, scan_medial)
 from seed_axioms import seed_check_axioms, seed_displacements_commute
@@ -282,6 +283,74 @@ def test_orbit_of_range_check():
         q.orbit_of(3)
     with pytest.raises(ValueError):
         q.orbit_of(-1)
+    # a non-integer in range lies in no block; a bool is no element either
+    for x in (1.5, "1", True):
+        for method in (q.orbit_of, q.reverse_orbit):
+            with pytest.raises(TypeError, match=re.escape(f"must be an int, got {x!r}")):
+                method(x)
+
+
+def _orbits_by_brute_force(q):
+    """The closures of the elements under every translation and its
+    inverse: the components of the graph with an edge x -- x*y for each
+    x and y, each ascending, ordered by least member."""
+    neighbours = [set() for _ in range(q.n)]
+    for x, row in enumerate(q.table):
+        for v in row:
+            neighbours[x].add(v)
+            neighbours[v].add(x)
+    blocks, seen = [], set()
+    for start in range(q.n):
+        if start in seen:
+            continue
+        block, work = {start}, [start]
+        while work:
+            for v in neighbours[work.pop()] - block:
+                block.add(v)
+                work.append(v)
+        seen |= block
+        blocks.append(tuple(sorted(block)))
+    return tuple(blocks)
+
+
+@pytest.fixture(scope="module")
+def orbit_cases(corpus) -> list[FiniteQuandle]:
+    """Every quandle of order <= 4, trivial tables, the corpus, relabeled
+    affine tables, and every orbit reversal of these and of the shadows for
+    m in {5, 11, 19}, each built afresh, so no orbit is cached yet."""
+    rng = random.Random(20261020)
+    cases = [FiniteQuandle(table) for n in range(1, 5)
+             for table in enumerate_small_quandles(n)]
+    cases += [trivial_quandle(n) for n in range(1, 7)]
+    cases += [q for _, q in corpus]
+    for n, t in ((9, 4), (21, 4), (25, 6), (27, 4)):
+        for _ in range(3):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            cases.append(relabel(affine_quandle(n, t), perm))
+    cases += [q.reverse_orbit(block[0]) for q in list(cases) for block in q.orbits()]
+    for m in (5, 11, 19):
+        for t in range(m):
+            if (t * t + t - 1) % m == 0:
+                shadow = two_orbit_quandle_mod(m, t)
+                cases += [shadow.reverse_orbit(block[0]) for block in shadow.orbits()]
+    return [FiniteQuandle(q.table) for q in cases]
+
+
+def test_orbits_are_the_closures_under_every_translation_and_its_inverse(orbit_cases):
+    oracle = [_orbits_by_brute_force(q) for q in orbit_cases]
+    assert len(orbit_cases) > 300 and max(q.n for q in orbit_cases) == 38
+    assert {len(blocks) for blocks in oracle} >= {1, 2, 3, 4, 6}
+    assert [q.orbits() for q in orbit_cases] == oracle
+
+
+def test_the_orbit_oracle_fails_orbits_closed_under_the_first_generator_only(
+        orbit_cases, monkeypatch):
+    fresh = [FiniteQuandle(q.table) for q in orbit_cases]
+    real = quandle.generators
+    monkeypatch.setattr(quandle, "generators", lambda columns: islice(real(columns), 1))
+    wrong = [q for q in fresh if q.orbits() != _orbits_by_brute_force(q)]
+    assert len(wrong) > 100
 
 
 def test_reversal_is_an_involution(corpus):

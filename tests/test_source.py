@@ -103,6 +103,31 @@ def test_the_library_reads_every_name_it_imports():
     assert {name: unused for name, unused in found.items() if unused} == {}
 
 
+def test_one_worklist_closure_finds_the_generators_and_the_orbits():
+    # quandle.reach is the one place that closes a set under translations;
+    # the orbits follow the generating set, not the n^2 table entries
+    tree = ast.parse((PACKAGE_DIR / "quandle.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef)}
+
+    def pops_in_a_while(function):
+        return any(isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                   and call.func.attr == "pop"
+                   for loop in ast.walk(function) if isinstance(loop, ast.While)
+                   for call in ast.walk(loop))
+
+    def calls(function, name):
+        return any(isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                   and node.func.id == name for node in ast.walk(function))
+
+    assert [name for name, node in functions.items() if pops_in_a_while(node)] == ["reach"]
+    assert calls(functions["generators"], "reach")
+    assert calls(functions["_orbit_blocks"], "reach")
+    assert [node.lineno for node in ast.walk(functions["_orbit_blocks"])
+            if isinstance(node, ast.Attribute) and node.attr == "table"
+            or isinstance(node, ast.Name) and node.id == "table"] == []
+
+
 def test_the_ring_is_exact_arithmetic_only_and_collapse_owns_the_draws():
     # the sampled checks draw their samples with collapse.random_draws, at
     # collapse.SAMPLE_BOUND; ring.py draws nothing
@@ -159,6 +184,8 @@ def test_the_library_binds_no_test_only_name():
     collapse = importlib.import_module("quandleworks.collapse")
     assert not hasattr(collapse.CollapseReport, "lattice_index")
     assert not hasattr(quandleworks.AffineExpr, "__rsub__")
+    # only a test read an expression's sorted variable names
+    assert not hasattr(quandleworks.AffineExpr, "variables")
     # a SymPoint is evaluated at ring values only by the tests (conftest.py)
     assert not hasattr(quandleworks.SymPoint, "evaluate")
     # the certificate holds what it certifies, and nothing constant
@@ -273,9 +300,10 @@ def test_symbolic_arithmetic_builds_one_expression_per_operation(monkeypatch):
     # and builds its result once, the integer orbit shift being a scalar;
     # the separation stage builds one zero expression, then one expression
     # with a constant and no coefficient for each of its four operations;
-    # the rest of verify_theorem(0) builds 34 expressions: the four
-    # variables and three operations of each side, eight substitution
-    # values, three per derived relation and six in the transport stage
+    # the rest of verify_theorem(0) builds 28 expressions: the four
+    # variables and three operations of each side, two substitution values
+    # (the others are plain ring values), three per derived relation and
+    # six in the transport stage
     w, z = (quandleworks.SymPoint(tag, quandleworks.AffineExpr.var(name))
             for tag, name in ((1, "w"), (2, "z")))
     points = [quandleworks.parse_point(f"(3,-4)@{tag}") for tag in (1, 2)]
@@ -295,7 +323,7 @@ def test_symbolic_arithmetic_builds_one_expression_per_operation(monkeypatch):
     assert built == {"AffineExpr": 1 + 4, "RingElem": 4}
     built.update(AffineExpr=0, RingElem=0)
     assert verify_theorem(0).total == 2
-    assert built == {"AffineExpr": 34 + 5, "RingElem": 49 + 4}
+    assert built == {"AffineExpr": 28 + 5, "RingElem": 49 + 4}
 
 
 def _medial_confirmations(tables, directory):
