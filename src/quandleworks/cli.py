@@ -155,7 +155,7 @@ def cmd_reversal_experiment(args) -> int:
     print("not up to isomorphism")
     print("file orbit_rep order reversed_medial_order drop")
 
-    # (quotient text, quotient order) -> {input table: first (file, rep) seen}
+    # (quotient text, order) -> {input rows, a plain tuple without columns: first (file, rep)}
     outcomes: dict[tuple[str, int], dict[tuple, tuple[str, int]]] = {}
     for path in sorted(p for p in root.iterdir() if p.is_file()):
         try:
@@ -176,7 +176,7 @@ def cmd_reversal_experiment(args) -> int:
             drop = "drop" if quotient.n < q.n else "-"
             print(f"{path.name} {rep + 1} {q.n} {quotient.n} {drop}")
             key = (render_table_text(quotient), quotient.n)
-            outcomes.setdefault(key, {}).setdefault(q.table, (path.name, rep + 1))
+            outcomes.setdefault(key, {}).setdefault(tuple(q.table), (path.name, rep + 1))
 
     for text, order in sorted(outcomes):
         sources = outcomes[text, order]

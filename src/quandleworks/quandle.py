@@ -19,8 +19,9 @@ pairs these checks compare, skipping an element x merged into a smaller one
 Only an orbit reversal and relabel invert (_inverse) to build a table;
 relabel and the closure build tables with induced_rows.  medial_violation
 and n_quandle_violation return the lexicographically first violating
-instance in a table, a sequence of row tuples, for FiniteQuandle.is_medial
-/ is_n_quandle and the closure's postcondition.
+instance in a _Rows table for FiniteQuandle.is_medial / is_n_quandle and
+the closure's postcondition.  A _Rows owns its columns, so each table is
+transposed at most once, and a reversal hands over the columns it builds.
 """
 
 from __future__ import annotations
@@ -118,9 +119,12 @@ class _Rows(tuple):
     reverse_orbit and affine_quandle build their tables as _Rows, and
     _as_rows validates any other table into one.  FiniteQuandle and
     check_axioms take a _Rows as it is, so each table's shape is validated
-    at most once, and a derived table's never."""
+    at most once, and a derived table's never.  Its columns are built on
+    first use and kept, or set by reverse_orbit: one transposition at most."""
 
-    __slots__ = ()
+    @cached_property
+    def columns(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(zip(*self))
 
 
 def _as_rows(table) -> _Rows:
@@ -161,7 +165,7 @@ def check_axioms(table) -> AxiomReport:
     """
     rows = table if table.__class__ is _Rows else _as_rows(table)
     n = len(rows)
-    columns = tuple(zip(*rows))
+    columns = rows.columns
 
     idem_wit = None
     for i in range(n):
@@ -312,11 +316,11 @@ def scan_medial(rows):
     return None
 
 
-def medial_violation(rows):
-    """scan_medial's witness for a quandle table `rows`, or None when it is
-    medial.  The displacement group decides; only a table it finds not
-    medial is scanned, to name the witness."""
-    if displacements_commute(tuple(zip(*rows))):
+def medial_violation(rows: _Rows):
+    """scan_medial's witness for a quandle table `rows`, a _Rows, or None
+    when it is medial.  The displacement group decides on rows.columns;
+    only a table it finds not medial is scanned, to name the witness."""
+    if displacements_commute(rows.columns):
         return None
     first = scan_medial(rows)
     if first is None:
@@ -384,16 +388,11 @@ class FiniteQuandle:
         """result[i][j] is the unique x with x acted on by j giving i.  No
         production path calls it; the test oracles do, and bench/tracer.py
         wraps it by name, so it moves to the tests when that target goes."""
-        return tuple(zip(*map(_inverse, self._columns)))
-
-    @cached_property
-    def _columns(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(zip(*self.table))
+        return tuple(zip(*map(_inverse, self.columns())))
 
     def columns(self) -> tuple[tuple[int, ...], ...]:
-        """The transposed table: result[j] is the translation by j, and
-        result[j][i] is i acted on by j."""
-        return self._columns
+        """The translations: result[j][i] is i acted on by j."""
+        return self.table.columns
 
     @cached_property
     def _orbit_blocks(self) -> tuple[tuple[int, ...], ...]:
@@ -401,7 +400,7 @@ class FiniteQuandle:
         # Forward images suffice: a translation that maps a finite set into
         # itself permutes it, so a set closed under the R_s is closed under
         # their inverses too.
-        columns = self._columns
+        columns = self.columns()
         maps = [columns[s] for s in generators(columns)]
         seen = [False] * self.n
         blocks = []
@@ -422,12 +421,15 @@ class FiniteQuandle:
         return next(block for block in self._orbit_blocks if x in block)
 
     def reverse_orbit(self, x: int) -> "FiniteQuandle":
-        """Replace the translation by every member of x's orbit with its inverse."""
+        """Replace the translation by every member of x's orbit with its
+        inverse; the new table keeps the columns it is built from."""
         block = set(self.orbit_of(x))
-        columns = [_inverse(column) if j in block else column
-                   for j, column in enumerate(self._columns)]
+        columns = tuple(_inverse(column) if j in block else column
+                        for j, column in enumerate(self.columns()))
+        rows = _Rows(zip(*columns))
+        rows.columns = columns
         try:
-            return FiniteQuandle(_Rows(zip(*columns)))
+            return FiniteQuandle(rows)
         except AxiomError as exc:
             raise InternalAxiomFailure(
                 f"reversing the orbit of {x} broke the axioms: {exc}") from exc

@@ -148,15 +148,13 @@ class Congruence:
         follow: a translation that respects the classes maps the finite set
         of classes onto itself, hence one-to-one, so its inverse respects
         them (test_variety.py::test_forward_images_imply_inverse_images)."""
-        q = self.quandle
         label = self._label
-        merged = [x for block in self._members if len(block) > 1 for x in block]
-        if not merged:
-            return True
-        for lines in (q.table, q.columns()):
-            mapped = {x: gather(lines[x])(label) for x in merged}
-            if any(mapped[x] != mapped[label[x]] for x in merged):
-                return False
+        classes = [block for block in self._members if len(block) > 1]
+        for lines in (self.quandle.table, self.quandle.columns()):
+            for least, *others in classes:
+                line = gather(lines[least])(label)
+                if any(gather(lines[x])(label) != line for x in others):
+                    return False
         return True
 
 

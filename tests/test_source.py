@@ -514,6 +514,57 @@ def test_a_quandle_validates_its_table_shape_once(monkeypatch):
             FiniteQuandle(bad)
 
 
+def test_each_table_is_transposed_once(monkeypatch):
+    # a _Rows keeps its columns, which the axioms, the orbits, mediality and
+    # the closure all read; a reversal builds its columns and hands them to
+    # the table it builds from them.  zip(*rows) on a table of order n = 22
+    # is the only zip call with 22 arguments.  Reversing either orbit gives
+    # a medial table, so its medial quotient is a new table of order 22,
+    # transposed once for both of its checks; its 2-quandle quotient has 2
+    # elements
+    n = 22
+    text = render_table_text(two_orbit_quandle_mod(11, 3).reverse_orbit(11))
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += len(args) == n
+        return zip(*args)
+
+    monkeypatch.setattr(quandle, "zip", counted, raising=False)
+
+    def transpositions(run):
+        calls[0] = 0
+        run(FiniteQuandle(parse_table_text(text)))
+        return calls[0]
+
+    runs = [lambda q: None, FiniteQuandle.orbits, FiniteQuandle.is_medial,
+            lambda q: quotient_by_identity(q, MEDIAL),
+            lambda q: quotient_by_identity(q, n_quandle(2)),
+            lambda q: q.reverse_orbit(11),
+            lambda q: quotient_by_identity(q.reverse_orbit(11), n_quandle(2)),
+            lambda q: quotient_by_identity(q.reverse_orbit(11), MEDIAL)]
+    assert [transpositions(run) for run in runs] == [1, 1, 1, 1, 1, 2, 2, 3]
+
+
+def test_only_the_rows_and_a_reversal_transpose_a_table():
+    # _Rows.columns keeps the transposition it builds; reverse_orbit builds
+    # the rows from its columns, and inverse_translations is test-only
+    tree = ast.parse((PACKAGE_DIR / "quandle.py").read_text(encoding="utf-8"))
+    functions = [(f"{owner.name}.{node.name}", node) for owner in tree.body
+                 if isinstance(owner, ast.ClassDef) for node in owner.body
+                 if isinstance(node, ast.FunctionDef)]
+    functions += [(node.name, node) for node in tree.body
+                  if isinstance(node, ast.FunctionDef)]
+    transposing = [name for name, function in functions
+                   if any(isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                          and call.func.id == "zip"
+                          and any(isinstance(arg, ast.Starred) for arg in call.args)
+                          for call in ast.walk(function))]
+    assert sorted(transposing) == ["FiniteQuandle.inverse_translations",
+                                   "FiniteQuandle.reverse_orbit", "_Rows.columns"]
+    assert not hasattr(FiniteQuandle, "_columns")
+
+
 def test_every_name_the_bench_tracer_wraps_exists():
     # bench/run.py --trace 1 wraps these by name, looked up the way
     # Tracer.install looks them up; the source is executed, not imported,
