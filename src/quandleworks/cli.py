@@ -16,7 +16,8 @@ from pathlib import Path
 from .affine import op, orbit_witness, parse_point
 from .collapse import CollapseError, verify_theorem
 from .quandle import (AxiomError, AxiomReport, FiniteQuandle, MalformedTable,
-                      parse_table_text, render_table_text)
+                      displacements_commute, parse_table_text,
+                      render_table_text)
 from .ring import parse_elem, render_pair
 from .variety import MEDIAL, n_quandle, quotient_by_identity
 
@@ -167,7 +168,7 @@ def cmd_reversal_experiment(args) -> int:
             print(f"warning: skipping {path.name}: not a quandle"
                   f" ({exc.report.summary()})", file=sys.stderr)
             continue
-        if not q.is_medial()[0]:
+        if not displacements_commute(q.table):
             print(f"warning: skipping {path.name}: not medial", file=sys.stderr)
             continue
         for block in q.orbits():

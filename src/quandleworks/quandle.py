@@ -1,13 +1,13 @@
 """Finite quandles as square operation tables over {0, ..., n-1}.
 
 table[i][j] holds the row element acted on by the column element, so column
-j is the translation by j.  Everything in memory is 0-indexed; the plain
-text "quandle v1" file format is 1-indexed, with the conversion confined to
-parse/render.
+j is the translation by j.  Everything in memory, witnesses too, is
+0-indexed; the "quandle v1" file format is 1-indexed, and parse/render and
+the command line (orbits, projections, representatives, --element) convert.
 
 The table checks compose whole translations, held as tuples, with gather
 (operator.itemgetter, so each composition runs at C speed), and only those
-of a small generating set S (generators): distributivity is
+of a small generating set S (_Rows.generators): distributivity is
 R_s R_j = R_{j*s} R_s for s in S and every j, and mediality is decided by
 the displacement group (displacements_commute), each |S| n compositions
 where a pair-by-pair check takes n^2.  Only a table that fails is scanned
@@ -20,8 +20,9 @@ Only an orbit reversal and relabel invert (_inverse) to build a table;
 relabel and the closure build tables with induced_rows.  medial_violation
 and n_quandle_violation return the lexicographically first violating
 instance in a _Rows table for FiniteQuandle.is_medial / is_n_quandle and
-the closure's postcondition.  A _Rows owns its columns, so each table is
-transposed at most once, and a reversal hands over the columns it builds.
+the closure's postcondition.  Every reader of translations takes the _Rows,
+which derives its columns and its S at most once; a reversal hands over
+the columns it builds, never S.
 """
 
 from __future__ import annotations
@@ -119,12 +120,32 @@ class _Rows(tuple):
     reverse_orbit and affine_quandle build their tables as _Rows, and
     _as_rows validates any other table into one.  FiniteQuandle and
     check_axioms take a _Rows as it is, so each table's shape is validated
-    at most once, and a derived table's never.  Its columns are built on
-    first use and kept, or set by reverse_orbit: one transposition at most."""
+    at most once, and a derived table's never.  Its columns and S are each
+    built on first use and kept, or the columns set by reverse_orbit."""
 
     @cached_property
     def columns(self) -> tuple[tuple[int, ...], ...]:
         return tuple(zip(*self))
+
+    @cached_property
+    def generators(self) -> tuple[int, ...]:
+        """S, ascending from 0: every element is h(s) for some s in S and h
+        in H = <R_s : s in S>; the columns must be bijective.  The least
+        element not yet reached joins S, and the reached set is closed under
+        the R_s (reach): the elements reached before are closed under the
+        earlier generators, so they meet only the new one, and a newly
+        reached element meets them all, O(n |S|) in all."""
+        n = len(self)
+        reached = [False] * n
+        gens, maps = [], []
+        for start in range(n):
+            if not reached[start]:
+                old = [x for x in range(n) if reached[x]]
+                reached[start] = True
+                gens.append(start)
+                maps.append(self.columns[start])
+                reach(maps, [start] + reach(maps[-1:], old, reached), reached)
+        return tuple(gens)
 
 
 def _as_rows(table) -> _Rows:
@@ -158,7 +179,7 @@ def check_axioms(table) -> AxiomReport:
 
     Right self-distributivity says that every translation R_k is an
     automorphism.  With bijective columns it is enough that each R_s is,
-    for s in S = generators(columns): then every h in H = <R_s : s in S> is
+    for s in S = rows.generators: then every h in H = <R_s : s in S> is
     an automorphism, so is R_{h(s)} = h R_s h^-1 (Joyce, JPAA 23, 1982),
     and every element is such an h(s).  Only a table that fails this is
     scanned pair by pair (scan_distributive), to name its witness.
@@ -188,8 +209,8 @@ def check_axioms(table) -> AxiomReport:
     after = [gather(column) for column in columns]  # after[j](f) is f R_j
     distributive = bij_wit is None and all(
         after[j](columns[s]) == after[s](columns[rows[j][s]])
-        for s in generators(columns) for j in range(n))
-    dist_wit = None if distributive else scan_distributive(columns)
+        for s in rows.generators for j in range(n))
+    dist_wit = None if distributive else scan_distributive(rows)
 
     first = next((w for w in (idem_wit, bij_wit, dist_wit) if w is not None), None)
     return AxiomReport(idem_wit is None, bij_wit is None, dist_wit is None, first)
@@ -212,34 +233,10 @@ def reach(maps, work, reached) -> list[int]:
     return new
 
 
-def generators(columns):
-    """Yield a set S of elements, ascending from 0, that generates the table
-    whose translations R_x are columns[x], which must be bijective: every
-    element is h(s) for some s in S and h in the group H = <R_s : s in S>.
-
-    The least element not yet reached joins S, and the reached set is
-    closed under the R_s (reach): the elements reached before are closed
-    under the earlier generators, so they meet only the new one, and a
-    newly reached element meets them all, O(n |S|) in all.  Each s is
-    yielded as it joins S, so a check that fails on an early generator
-    stops before the rest are found.
-    """
-    n = len(columns)
-    reached = [False] * n
-    gens = []
-    for start in range(n):
-        if reached[start]:
-            continue
-        yield start
-        old = [x for x in range(n) if reached[x]]
-        reached[start] = True
-        gens.append(columns[start])
-        reach(gens, [start] + reach(gens[-1:], old, reached), reached)
-
-
-def scan_distributive(columns):
+def scan_distributive(rows: _Rows):
     """The lexicographically first (i, j, k) with (i*j)*k differing from
-    (i*k)*(j*k) in the table whose translations are `columns`, or None."""
+    (i*k)*(j*k) in the table `rows`, a _Rows, or None."""
+    columns = rows.columns
     after = [gather(column) for column in columns]  # after[j](f) is f R_j
     first = None
     # A failing pair's first violating i is its first differing entry, so
@@ -257,9 +254,9 @@ def scan_distributive(columns):
     return first
 
 
-def displacement_commutators(columns, find):
+def displacement_commutators(rows: _Rows, find):
     """Yield the maps (g_x g_s, g_s g_x), as tuples, for s in S =
-    generators(columns) after e = S[0], and every x; columns[x] is R_x and
+    rows.generators after e = S[0], and every x; rows.columns[x] is R_x and
     g_x = R_x R_e^-1.  They are all equal exactly when Dis(Q) = <R_x R_y^-1>
     is abelian, that is when Q is medial (Joyce, JPAA 23, 1982; Jedlicka,
     Pilitowska, Stanovsky and Zamojska-Dzienio, J. Algebra 2015).
@@ -278,10 +275,11 @@ def displacement_commutators(columns, find):
     x ~ x' < x makes g_x and g_x' induce the same map on Q/~, and x', least
     in its class, was kept.
     """
-    gens = generators(columns)
-    displace = gather(_inverse(columns[next(gens)]))  # displace(R_x) is g_x
+    columns = rows.columns
+    e, *others = rows.generators
+    displace = gather(_inverse(columns[e]))  # displace(R_x) is g_x
     disp = [(g, gather(g)) for g in map(displace, columns)]  # (g_x, f -> f g_x)
-    for s in gens:
+    for s in others:
         gs = displace(columns[s])
         after_s = gather(gs)  # after_s(f) is f g_s
         for x, (g, after_g) in enumerate(disp):
@@ -289,9 +287,9 @@ def displacement_commutators(columns, find):
                 yield after_s(g), after_g(gs)
 
 
-def displacements_commute(columns) -> bool:
-    """Whether the quandle with translations `columns` is medial."""
-    return all(a == b for a, b in displacement_commutators(columns, int))
+def displacements_commute(rows: _Rows) -> bool:
+    """Whether the quandle table `rows`, a _Rows, is medial."""
+    return all(a == b for a, b in displacement_commutators(rows, int))
 
 
 def scan_medial(rows):
@@ -318,9 +316,9 @@ def scan_medial(rows):
 
 def medial_violation(rows: _Rows):
     """scan_medial's witness for a quandle table `rows`, a _Rows, or None
-    when it is medial.  The displacement group decides on rows.columns;
-    only a table it finds not medial is scanned, to name the witness."""
-    if displacements_commute(rows.columns):
+    when it is medial.  The displacement group decides; only a table it
+    finds not medial is scanned, to name the witness."""
+    if displacements_commute(rows):
         return None
     first = scan_medial(rows)
     if first is None:
@@ -329,7 +327,7 @@ def medial_violation(rows: _Rows):
     return first
 
 
-def n_quandle_violations(rows, power: int, find):
+def n_quandle_violations(rows: _Rows, power: int, find):
     """Yield (lhs, rhs, x, y), y outermost, for each cycle of each R_y in
     the table `rows` on which y acting `power` times (inverses if negative)
     moves the least element x to lhs, not rhs = x.  Each pair is forced,
@@ -340,6 +338,7 @@ def n_quandle_violations(rows, power: int, find):
     for y in range(n):
         if find(y) != y:
             continue
+        column = rows.columns[y]
         seen = [False] * n
         for start in range(n):
             if seen[start]:
@@ -348,11 +347,11 @@ def n_quandle_violations(rows, power: int, find):
             # least element of this one
             seen[start] = True
             cycle = [start]
-            x = rows[start][y]
+            x = column[start]
             while not seen[x]:
                 seen[x] = True
                 cycle.append(x)
-                x = rows[x][y]
+                x = column[x]
             shift = power % len(cycle)
             if shift:
                 yield cycle[shift], start, start, y
@@ -401,7 +400,7 @@ class FiniteQuandle:
         # itself permutes it, so a set closed under the R_s is closed under
         # their inverses too.
         columns = self.columns()
-        maps = [columns[s] for s in generators(columns)]
+        maps = [columns[s] for s in self.table.generators]
         seen = [False] * self.n
         blocks = []
         for start in range(self.n):
@@ -422,7 +421,8 @@ class FiniteQuandle:
 
     def reverse_orbit(self, x: int) -> "FiniteQuandle":
         """Replace the translation by every member of x's orbit with its
-        inverse; the new table keeps the columns it is built from."""
+        inverse.  The new table keeps its columns but derives S again: the
+        axioms are proved only for an S derived from the columns checked."""
         block = set(self.orbit_of(x))
         columns = tuple(_inverse(column) if j in block else column
                         for j, column in enumerate(self.columns()))

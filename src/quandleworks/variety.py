@@ -16,8 +16,8 @@ satisfies the identity, which makes it the least one.
 A Congruence labels each element with its class's least member.
 join_lines maps two lines to labels with quandle.gather, compares them
 whole and unions only where they differ; each merge pushes its two rows
-and its two columns.  A medial quotient of a reversed shadow makes under
-2n union calls (22 at n = 22).
+and its two columns.  A medial quotient of a reversed shadow makes n union
+calls (22 at n = 22).
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ class IdentitySpec(FrozenValue):
     def forced_lines(self, q: FiniteQuandle, find):
         """Pairs of lines whose joins force the identity on q's quotient."""
         if self.tag == MEDIAL_TAG:
-            return displacement_commutators(q.columns(), find)
+            return displacement_commutators(q.table, find)
         return (((lhs,), (rhs,)) for lhs, rhs, _, _
                 in n_quandle_violations(q.table, self.parameter, find))
 

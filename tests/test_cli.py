@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from conftest import (conjugation_quandle_s3, enumerate_small_quandles,
                       two_orbit_quandle_mod)
 import quandleworks
-from quandleworks import (collapse, dihedral_quandle, parse_table_text,
+from quandleworks import (collapse, dihedral_quandle, parse_table_text, quandle,
                           relabel, render_table_text, trivial_quandle)
 from quandleworks import cli as cli_module
 from quandleworks.cli import main
@@ -78,6 +78,21 @@ def test_check_reports_medial_witness(capsys, tmp_path):
     code, out, _ = run(capsys, "check", str(path), "--medial")
     assert code == 1
     assert "medial: False witness=" in out
+
+
+def test_check_numbers_a_medial_witness_from_zero(capsys, tmp_path):
+    # witnesses are element indices counted from 0, one less than in the
+    # file: read that way, the printed instance violates the medial law
+    q = conjugation_quandle_s3()
+    path = tmp_path / "conj.txt"
+    path.write_text(render_table_text(q))
+    code, out, _ = run(capsys, "check", str(path), "--medial")
+    line = out.splitlines()[1]
+    assert (code, line) == (1, "medial: False witness=(1, 0, 1, 2)")
+    w, x, y, z = map(int, line.removeprefix("medial: False witness=(")
+                     .removesuffix(")").split(", "))
+    t = q.table
+    assert t[t[w][x]][t[y][z]] != t[t[w][y]][t[x][z]]
 
 
 def _run_under_both_optimization_levels(*args):
@@ -503,6 +518,25 @@ def test_reversal_experiment_skips_unsuitable_files(capsys, tmp_path):
     assert "skipping broken.txt: not a quandle" in err
     assert "skipping conj.txt: not medial" in err
     assert "skipping junk.txt" in err
+
+
+def test_reversal_experiment_asks_only_whether_a_table_is_medial(
+        capsys, tmp_path, monkeypatch):
+    # the displacement group decides; the instance scan, which only names
+    # a witness the command would throw away, never runs
+    root = _write_corpus(tmp_path, [
+        ("conj.txt", conjugation_quandle_s3()),
+        ("d3.txt", dihedral_quandle(3)),
+    ])
+
+    def forbidden(*args):
+        raise AssertionError("reversal-experiment scanned for a medial witness")
+
+    monkeypatch.setattr(quandle, "scan_medial", forbidden)
+    code, out, err = run(capsys, "reversal-experiment", root)
+    assert code == 0
+    assert "d3.txt 1 3 3 -" in out and "conj.txt" not in out
+    assert err == "warning: skipping conj.txt: not medial\n"
 
 
 def test_reversal_experiment_skips_an_order_too_long_to_convert(capsys, tmp_path):

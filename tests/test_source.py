@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import types
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -123,9 +124,18 @@ def test_one_worklist_closure_finds_the_generators_and_the_orbits():
     assert [name for name, node in functions.items() if pops_in_a_while(node)] == ["reach"]
     assert calls(functions["generators"], "reach")
     assert calls(functions["_orbit_blocks"], "reach")
-    assert [node.lineno for node in ast.walk(functions["_orbit_blocks"])
+    # _orbit_blocks reads no table entries: self.table appears only as the
+    # owner of an attribute (its generating set), never subscripted,
+    # iterated or bound to a name
+    blocks = functions["_orbit_blocks"]
+    owners = {id(node.value) for node in ast.walk(blocks)
+              if isinstance(node, ast.Attribute)}
+    assert [node.lineno for node in ast.walk(blocks)
             if isinstance(node, ast.Attribute) and node.attr == "table"
+            and id(node) not in owners
             or isinstance(node, ast.Name) and node.id == "table"] == []
+    assert any(isinstance(node, ast.Attribute) and node.attr == "generators"
+               for node in ast.walk(blocks))
 
 
 def test_the_ring_is_exact_arithmetic_only_and_collapse_owns_the_draws():
@@ -464,7 +474,7 @@ def test_is_medial_composes_linearly_many_translations(monkeypatch):
     # displacements g_x, each commuted with g_s for the other generator s,
     # against two compositions for each of the n^2 / 2 pairs of them
     q = dihedral_quandle(33)
-    assert len(list(quandle.generators(q.columns()))) == 2
+    assert len(q.table.generators) == 2
     calls = _count_compositions(monkeypatch)
     assert q.is_medial() == (True, None)
     assert calls[0] == 1 + 33 + 2 * 33
@@ -477,7 +487,7 @@ def test_check_axioms_composes_linearly_many_translations(monkeypatch):
     m = 101
     t = next(t for t in range(m) if (t * t + t - 1) % m == 0)
     q = two_orbit_quandle_mod(m, t).reverse_orbit(m)
-    assert len(list(quandle.generators(q.columns()))) == 3
+    assert len(q.table.generators) == 3
     calls = _count_compositions(monkeypatch)
     assert check_axioms(q.table).ok
     assert calls[0] == 2 * 3 * 202
@@ -544,6 +554,46 @@ def test_each_table_is_transposed_once(monkeypatch):
             lambda q: quotient_by_identity(q.reverse_orbit(11), n_quandle(2)),
             lambda q: quotient_by_identity(q.reverse_orbit(11), MEDIAL)]
     assert [transpositions(run) for run in runs] == [1, 1, 1, 1, 1, 2, 2, 3]
+
+
+def test_each_table_derives_its_generating_set_once(monkeypatch, tmp_path):
+    # a _Rows keeps its generating set S, which the axioms, the orbits,
+    # mediality and the medial closure all read.  A reversal hands its
+    # columns to the table it builds, never S: the reversed table derives
+    # its own S once.  A medial quotient is a new table, whose S serves both
+    # its postcondition and its axioms.  reversal-experiment reads the
+    # input's S for mediality and the orbits, and each of the two orbits
+    # gives a reversed table and its quotient
+    shadow = two_orbit_quandle_mod(11, 3)
+    text = render_table_text(shadow.reverse_orbit(11))
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "shadow22").write_text(render_table_text(shadow))
+    derive = quandle._Rows.generators.func
+    calls = [0]
+
+    def counted(rows):
+        calls[0] += 1
+        return derive(rows)
+
+    patched = cached_property(counted)
+    patched.__set_name__(quandle._Rows, "generators")
+    monkeypatch.setattr(quandle._Rows, "generators", patched)
+
+    def derivations(run):
+        calls[0] = 0
+        run(FiniteQuandle(parse_table_text(text)))
+        return calls[0]
+
+    runs = [lambda q: None, FiniteQuandle.orbits, FiniteQuandle.is_medial,
+            lambda q: quotient_by_identity(q, MEDIAL),
+            lambda q: q.reverse_orbit(11),
+            lambda q: quotient_by_identity(q.reverse_orbit(11), MEDIAL)]
+    assert [derivations(run) for run in runs] == [1, 1, 1, 2, 2, 3]
+    calls[0] = 0
+    code, out, err = cli("reversal-experiment", str(corpus))
+    assert (code, err, out.count("shadow22 ")) == (0, "", 2)
+    assert calls[0] == 5
 
 
 def test_only_the_rows_and_a_reversal_transpose_a_table():
