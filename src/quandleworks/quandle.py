@@ -7,14 +7,16 @@ the command line (orbits, projections, representatives, --element) convert.
 
 The table checks compose whole translations, held as tuples, with gather
 (operator.itemgetter, so each composition runs at C speed), and only those
-of a small generating set S (_Rows.generators): distributivity is
-R_s R_j = R_{j*s} R_s for s in S and every j, and mediality is decided by
-the displacement group (displacements_commute), each |S| n compositions
-where a pair-by-pair check takes n^2.  Only a table that fails is scanned
-instance by instance, to name its witness.  The orbits are the closures of
-single elements under the R_s.  reach is the one worklist closure: it
-finds S and the orbits.  The quotient closure in variety.py joins the very
-pairs these checks compare, skipping an element x merged into a smaller one
+of a small generating set S (_Rows.generators), each distinct R_s once
+(_Rows.translators): distributivity is R_s R_j = R_{j*s} R_s for s in S
+and every j, with R_s bijective, and mediality is decided by the
+displacement group (displacements_commute), each |S| n compositions where
+a pair-by-pair check takes n^2.  Only a table that fails is scanned
+instance by instance, to name its witness.  The orbits are the closures
+of single elements under the R_s.  reach is the one worklist closure: it
+finds S and the orbits.  The quotient closure in variety.py joins the
+very pairs these checks compare, skipping an element x merged into a
+smaller one and building no displacement for it
 (displacement_commutators, n_quandle_violations).
 Only an orbit reversal and relabel invert (_inverse) to build a table;
 relabel and the closure build tables with induced_rows.  medial_violation
@@ -120,8 +122,9 @@ class _Rows(tuple):
     reverse_orbit and affine_quandle build their tables as _Rows, and
     _as_rows validates any other table into one.  FiniteQuandle and
     check_axioms take a _Rows as it is, so each table's shape is validated
-    at most once, and a derived table's never.  Its columns and S are each
-    built on first use and kept, or the columns set by reverse_orbit."""
+    at most once, and a derived table's never.  Its columns, S and
+    translators are each built on first use and kept, or the columns set
+    by reverse_orbit."""
 
     @cached_property
     def columns(self) -> tuple[tuple[int, ...], ...]:
@@ -146,6 +149,16 @@ class _Rows(tuple):
                 maps.append(self.columns[start])
                 reach(maps, [start] + reach(maps[-1:], old, reached), reached)
         return tuple(gens)
+
+    @cached_property
+    def translators(self) -> tuple[int, ...]:
+        """The least s in S for each distinct translation R_s, ascending:
+        what the checks read of an s is the map R_s alone.  A trivial
+        table has S = every element, and one translator."""
+        least: dict[tuple[int, ...], int] = {}
+        for s in self.generators:
+            least.setdefault(self.columns[s], s)
+        return tuple(least.values())
 
 
 def _as_rows(table) -> _Rows:
@@ -178,11 +191,13 @@ def check_axioms(table) -> AxiomReport:
     it, is not validated again.
 
     Right self-distributivity says that every translation R_k is an
-    automorphism.  With bijective columns it is enough that each R_s is,
-    for s in S = rows.generators: then every h in H = <R_s : s in S> is
-    an automorphism, so is R_{h(s)} = h R_s h^-1 (Joyce, JPAA 23, 1982),
-    and every element is such an h(s).  Only a table that fails this is
-    scanned pair by pair (scan_distributive), to name its witness.
+    automorphism.  It is enough that each R_s is a bijective one, for s in
+    S = rows.generators: then every h in H = <R_s : s in S> is one, so is
+    R_{h(s)} = h R_s h^-1 (Joyce, JPAA 23, 1982), and every element is such
+    an h(s), so every column is bijective too.  This depends on the map R_s
+    alone, so each of rows.translators is checked.  Only a table that fails
+    is scanned column by column (scan_bijective) and pair by pair
+    (scan_distributive), to name its witnesses.
     """
     rows = table if table.__class__ is _Rows else _as_rows(table)
     n = len(rows)
@@ -194,23 +209,15 @@ def check_axioms(table) -> AxiomReport:
             idem_wit = (i, i, None)
             break
 
-    bij_wit = None
-    for j, column in enumerate(columns):
-        if len(set(column)) < n:
-            seen: dict[int, int] = {}
-            for i, v in enumerate(column):
-                if v in seen:
-                    bij_wit = (seen[v], i, j)
-                    break
-                seen[v] = i
-            break
-
-    # (i*j)*k = (i*k)*(j*k) for all i is R_k R_j = R_{j*k} R_k
+    # (i*j)*k = (i*k)*(j*k) for all i is R_k R_j = R_{j*k} R_k: R_k is an
+    # automorphism
     after = [gather(column) for column in columns]  # after[j](f) is f R_j
-    distributive = bij_wit is None and all(
+    translators = rows.translators
+    holds = all(len(set(columns[s])) == n for s in translators) and all(
         after[j](columns[s]) == after[s](columns[rows[j][s]])
-        for s in rows.generators for j in range(n))
-    dist_wit = None if distributive else scan_distributive(rows)
+        for s in translators for j in range(n))
+    bij_wit = None if holds else scan_bijective(columns)
+    dist_wit = None if holds else scan_distributive(rows)
 
     first = next((w for w in (idem_wit, bij_wit, dist_wit) if w is not None), None)
     return AxiomReport(idem_wit is None, bij_wit is None, dist_wit is None, first)
@@ -231,6 +238,21 @@ def reach(maps, work, reached) -> list[int]:
                 work.append(y)
                 new.append(y)
     return new
+
+
+def scan_bijective(columns):
+    """(i, i2, j) for the first column j of a table that is not one-to-one:
+    row i2 is the first whose entry repeats an earlier one, row i's; or
+    None when every column is a bijection."""
+    n = len(columns)
+    for j, column in enumerate(columns):
+        if len(set(column)) < n:
+            seen: dict[int, int] = {}
+            for i, v in enumerate(column):
+                if v in seen:
+                    return seen[v], i, j
+                seen[v] = i
+    return None
 
 
 def scan_distributive(rows: _Rows):
@@ -255,11 +277,12 @@ def scan_distributive(rows: _Rows):
 
 
 def displacement_commutators(rows: _Rows, find):
-    """Yield the maps (g_x g_s, g_s g_x), as tuples, for s in S =
-    rows.generators after e = S[0], and every x; rows.columns[x] is R_x and
-    g_x = R_x R_e^-1.  They are all equal exactly when Dis(Q) = <R_x R_y^-1>
-    is abelian, that is when Q is medial (Joyce, JPAA 23, 1982; Jedlicka,
-    Pilitowska, Stanovsky and Zamojska-Dzienio, J. Algebra 2015).
+    """Yield the maps (g_x g_s, g_s g_x), as tuples, for every x, outermost,
+    and s in rows.translators after e, the first, S[0]; rows.columns[x] is
+    R_x and g_x = R_x R_e^-1.  They are all equal exactly when
+    Dis(Q) = <R_x R_y^-1> is abelian, that is when Q is medial (Joyce, JPAA
+    23, 1982; Jedlicka, Pilitowska, Stanovsky and Zamojska-Dzienio, J.
+    Algebra 2015).
 
     The g_x generate Dis(Q), and Inn(Q) = <R_s>, as each R_x is some
     h R_s h^-1 with h in <R_s> (see check_axioms).  Let N be the normal
@@ -270,20 +293,23 @@ def displacement_commutators(rows: _Rows, find):
     abelian.  The converse is immediate.  So Q/~ is medial exactly when the
     congruence ~ joins each pair position by position (Bonatto and
     Stanovsky, J. Math. Soc. Japan 73, 2021), and each pair is forced
-    whether or not s is merged.  find is the class lookup of the ~ being
-    closed (int for none); x with find(x) != x when reached is skipped:
-    x ~ x' < x makes g_x and g_x' induce the same map on Q/~, and x', least
-    in its class, was kept.
+    whether or not s is merged.  g_s depends on the map R_s alone, so an s
+    of S that is not a translator gives the g_s of one that is.  find is
+    the class lookup of the ~ being closed (int for none); x with
+    find(x) != x when reached is skipped, and its g_x never built: x ~ x'
+    < x makes g_x and g_x' induce the same map on Q/~, and x', least in
+    its class, was kept.
     """
     columns = rows.columns
-    e, *others = rows.generators
+    e, *others = rows.translators
     displace = gather(_inverse(columns[e]))  # displace(R_x) is g_x
-    disp = [(g, gather(g)) for g in map(displace, columns)]  # (g_x, f -> f g_x)
-    for s in others:
-        gs = displace(columns[s])
-        after_s = gather(gs)  # after_s(f) is f g_s
-        for x, (g, after_g) in enumerate(disp):
-            if find(x) == x:
+    shifts = [(gs, gather(gs))  # (g_s, f -> f g_s)
+              for gs in map(displace, map(columns.__getitem__, others))]
+    for x, column in enumerate(columns):
+        if find(x) == x:
+            g = displace(column)
+            after_g = gather(g)  # after_g(f) is f g_x
+            for gs, after_s in shifts:
                 yield after_s(g), after_g(gs)
 
 
@@ -477,8 +503,9 @@ def relabel(q: FiniteQuandle, perm) -> FiniteQuandle:
 
 
 _ORDER_RE = re.compile(r"^n=([0-9]+)$")
-# the ASCII line breaks of str.splitlines and whitespace of str.strip; a
-# non-ASCII one stays in its line, where the checks below reject it
+# the ASCII line breaks of str.splitlines, which on ASCII text breaks at
+# exactly these, and the ASCII whitespace of str.strip; a non-ASCII one stays
+# in its line, where the checks below reject it
 _LINE_BREAK_RE = re.compile(r"\r\n|[\n\r\v\f\x1c-\x1e]")
 _ASCII_SPACE = " \t\n\r\v\f\x1c\x1d\x1e\x1f"
 
@@ -486,7 +513,9 @@ _ASCII_SPACE = " \t\n\r\v\f\x1c\x1d\x1e\x1f"
 def parse_table_text(text: str) -> _Rows:
     """Parse the 1-indexed 'quandle v1' format into 0-indexed rows.
 
-    Lines end at ASCII line breaks and shed ASCII whitespace only.  Blank
+    Lines end at ASCII line breaks and shed ASCII whitespace only; ASCII
+    text is split by str.splitlines, which breaks there alone, and other
+    text by _LINE_BREAK_RE, so a non-ASCII break is left in its line.  Blank
     lines and lines starting with '#' are skipped.  The order and the
     entries are runs of ASCII digits 0-9, separated by ASCII whitespace.
     Shape and entry ranges are enforced here, so the result is the
@@ -494,7 +523,8 @@ def parse_table_text(text: str) -> _Rows:
     An ASCII row of canonical entries 1..n is read in one lookup per entry
     in a token table; any other row is checked entry by entry.
     """
-    lines = (line.strip(_ASCII_SPACE) for line in _LINE_BREAK_RE.split(text))
+    split = text.splitlines() if text.isascii() else _LINE_BREAK_RE.split(text)
+    lines = (line.strip(_ASCII_SPACE) for line in split)
     content = ((lineno, s) for lineno, s in enumerate(lines, start=1)
                if s and not s.startswith("#"))
     lineno, s = next(content, (None, None))

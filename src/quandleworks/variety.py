@@ -7,17 +7,23 @@ IdentitySpec.forced_lines yields (quandle.displacement_commutators gives
 the pairs, and why merged elements are skipped) with
 Congruence.join_lines, the one routine that closes a partition under the
 operation, a worklist congruence closure over class lists (Downey, Sethi
-and Tarjan, J. ACM 27, 1980); then it builds the quotient table once.
-Every pair is forced, so the congruence lies in the least one, and the
+and Tarjan, J. ACM 27, 1980); then it builds the quotient table once, or,
+when no class merged, returns the input as its own quotient.  Every pair
+is forced, so the congruence lies in the least one, and the
 postconditions raise unless it is a congruence (its rows and columns
 respect the classes, and the inverse translations follow) whose quotient
-satisfies the identity, which makes it the least one.
+satisfies the identity, which makes it the least one.  The medial pairs
+come x by x, and a g_x is built only for an x not yet merged into a
+smaller element, so a reversed shadow, which the first pairs collapse to
+its two orbits, builds 3 of its 22 g_x at n = 22.
 
 A Congruence labels each element with its class's least member.
 join_lines maps two lines to labels with quandle.gather, compares them
-whole and unions only where they differ; each merge pushes its two rows
-and its two columns.  A medial quotient of a reversed shadow makes n union
-calls (22 at n = 22).
+whole and unions only where they differ; each merge pushes its two
+columns, and its two rows at the translators (quandle._Rows.translators)
+only, which is enough for the right translations to respect the classes.
+A medial quotient of a reversed shadow makes n union calls (22 at
+n = 22).
 """
 
 from __future__ import annotations
@@ -123,11 +129,15 @@ class Congruence:
         """Merge the classes of la[i] and lb[i] for each position i, then
         close the partition under the operation.  Each pair of lines is
         mapped to class labels and compared whole; union runs only where
-        the mapped lines differ, and each pair that merges there pushes its
-        two rows and its two columns, handled the same way.  Positions
-        equal in the snapshot stay equal, since labels only merge."""
+        the mapped lines differ, and each pair u, v that merges there pushes
+        its two columns and the entries u*s, v*s of its two rows at the
+        translators s, handled the same way.  Positions equal in the
+        snapshot stay equal, since labels only merge.  Every R_s then maps
+        each merged pair into one class, so it respects the classes, and so
+        does every R_x = h R_s h^-1 (see is_compatible)."""
         q = self.quandle
         rows, columns = q.table, q.columns()
+        pick = gather(rows.translators)  # pick(row) is row[s] for each s
         label, union = self._label, self.union
         pending = [(la, lb)]
         while pending:
@@ -138,23 +148,33 @@ class Congruence:
             # No inverse images: is_compatible says why they follow.
             for u, v in compress(zip(la, lb), map(ne, mapped_a, mapped_b)):
                 if union(u, v):
-                    pending += (rows[u], rows[v]), (columns[u], columns[v])
+                    pending += ((pick(rows[u]), pick(rows[v])),
+                                (columns[u], columns[v]))
 
     def is_compatible(self) -> bool:
-        """Both operation arguments respect the classes: the row and the
-        column of each element of a class with two or more members, mapped
-        to class labels, equal those of the class's least member, which by
-        transitivity covers every pair inside a class.  Inverse translations
+        """Both operation arguments respect the classes.  The translation by
+        each member of a class with two or more members, mapped to class
+        labels, equals that of the class's least member, which by
+        transitivity covers every pair inside a class.  Each R_s by a
+        translator s, mapped to class labels, takes the same value at every
+        element as at its class's least member.  Inverse translations
         follow: a translation that respects the classes maps the finite set
         of classes onto itself, hence one-to-one, so its inverse respects
-        them (test_variety.py::test_forward_images_imply_inverse_images)."""
+        them (test_variety.py::test_forward_images_imply_inverse_images).
+        So every h in <R_s> and every R_{h(s)} = h R_s h^-1 respects them,
+        and every element is such an h(s) (see quandle.check_axioms)."""
         label = self._label
+        columns = self.quandle.columns()
         classes = [block for block in self._members if len(block) > 1]
-        for lines in (self.quandle.table, self.quandle.columns()):
-            for least, *others in classes:
-                line = gather(lines[least])(label)
-                if any(gather(lines[x])(label) != line for x in others):
-                    return False
+        for least, *others in classes:
+            line = gather(columns[least])(label)
+            if any(gather(columns[x])(label) != line for x in others):
+                return False
+        at_least = gather(label)  # at_least(f)[x] is f at x's least member
+        for s in self.quandle.table.translators:
+            line = gather(columns[s])(label)
+            if at_least(line) != line:
+                return False
         return True
 
 
@@ -163,7 +183,10 @@ def quotient_by_identity(q: FiniteQuandle,
     """Quotient by the least congruence whose quotient satisfies `spec`.
 
     Returns the quotient quandle and the projection list (element -> class,
-    classes numbered by smallest member).  See the module docstring.
+    classes numbered by smallest member).  When no class merges, the
+    quotient is q itself, with the identity projection; its table is not
+    rebuilt or checked again, but the identity is.  See the module
+    docstring.
     """
     cong = Congruence(q)
     for la, lb in spec.forced_lines(q, cong.find):
@@ -173,7 +196,9 @@ def quotient_by_identity(q: FiniteQuandle,
         raise InternalAxiomFailure("closure ended on a partition that is not"
                                    " a congruence")
     proj = cong.projection()
-    rows = induced_rows(q.table, [block[0] for block in cong.blocks()], proj)
+    reps = [block[0] for block in cong.blocks()]
+    merged = len(reps) < q.n
+    rows = induced_rows(q.table, reps, proj) if merged else q.table
     if spec.violation(rows) is not None:
         raise InternalAxiomFailure("the closure's quotient fails the identity")
-    return FiniteQuandle(rows), proj
+    return (FiniteQuandle(rows) if merged else q), proj

@@ -394,11 +394,16 @@ def test_confirming_mediality_never_scans_instances(monkeypatch, tmp_path):
 
 def test_a_medial_quotient_builds_one_table_and_scans_no_instance(monkeypatch):
     # the closure joins the forced pairs in one pass, then builds the
-    # quotient table once; the displacement group confirms it medial
+    # quotient table once, and only when a class merged: a table where
+    # nothing merges is its own quotient.  The displacement group confirms
+    # the quotient medial
     cases = [q for _, q in build_corpus()]
     cases += [two_orbit_quandle_mod(m, t).reverse_orbit(m) for m, t in ((5, 2), (11, 3))]
     expected = [quotient_by_identity(q, MEDIAL) for q in cases]
     assert sum(quotient.n < q.n for q, (quotient, _) in zip(cases, expected)) == 4
+    for q, (quotient, proj) in zip(cases, expected):
+        assert (quotient is q) == (quotient.n == q.n)
+        assert (proj == list(range(q.n))) == (quotient is q)
     calls = [0]
     induced_rows = variety.induced_rows
 
@@ -412,7 +417,7 @@ def test_a_medial_quotient_builds_one_table_and_scans_no_instance(monkeypatch):
     monkeypatch.setattr(variety, "induced_rows", counted)
     monkeypatch.setattr(quandle, "scan_medial", forbidden)
     assert [quotient_by_identity(q, MEDIAL) for q in cases] == expected
-    assert calls[0] == len(cases) == 43
+    assert len(cases) == 43 and calls[0] == 4
 
 
 def _quotient_runs(directory):
@@ -491,6 +496,51 @@ def test_check_axioms_composes_linearly_many_translations(monkeypatch):
     calls = _count_compositions(monkeypatch)
     assert check_axioms(q.table).ok
     assert calls[0] == 2 * 3 * 202
+    # every element of a trivial table is a generator, but all n of them
+    # translate by the identity, which is checked once
+    trivial = trivial_quandle(300)
+    assert len(trivial.table.generators) == 300
+    calls[0] = 0
+    assert check_axioms(trivial.table).ok
+    assert calls[0] == 2 * 300
+
+
+def test_a_medial_quotient_builds_only_the_displacements_it_reaches(monkeypatch):
+    # g_x = R_x R_e^-1 is built only for an x still least in its class when
+    # the commutators reach it, each g_s once.  On the reversed shadow of
+    # order 22 (S = 0, 1, 11) the first pairs collapse it to its 2 orbits,
+    # so 2 g_s and 3 g_x are built, where building every g_x first took
+    # 2 + 22.  On the medial shadow nothing merges: each g_x is built once
+    # by the closure and once by the postcondition's mediality check
+    def displacements(q):
+        inverse_e = quandle._inverse(q.columns()[q.table.generators[0]])
+        calls = [0]
+
+        def counted(indices):
+            take = gather(indices)
+            if tuple(indices) != inverse_e:
+                return take
+
+            def displace(f):
+                calls[0] += 1
+                return take(f)
+            return displace
+
+        with monkeypatch.context() as patch:
+            patch.setattr(quandle, "gather", counted)
+            quotient, proj = quotient_by_identity(q, MEDIAL)
+        return quotient, proj, calls[0]
+
+    gather = quandle.gather
+    shadow = two_orbit_quandle_mod(11, 3)
+    reversed_q = shadow.reverse_orbit(11)
+    assert reversed_q.table.generators == shadow.table.generators == (0, 1, 11)
+    quotient, proj, built = displacements(reversed_q)
+    assert (quotient.n, built) == (2, 2 + 3)
+    assert proj == [0] * 11 + [1] * 11
+    quotient, proj, built = displacements(shadow)
+    assert quotient is shadow and proj == list(range(22))
+    assert built == 2 * (2 + 22)
 
 
 def test_a_quandle_validates_its_table_shape_once(monkeypatch):
@@ -529,9 +579,8 @@ def test_each_table_is_transposed_once(monkeypatch):
     # the closure all read; a reversal builds its columns and hands them to
     # the table it builds from them.  zip(*rows) on a table of order n = 22
     # is the only zip call with 22 arguments.  Reversing either orbit gives
-    # a medial table, so its medial quotient is a new table of order 22,
-    # transposed once for both of its checks; its 2-quandle quotient has 2
-    # elements
+    # a medial table, which is its own medial quotient and is not
+    # transposed again; its 2-quandle quotient has 2 elements
     n = 22
     text = render_table_text(two_orbit_quandle_mod(11, 3).reverse_orbit(11))
     calls = [0]
@@ -553,17 +602,18 @@ def test_each_table_is_transposed_once(monkeypatch):
             lambda q: q.reverse_orbit(11),
             lambda q: quotient_by_identity(q.reverse_orbit(11), n_quandle(2)),
             lambda q: quotient_by_identity(q.reverse_orbit(11), MEDIAL)]
-    assert [transpositions(run) for run in runs] == [1, 1, 1, 1, 1, 2, 2, 3]
+    assert [transpositions(run) for run in runs] == [1, 1, 1, 1, 1, 2, 2, 2]
 
 
 def test_each_table_derives_its_generating_set_once(monkeypatch, tmp_path):
     # a _Rows keeps its generating set S, which the axioms, the orbits,
     # mediality and the medial closure all read.  A reversal hands its
     # columns to the table it builds, never S: the reversed table derives
-    # its own S once.  A medial quotient is a new table, whose S serves both
-    # its postcondition and its axioms.  reversal-experiment reads the
-    # input's S for mediality and the orbits, and each of the two orbits
-    # gives a reversed table and its quotient
+    # its own S once.  A medial quotient that merges is a new table, whose S
+    # serves both its postcondition and its axioms; a medial table is its
+    # own medial quotient, so its S serves that too.  reversal-experiment
+    # reads the input's S for mediality and the orbits, and each of the two
+    # orbits gives a reversed table and its quotient
     shadow = two_orbit_quandle_mod(11, 3)
     text = render_table_text(shadow.reverse_orbit(11))
     corpus = tmp_path / "corpus"
@@ -589,7 +639,7 @@ def test_each_table_derives_its_generating_set_once(monkeypatch, tmp_path):
             lambda q: quotient_by_identity(q, MEDIAL),
             lambda q: q.reverse_orbit(11),
             lambda q: quotient_by_identity(q.reverse_orbit(11), MEDIAL)]
-    assert [derivations(run) for run in runs] == [1, 1, 1, 2, 2, 3]
+    assert [derivations(run) for run in runs] == [1, 1, 1, 2, 2, 2]
     calls[0] = 0
     code, out, err = cli("reversal-experiment", str(corpus))
     assert (code, err, out.count("shadow22 ")) == (0, "", 2)

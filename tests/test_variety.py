@@ -201,6 +201,42 @@ def test_worklist_closure_matches_the_two_phase_oracle():
             assert proj == seed_projection(q, spec), (name, spec)
 
 
+def _table_induced_by(q, proj):
+    """The quotient table that the projection proj of q induces, read entry
+    by entry."""
+    k = max(proj) + 1
+    table = [[None] * k for _ in range(k)]
+    for a, row in enumerate(q.table):
+        for b, ab in enumerate(row):
+            table[proj[a]][proj[b]] = proj[ab]
+    return tuple(map(tuple, table))
+
+
+def test_displacements_on_demand_match_the_oracles(corpus):
+    # the medial closure builds g_x only for an x still least in its class,
+    # and a table where nothing merges is its own quotient: the projections
+    # and quotient tables are the two-phase and round-loop oracles' on the
+    # reversed shadows, and the brute-force search's on every reversed orbit
+    # of the corpus
+    shadows = [(name, q) for name, q in _differential_cases((5, 11, 19))
+               if name.startswith("shadow")]
+    assert len(shadows) == 5
+    for name, q in shadows:
+        quotient, proj = quotient_by_identity(q, MEDIAL)
+        assert proj == seed_projection(q, MEDIAL) == round_projection(q, MEDIAL), name
+        assert quotient.table == _table_induced_by(q, proj), name
+    reversals = [(name, q.reverse_orbit(block[0])) for name, q in corpus
+                 for block in q.orbits()]
+    assert len(reversals) == 81
+    for name, q in reversals:
+        for spec in (MEDIAL, n_quandle(2)):
+            quotient, proj = quotient_by_identity(q, spec)
+            assert (partition_from_projection(proj)
+                    == brute_force_smallest_congruence(q, spec)), (name, spec)
+            assert quotient.table == _table_induced_by(q, proj), (name, spec)
+            assert (quotient is q) == (proj == list(range(q.n))), (name, spec)
+
+
 def _round_corpus():
     """Every quandle of order at most 4; relabeled shadows with each orbit
     reversed, for every root of t^2 + t - 1 mod m, m < 60; every reversed
