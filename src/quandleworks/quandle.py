@@ -7,24 +7,24 @@ the command line (orbits, projections, representatives, --element) convert.
 
 The table checks compose whole translations, held as tuples, with gather
 (operator.itemgetter, so each composition runs at C speed), and only those
-of a small generating set S (_Rows.generators), each distinct R_s once
-(_Rows.translators): distributivity is R_s R_j = R_{j*s} R_s for s in S
-and every j, with R_s bijective, and mediality is decided by the
-displacement group (displacements_commute), each |S| n compositions where
-a pair-by-pair check takes n^2.  Only a table that fails is scanned
+of the translators T (_Rows.translators), the least generator for each
+distinct R_t: distributivity is R_t R_j = R_{j*t} R_t for t in T and
+every j, with R_t bijective, and mediality is decided by the displacement
+group (displacements_commute), each |T| n compositions where a
+pair-by-pair check takes n^2.  Only a table that fails is scanned
 instance by instance, to name its witness.  The orbits are the closures
-of single elements under the R_s.  reach is the one worklist closure: it
-finds S and the orbits.  The quotient closure in variety.py joins the
-very pairs these checks compare, skipping an element x merged into a
-smaller one and building no displacement for it
+of single elements under the R_t, found by reach, the one worklist
+closure, which finds T too; the translation-order law walks the cycles
+of the R_t.  The quotient closure in variety.py joins the very pairs
+these checks compare, skipping an element x merged into a smaller one
 (displacement_commutators, n_quandle_violations).
 Only an orbit reversal and relabel invert (_inverse) to build a table;
 relabel and the closure build tables with induced_rows.  medial_violation
 and n_quandle_violation return the lexicographically first violating
 instance in a _Rows table for FiniteQuandle.is_medial / is_n_quandle and
 the closure's postcondition.  Every reader of translations takes the _Rows,
-which derives its columns and its S at most once; a reversal hands over
-the columns it builds, never S.
+which derives its columns and its T at most once; a reversal hands over
+the columns it builds, never T.
 """
 
 from __future__ import annotations
@@ -122,7 +122,7 @@ class _Rows(tuple):
     reverse_orbit and affine_quandle build their tables as _Rows, and
     _as_rows validates any other table into one.  FiniteQuandle and
     check_axioms take a _Rows as it is, so each table's shape is validated
-    at most once, and a derived table's never.  Its columns, S and
+    at most once, and a derived table's never.  Its columns and its
     translators are each built on first use and kept, or the columns set
     by reverse_orbit."""
 
@@ -131,34 +131,25 @@ class _Rows(tuple):
         return tuple(zip(*self))
 
     @cached_property
-    def generators(self) -> tuple[int, ...]:
-        """S, ascending from 0: every element is h(s) for some s in S and h
-        in H = <R_s : s in S>; the columns must be bijective.  The least
-        element not yet reached joins S, and the reached set is closed under
-        the R_s (reach): the elements reached before are closed under the
-        earlier generators, so they meet only the new one, and a newly
-        reached element meets them all, O(n |S|) in all."""
+    def translators(self) -> tuple[int, ...]:
+        """T, ascending from 0: the least s in S for each distinct map R_s.
+        Walking the elements upward, each one not yet reached joins S, and
+        the reached set is closed under the R_s (reach): every element is
+        h(s), s in S, h in <R_s : s in S> = <R_t : t in T>.  The reached set
+        is closed under the kept maps, so it meets only a new one, and each
+        newly reached element meets them all: O(n |T|).  The columns must be
+        bijective.  A trivial table has S = every element, one translator."""
         n = len(self)
         reached = [False] * n
-        gens, maps = [], []
+        kept: dict[tuple[int, ...], int] = {}  # R_t -> t; its keys are the maps
         for start in range(n):
             if not reached[start]:
-                old = [x for x in range(n) if reached[x]]
+                column = self.columns[start]
+                new_map = kept.setdefault(column, start) == start
+                old = [x for x in range(n) if reached[x]] if new_map else []
                 reached[start] = True
-                gens.append(start)
-                maps.append(self.columns[start])
-                reach(maps, [start] + reach(maps[-1:], old, reached), reached)
-        return tuple(gens)
-
-    @cached_property
-    def translators(self) -> tuple[int, ...]:
-        """The least s in S for each distinct translation R_s, ascending:
-        what the checks read of an s is the map R_s alone.  A trivial
-        table has S = every element, and one translator."""
-        least: dict[tuple[int, ...], int] = {}
-        for s in self.generators:
-            least.setdefault(self.columns[s], s)
-        return tuple(least.values())
+                reach(kept, [start] + reach((column,), old, reached), reached)
+        return tuple(kept.values())
 
 
 def _as_rows(table) -> _Rows:
@@ -191,13 +182,13 @@ def check_axioms(table) -> AxiomReport:
     it, is not validated again.
 
     Right self-distributivity says that every translation R_k is an
-    automorphism.  It is enough that each R_s is a bijective one, for s in
-    S = rows.generators: then every h in H = <R_s : s in S> is one, so is
-    R_{h(s)} = h R_s h^-1 (Joyce, JPAA 23, 1982), and every element is such
-    an h(s), so every column is bijective too.  This depends on the map R_s
-    alone, so each of rows.translators is checked.  Only a table that fails
-    is scanned column by column (scan_bijective) and pair by pair
-    (scan_distributive), to name its witnesses.
+    automorphism.  It is enough that each R_t, t in T = rows.translators,
+    is a bijective one: then so is every h in H = <R_t>, and so is
+    R_{h(s)} = h R_s h^-1 for s in S, as R_s is some R_t (Joyce, JPAA 23,
+    1982); every element is such an h(s).  By this argument every reader of
+    translations reads T alone, for a property that conjugation keeps.
+    Only a table that fails is scanned column by column (scan_bijective)
+    and pair by pair (scan_distributive), to name its witnesses.
     """
     rows = table if table.__class__ is _Rows else _as_rows(table)
     n = len(rows)
@@ -277,28 +268,26 @@ def scan_distributive(rows: _Rows):
 
 
 def displacement_commutators(rows: _Rows, find):
-    """Yield the maps (g_x g_s, g_s g_x), as tuples, for every x, outermost,
-    and s in rows.translators after e, the first, S[0]; rows.columns[x] is
+    """Yield the maps (g_x g_t, g_t g_x), as tuples, for every x, outermost,
+    and t in rows.translators after e, the first (0); rows.columns[x] is
     R_x and g_x = R_x R_e^-1.  They are all equal exactly when
     Dis(Q) = <R_x R_y^-1> is abelian, that is when Q is medial (Joyce, JPAA
     23, 1982; Jedlicka, Pilitowska, Stanovsky and Zamojska-Dzienio, J.
     Algebra 2015).
 
-    The g_x generate Dis(Q), and Inn(Q) = <R_s>, as each R_x is some
-    h R_s h^-1 with h in <R_s> (see check_axioms).  Let N be the normal
-    closure of the g_s in Inn(Q): modulo N every R_s is R_e, so Inn(Q)/N is
-    cyclic, each R_x = h R_s h^-1 is R_e modulo N, and Dis(Q) = N.  When
-    every g_s commutes with every g_x, the g_s lie in the centralizer of
+    The g_x generate Dis(Q), and Inn(Q) = <R_t>, as each R_x is some
+    h R_t h^-1 with h in <R_t> (see check_axioms).  Let N be the normal
+    closure of the g_t in Inn(Q): modulo N every R_t is R_e, so Inn(Q)/N is
+    cyclic, each R_x = h R_t h^-1 is R_e modulo N, and Dis(Q) = N.  When
+    every g_t commutes with every g_x, the g_t lie in the centralizer of
     Dis(Q), which is normal in Inn(Q) and so contains N = Dis(Q): Dis(Q) is
     abelian.  The converse is immediate.  So Q/~ is medial exactly when the
     congruence ~ joins each pair position by position (Bonatto and
     Stanovsky, J. Math. Soc. Japan 73, 2021), and each pair is forced
-    whether or not s is merged.  g_s depends on the map R_s alone, so an s
-    of S that is not a translator gives the g_s of one that is.  find is
-    the class lookup of the ~ being closed (int for none); x with
-    find(x) != x when reached is skipped, and its g_x never built: x ~ x'
-    < x makes g_x and g_x' induce the same map on Q/~, and x', least in
-    its class, was kept.
+    whether or not t is merged.  find is the class lookup of the ~ being
+    closed (int for none); x with find(x) != x when reached is skipped, and
+    its g_x never built: x ~ x' < x makes g_x and g_x' induce the same map
+    on Q/~, and x', least in its class, was kept.
     """
     columns = rows.columns
     e, *others = rows.translators
@@ -354,14 +343,23 @@ def medial_violation(rows: _Rows):
 
 
 def n_quandle_violations(rows: _Rows, power: int, find):
-    """Yield (lhs, rhs, x, y), y outermost, for each cycle of each R_y in
-    the table `rows` on which y acting `power` times (inverses if negative)
-    moves the least element x to lhs, not rhs = x.  Each pair is forced,
-    and a congruence that joins it carries it around the cycle; y is
-    skipped as x is in displacement_commutators.  Cycles are walked, so
-    the cost does not grow with |power|."""
+    """Yield (lhs, rhs, x, y), y outermost, for each cycle of each R_y, y in
+    rows.translators, on which y acting `power` times (inverses if
+    negative) moves the least element x to lhs, not rhs = x.  Each pair is
+    forced, and a congruence that joins it carries it around the cycle.
+    Cycles are walked, so the cost does not grow with |power|.
+
+    T is enough.  Each z is reached at the step of an s <= z in S (see
+    _Rows.translators), so R_z = h R_s' h^-1 for an s' <= z in S and h a
+    word in such R_s', and R_s' is R_t for a translator t <= s'.  So the
+    least z whose R_z^power is not the identity is a translator, and
+    n_quandle_violation names the witness a walk of every column would.  y
+    is skipped as x is in displacement_commutators: y ~ x < y makes R_[y]
+    = R_[x] on Q/~, conjugate to R_[t] for a translator t <= x, whose power
+    is the identity by induction over T, as is every R_[z]'s: the closure
+    ends on the same least congruence."""
     n = len(rows)
-    for y in range(n):
+    for y in rows.translators:
         if find(y) != y:
             continue
         column = rows.columns[y]
@@ -421,12 +419,12 @@ class FiniteQuandle:
 
     @cached_property
     def _orbit_blocks(self) -> tuple[tuple[int, ...], ...]:
-        # The orbits are those of Inn(Q) = <R_s : s in S> (see check_axioms).
+        # The orbits are those of Inn(Q) = <R_t : t in T> (see check_axioms).
         # Forward images suffice: a translation that maps a finite set into
-        # itself permutes it, so a set closed under the R_s is closed under
+        # itself permutes it, so a set closed under the R_t is closed under
         # their inverses too.
         columns = self.columns()
-        maps = [columns[s] for s in self.table.generators]
+        maps = [columns[t] for t in self.table.translators]
         seen = [False] * self.n
         blocks = []
         for start in range(self.n):
@@ -447,8 +445,8 @@ class FiniteQuandle:
 
     def reverse_orbit(self, x: int) -> "FiniteQuandle":
         """Replace the translation by every member of x's orbit with its
-        inverse.  The new table keeps its columns but derives S again: the
-        axioms are proved only for an S derived from the columns checked."""
+        inverse.  The new table keeps its columns but derives T again: the
+        axioms are proved only for a T derived from the columns checked."""
         block = set(self.orbit_of(x))
         columns = tuple(_inverse(column) if j in block else column
                         for j, column in enumerate(self.columns()))

@@ -3,19 +3,21 @@
 quotient_by_identity computes the quotient by the least congruence whose
 quotient satisfies a chosen identity: the medial law, or "every translation
 has order dividing n".  In one pass it joins each pair of lines that
-IdentitySpec.forced_lines yields (quandle.displacement_commutators gives
-the pairs, and why merged elements are skipped) with
-Congruence.join_lines, the one routine that closes a partition under the
-operation, a worklist congruence closure over class lists (Downey, Sethi
-and Tarjan, J. ACM 27, 1980); then it builds the quotient table once, or,
-when no class merged, returns the input as its own quotient.  Every pair
-is forced, so the congruence lies in the least one, and the
-postconditions raise unless it is a congruence (its rows and columns
-respect the classes, and the inverse translations follow) whose quotient
-satisfies the identity, which makes it the least one.  The medial pairs
-come x by x, and a g_x is built only for an x not yet merged into a
-smaller element, so a reversed shadow, which the first pairs collapse to
-its two orbits, builds 3 of its 22 g_x at n = 22.
+IdentitySpec.forced_lines yields (quandle.displacement_commutators and
+quandle.n_quandle_violations give the pairs, read off the translators
+only, and say why merged elements are skipped) with Congruence.join_lines,
+the one routine that closes a partition under the operation, a worklist
+congruence closure over class lists (Downey, Sethi and Tarjan, J. ACM 27,
+1980); then it builds the quotient table once, or, when no class merged,
+returns the input as its own quotient.  Every pair is forced, so the
+congruence lies in the least one, and the postconditions raise unless it
+is a congruence (its rows and columns respect the classes, and the
+inverse translations follow) whose quotient satisfies the identity, which
+makes it the least one; the quotient's axioms are checked first, as both
+identity checks read its translators.  The medial pairs come x by x, and
+a g_x is built only for an x not yet merged into a smaller element, so a
+reversed shadow, which the first pairs collapse to its two orbits, builds
+3 of its 22 g_x at n = 22.
 
 A Congruence labels each element with its class's least member.
 join_lines maps two lines to labels with quandle.gather, compares them
@@ -197,8 +199,7 @@ def quotient_by_identity(q: FiniteQuandle,
                                    " a congruence")
     proj = cong.projection()
     reps = [block[0] for block in cong.blocks()]
-    merged = len(reps) < q.n
-    rows = induced_rows(q.table, reps, proj) if merged else q.table
-    if spec.violation(rows) is not None:
+    quotient = FiniteQuandle(induced_rows(q.table, reps, proj)) if len(reps) < q.n else q
+    if spec.violation(quotient.table) is not None:
         raise InternalAxiomFailure("the closure's quotient fails the identity")
-    return (FiniteQuandle(rows) if merged else q), proj
+    return quotient, proj

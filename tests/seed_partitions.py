@@ -2,12 +2,13 @@
 every set partition of a small table.
 
 It shares only the quotient-table builder (quandle.induced_rows) and the
-instance scans with the library: mediality is decided by scanning every
-instance, never by the displacement group.
+medial instance scan with the library: mediality is decided by scanning
+every instance, never by the displacement group, and the translation-order
+law by walking the cycles of every column, never the translators only.
 """
 
 from quandleworks import FiniteQuandle, InternalAxiomFailure
-from quandleworks.quandle import induced_rows, n_quandle_violation, scan_medial
+from quandleworks.quandle import induced_rows, scan_medial
 from quandleworks.variety import MEDIAL_TAG
 
 
@@ -55,6 +56,20 @@ def _is_congruence(q: FiniteQuandle, inv, partition) -> bool:
     return True
 
 
+def _every_translation_has_order_dividing(rows, power: int) -> bool:
+    """Each column, a permutation, iterated `power` times (its inverse if
+    negative) is the identity: the cycle through every element of every
+    column has a length dividing power."""
+    for column in zip(*rows):
+        for x in range(len(column)):
+            length, y = 1, column[x]
+            while y != x:
+                length, y = length + 1, column[y]
+            if power % length:
+                return False
+    return True
+
+
 def _quotient_satisfies(q: FiniteQuandle, partition, spec) -> bool:
     cls = _class_map(partition)
     proj = [cls[x] for x in range(q.n)]
@@ -62,7 +77,7 @@ def _quotient_satisfies(q: FiniteQuandle, partition, spec) -> bool:
     rows = FiniteQuandle(induced_rows(q.table, reps, proj)).table
     if spec.tag == MEDIAL_TAG:
         return scan_medial(rows) is None
-    return n_quandle_violation(rows, spec.parameter) is None
+    return _every_translation_has_order_dividing(rows, spec.parameter)
 
 
 def _meet_partitions(partitions, n: int):

@@ -218,6 +218,9 @@ def test_generating_set_checks_agree_with_the_oracles(generating_set_cases):
 
 
 def test_generators_are_the_least_elements_not_yet_reached(generating_set_cases):
+    # the oracle derives S itself: the least element not yet reached joins
+    # S, and the reached set is closed under the translations by S so far.
+    # T is the first element of S for each distinct column
     def reach(columns, gens):  # the closure of gens under their translations
         reached, work = set(gens), list(gens)
         while work:
@@ -228,21 +231,31 @@ def test_generators_are_the_least_elements_not_yet_reached(generating_set_cases)
                     work.append(columns[s][x])
         return reached
 
-    cases = generating_set_cases + [conjugation_quandle_s3()]
+    def generating_set(columns):
+        gens = []
+        while rest := set(range(len(columns))) - reach(columns, gens):
+            gens.append(min(rest))
+        return gens
+
+    cases = generating_set_cases + [conjugation_quandle_s3(), trivial_quandle(5)]
     for q in cases:
         columns = q.columns()
-        gens = list(q.table.generators)
-        assert gens[0] == 0 and gens == sorted(gens)
-        assert reach(columns, gens) == set(range(q.n))
-        for k, s in enumerate(gens):
-            assert min(set(range(q.n)) - reach(columns, gens[:k])) == s
-    assert len(dihedral_quandle(33).table.generators) == 2
-    assert len(trivial_quandle(5).table.generators) == 5
+        gens = generating_set(columns)
+        first: dict[tuple[int, ...], int] = {}
+        for s in gens:
+            first.setdefault(columns[s], s)
+        assert list(q.table.translators) == list(first.values())
+    assert len(dihedral_quandle(33).table.translators) == 2
+    trivial = trivial_quandle(5)
+    assert len(generating_set(trivial.columns())) == 5
+    assert trivial.table.translators == (0,)
     for m in (5, 11, 19, 29):
         for t in range(m):
             if (t * t + t - 1) % m == 0:
                 shadow = two_orbit_quandle_mod(m, t)
-                assert len(shadow.reverse_orbit(m).table.generators) == 3
+                reversed_q = shadow.reverse_orbit(m)
+                assert len(generating_set(reversed_q.columns())) == 3
+                assert len(reversed_q.table.translators) == 3
 
 
 def test_corpus_members_satisfy_axioms(corpus):
@@ -346,10 +359,11 @@ def test_orbits_are_the_closures_under_every_translation_and_its_inverse(orbit_c
 
 def test_the_orbit_oracle_fails_orbits_closed_under_the_first_generator_only(
         orbit_cases):
-    # each table on its own fresh rows, whose S is cut to its first generator
+    # each table on its own fresh rows, whose T is cut to its first
+    # translator, the first generator
     fresh = [FiniteQuandle(_Rows(q.table)) for q in orbit_cases]
     for q in fresh:
-        q.table.generators = q.table.generators[:1]
+        q.table.translators = q.table.translators[:1]
     wrong = [q for q in fresh if q.orbits() != _orbits_by_brute_force(q)]
     assert len(wrong) > 100
 
@@ -438,6 +452,14 @@ def test_is_n_quandle_known_values():
             d3.is_n_quandle(bad)
 
 
+def _disjoint_union(a: FiniteQuandle, b: FiniteQuandle) -> FiniteQuandle:
+    """a on 0..a.n-1 and b after it; an element acted on by one of the
+    other part is left as it is."""
+    rows = [list(row) + [x] * b.n for x, row in enumerate(a.table)]
+    rows += [[a.n + x] * a.n + [a.n + v for v in row] for x, row in enumerate(b.table)]
+    return FiniteQuandle(rows)
+
+
 def _n_quandle_violation_by_iteration(q: FiniteQuandle, power: int):
     lines = q.table if power >= 0 else q.inverse_translations()
     for y in range(q.n):
@@ -452,18 +474,35 @@ def _n_quandle_violation_by_iteration(q: FiniteQuandle, power: int):
 
 def test_n_quandle_witness_matches_iterated_translations():
     # the witness, not only the verdict: a walk that steps the wrong way
-    # round a cycle still finds the same violated (x, y) but the wrong image
+    # round a cycle still finds the same violated (x, y) but the wrong image,
+    # and the library walks the translators only, where the oracle iterates
+    # every translation.  In an affine table R_y^k(x) = y + t^k (x - y), so
+    # every translation has one order, as in a shadow, and a relabel or
+    # reversal keeps the orders: there the least violating y is 0.  In a
+    # disjoint union of two affine tables of different orders it need not be
     rng = random.Random(20261018)
+
+    def relabeled(q):
+        perm = list(range(q.n))
+        rng.shuffle(perm)
+        return relabel(q, perm)
+
     cases = [FiniteQuandle(table) for n in range(1, 5)
              for table in enumerate_small_quandles(n)]
     for m in (5, 11):
         for t in range(m):
             if (t * t + t - 1) % m == 0:
-                perm = list(range(2 * m))
-                rng.shuffle(perm)
-                q = relabel(two_orbit_quandle_mod(m, t), perm)
+                q = relabeled(two_orbit_quandle_mod(m, t))
                 cases += [q] + [q.reverse_orbit(block[0]) for block in q.orbits()]
-    assert len(cases) == 43 + 3 * 3
+    first_affine = len(cases)
+    affine = [affine_quandle(n, t) for n, t in ((7, 3), (9, 4), (10, 3), (12, 5))]
+    affine += [_disjoint_union(affine_quandle(n1, t1), affine_quandle(n2, t2))
+               for (n1, t1), (n2, t2) in (((3, 2), (5, 2)), ((5, 4), (7, 3)),
+                                          ((4, 3), (9, 4)), ((2, 1), (5, 2)))
+               for _ in range(3)]
+    for q in map(relabeled, affine):
+        cases += [q] + [q.reverse_orbit(block[0]) for block in q.orbits()]
+    assert len(cases) == 43 + 3 * 3 + 62
     witnesses = {}
     for i, q in enumerate(cases):
         for power in range(-7, 13):
@@ -472,6 +511,8 @@ def test_n_quandle_witness_matches_iterated_translations():
             assert q.is_n_quandle(power) == (expected is None)
             witnesses[i, power] = expected
     assert None in witnesses.values()
+    assert sum(w is not None and w[3] != 0 for (i, _), w in witnesses.items()
+               if i >= first_affine) > 50
     assert any(witnesses[i, power] != witnesses[i, -power]
                for i, power in witnesses if 0 < power <= 7), "no case where the sign matters"
 

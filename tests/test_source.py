@@ -104,9 +104,11 @@ def test_the_library_reads_every_name_it_imports():
     assert {name: unused for name, unused in found.items() if unused} == {}
 
 
-def test_one_worklist_closure_finds_the_generators_and_the_orbits():
+def test_one_worklist_closure_finds_the_translators_and_the_orbits():
     # quandle.reach is the one place that closes a set under translations;
-    # the orbits follow the generating set, not the n^2 table entries
+    # the orbits follow the translators, not the n^2 table entries, and
+    # every reader of translations reads the translators: no generating set
+    # is kept beside them
     tree = ast.parse((PACKAGE_DIR / "quandle.py").read_text(encoding="utf-8"))
     functions = {node.name: node for node in ast.walk(tree)
                  if isinstance(node, ast.FunctionDef)}
@@ -121,12 +123,16 @@ def test_one_worklist_closure_finds_the_generators_and_the_orbits():
         return any(isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                    and node.func.id == name for node in ast.walk(function))
 
+    def reads(tree, attr):
+        return [node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr == attr]
+
     assert [name for name, node in functions.items() if pops_in_a_while(node)] == ["reach"]
-    assert calls(functions["generators"], "reach")
+    assert calls(functions["translators"], "reach")
     assert calls(functions["_orbit_blocks"], "reach")
     # _orbit_blocks reads no table entries: self.table appears only as the
-    # owner of an attribute (its generating set), never subscripted,
-    # iterated or bound to a name
+    # owner of an attribute (its translators), never subscripted, iterated
+    # or bound to a name
     blocks = functions["_orbit_blocks"]
     owners = {id(node.value) for node in ast.walk(blocks)
               if isinstance(node, ast.Attribute)}
@@ -134,8 +140,11 @@ def test_one_worklist_closure_finds_the_generators_and_the_orbits():
             if isinstance(node, ast.Attribute) and node.attr == "table"
             and id(node) not in owners
             or isinstance(node, ast.Name) and node.id == "table"] == []
-    assert any(isinstance(node, ast.Attribute) and node.attr == "generators"
-               for node in ast.walk(blocks))
+    assert reads(blocks, "translators")
+    assert reads(functions["n_quandle_violations"], "translators")
+    variety = ast.parse((PACKAGE_DIR / "variety.py").read_text(encoding="utf-8"))
+    assert reads(tree, "generators") == reads(variety, "generators") == []
+    assert "generators" not in vars(quandle._Rows)
 
 
 def test_the_ring_is_exact_arithmetic_only_and_collapse_owns_the_draws():
@@ -475,45 +484,74 @@ def _count_compositions(monkeypatch):
 
 
 def test_is_medial_composes_linearly_many_translations(monkeypatch):
-    # |S| = 2 generators, the first of them e with g_e the identity: n
-    # displacements g_x, each commuted with g_s for the other generator s,
+    # |T| = 2 translators, the first of them e with g_e the identity: n
+    # displacements g_x, each commuted with g_t for the other translator t,
     # against two compositions for each of the n^2 / 2 pairs of them
     q = dihedral_quandle(33)
-    assert len(q.table.generators) == 2
+    assert len(q.table.translators) == 2
     calls = _count_compositions(monkeypatch)
     assert q.is_medial() == (True, None)
     assert calls[0] == 1 + 33 + 2 * 33
 
 
 def test_check_axioms_composes_linearly_many_translations(monkeypatch):
-    # the reversed shadow of order n = 202 has |S| = 3 generators: two
-    # compositions for each generator s and element j, against two for
+    # the reversed shadow of order n = 202 has |T| = 3 translators: two
+    # compositions for each translator t and element j, against two for
     # each of the n^2 pairs (j, k)
     m = 101
     t = next(t for t in range(m) if (t * t + t - 1) % m == 0)
     q = two_orbit_quandle_mod(m, t).reverse_orbit(m)
-    assert len(q.table.generators) == 3
+    assert len(q.table.translators) == 3
     calls = _count_compositions(monkeypatch)
     assert check_axioms(q.table).ok
     assert calls[0] == 2 * 3 * 202
     # every element of a trivial table is a generator, but all n of them
     # translate by the identity, which is checked once
     trivial = trivial_quandle(300)
-    assert len(trivial.table.generators) == 300
+    assert trivial.table.translators == (0,)
     calls[0] = 0
     assert check_axioms(trivial.table).ok
     assert calls[0] == 2 * 300
 
 
+def test_the_order_law_and_the_orbits_read_only_the_translators_columns():
+    # every R_z is conjugate to some R_t, t a translator, so the law
+    # R_z^2 = 1 is decided and forced on the columns R_t alone: |T| = 2 on
+    # dihedral_quandle(301), where a walk of every column reads 301.  Its
+    # 2-quandle quotient is itself: the closure, the compatibility check
+    # and the postcondition each read the two.  The orbits of a trivial
+    # table close under its one translation, not its n equal ones
+    read = []
+
+    class Recording(tuple):
+        def __getitem__(self, i):
+            read.append(i)
+            return tuple.__getitem__(self, i)
+
+    def reads(q, run):
+        assert q.table.translators  # derived before the columns are watched
+        q.table.columns = Recording(q.table.columns)
+        read.clear()
+        run(q)
+        return list(read)
+
+    d301 = dihedral_quandle(301)
+    assert reads(d301, lambda q: q.is_n_quandle(2)) == [0, 1]
+    assert reads(d301, lambda q: quotient_by_identity(q, n_quandle(2))[0] is q) == [
+        0, 1] * 3
+    assert d301.is_n_quandle(2) and not d301.is_n_quandle(3)
+    assert reads(trivial_quandle(300), FiniteQuandle.orbits) == [0]
+
+
 def test_a_medial_quotient_builds_only_the_displacements_it_reaches(monkeypatch):
     # g_x = R_x R_e^-1 is built only for an x still least in its class when
     # the commutators reach it, each g_s once.  On the reversed shadow of
-    # order 22 (S = 0, 1, 11) the first pairs collapse it to its 2 orbits,
+    # order 22 (T = 0, 1, 11) the first pairs collapse it to its 2 orbits,
     # so 2 g_s and 3 g_x are built, where building every g_x first took
     # 2 + 22.  On the medial shadow nothing merges: each g_x is built once
     # by the closure and once by the postcondition's mediality check
     def displacements(q):
-        inverse_e = quandle._inverse(q.columns()[q.table.generators[0]])
+        inverse_e = quandle._inverse(q.columns()[q.table.translators[0]])
         calls = [0]
 
         def counted(indices):
@@ -534,7 +572,7 @@ def test_a_medial_quotient_builds_only_the_displacements_it_reaches(monkeypatch)
     gather = quandle.gather
     shadow = two_orbit_quandle_mod(11, 3)
     reversed_q = shadow.reverse_orbit(11)
-    assert reversed_q.table.generators == shadow.table.generators == (0, 1, 11)
+    assert reversed_q.table.translators == shadow.table.translators == (0, 1, 11)
     quotient, proj, built = displacements(reversed_q)
     assert (quotient.n, built) == (2, 2 + 3)
     assert proj == [0] * 11 + [1] * 11
@@ -606,20 +644,20 @@ def test_each_table_is_transposed_once(monkeypatch):
 
 
 def test_each_table_derives_its_generating_set_once(monkeypatch, tmp_path):
-    # a _Rows keeps its generating set S, which the axioms, the orbits,
+    # a _Rows keeps its translators T, which the axioms, the orbits,
     # mediality and the medial closure all read.  A reversal hands its
-    # columns to the table it builds, never S: the reversed table derives
-    # its own S once.  A medial quotient that merges is a new table, whose S
-    # serves both its postcondition and its axioms; a medial table is its
-    # own medial quotient, so its S serves that too.  reversal-experiment
-    # reads the input's S for mediality and the orbits, and each of the two
+    # columns to the table it builds, never T: the reversed table derives
+    # its own T once.  A medial quotient that merges is a new table, whose T
+    # serves both its axioms and its postcondition; a medial table is its
+    # own medial quotient, so its T serves that too.  reversal-experiment
+    # reads the input's T for mediality and the orbits, and each of the two
     # orbits gives a reversed table and its quotient
     shadow = two_orbit_quandle_mod(11, 3)
     text = render_table_text(shadow.reverse_orbit(11))
     corpus = tmp_path / "corpus"
     corpus.mkdir()
     (corpus / "shadow22").write_text(render_table_text(shadow))
-    derive = quandle._Rows.generators.func
+    derive = quandle._Rows.translators.func
     calls = [0]
 
     def counted(rows):
@@ -627,8 +665,8 @@ def test_each_table_derives_its_generating_set_once(monkeypatch, tmp_path):
         return derive(rows)
 
     patched = cached_property(counted)
-    patched.__set_name__(quandle._Rows, "generators")
-    monkeypatch.setattr(quandle._Rows, "generators", patched)
+    patched.__set_name__(quandle._Rows, "translators")
+    monkeypatch.setattr(quandle._Rows, "translators", patched)
 
     def derivations(run):
         calls[0] = 0
